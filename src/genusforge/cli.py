@@ -122,7 +122,7 @@ def _cmd_qs(args) -> dict:
         found = quadspace.is_isometric(s1, s2, cap=_caps(args, 3000))
         return {"isometric": found is not None}
     if args.cmd == "decompose":
-        parts = quadspace.jordan_decomposition(_load_space(args.file))
+        parts = quadspace.primary_decomposition(_load_space(args.file))
         return {"primary": {str(p): quadspace.space_to_json(sp)
                             for p, sp in sorted(parts.items())}}
     raise InternalError(f"unhandled qs command {args.cmd}")

@@ -1,11 +1,11 @@
 """Discriminant forms, signatures, and genus symbols of even lattices.
 
-The dual quotient L*/L is read off the Smith normal form of the Gram
-matrix G: with U G V = D, the columns of U^(-1) give integer vectors
-whose classes generate coker(G) with orders d_1 | d_2 | ... , and in
-dual-basis coordinates those same vectors are the generators of L*/L.
-The quadratic form q(x) = (x, x) mod 2Z is evaluated through the exact
-rational inverse of G.
+The dual quotient L*/L is read off the Smith normal form U G V = D of the
+Gram matrix G.  Since G^(-1) = V D^(-1) U, column i of V divided by d_i is
+a vector of L* (in the basis of L), and these classes generate L*/L with
+orders d_1 | d_2 | ... .  The form on two of them is
+(V^T G V)_ij / (d_i d_j), so the discriminant form comes out as integer
+data at level d_n, with no rational inverse of G.
 """
 
 from __future__ import annotations
@@ -14,19 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import InternalError, ValidationError
-from ..exactkernel import (
-    int_inv_unimodular,
-    mat_mul,
-    rat_inv,
-    rational_signature,
-    smith_normal_form,
-    transpose,
-)
+from ..exactkernel import rational_signature, smith_normal_form
 from ..quadspace import (
     FiniteQuadraticSpace,
-    build_space,
     is_isometric,
     signature_mod8,
+    space_from_gram,
     trivial_space,
 )
 from .lattice import EvenLattice
@@ -41,24 +34,20 @@ def _disc_with_lifts(l: EvenLattice):
     g = l.gram
     n = l.rank
     snf = smith_normal_form(g)
-    w = int_inv_unimodular(snf.u)
-    ginv = rat_inv(g)
-    # m[i][j] = u_i^T G^(-1) u_j where u_i is column i of U^(-1).
-    m = mat_mul(transpose(w), mat_mul(ginv, w))
-    kept = [i for i in range(n) if snf.diagonal[i] != 1]
-    orders = [snf.diagonal[i] for i in kept]
-    if not orders:
+    d = snf.diagonal
+    v = snf.v
+    kept = [i for i in range(n) if d[i] != 1]
+    if not kept:
         return trivial_space(), []
-    q = [m[i][i] % 2 for i in kept]
-    b = [[m[i][j] % 1 for j in kept] for i in kept]
-    space = build_space(orders, q, b)
+    orders = [d[i] for i in kept]
+    level = orders[-1]
+    gv = [[sum(g[r][c] * v[c][j] for c in range(n)) for j in kept] for r in range(n)]
+    gram = [[sum(v[r][i] * gv[r][k] for r in range(n)) * level // (d[i] * d[j])
+             for k, j in enumerate(kept)] for i in kept]
+    space = space_from_gram(orders, level, gram)
     if space.orders != tuple(orders):
         raise InternalError("SNF orders should survive canonicalization")
-    lifts = []
-    for i in kept:
-        col = [w[r][i] for r in range(n)]
-        lifts.append(tuple(sum(Fraction(ginv[r][c]) * col[c] for c in range(n))
-                           for r in range(n)))
+    lifts = [tuple(Fraction(v[r][i], d[i]) for r in range(n)) for i in kept]
     return space, lifts
 
 

@@ -1,22 +1,41 @@
-"""Modular data: labels, s-tilde matrix, twists, and weights.
+"""Modular data: labels, s-tilde matrix, twists, weights, and the exponents
+of pointed data.
 
 Everything is stored in the rescaled convention s_tilde = sqrt(D) * S,
 which keeps all entries inside cyclotomic fields.  The discriminant
 D = sum of dim^2 must come out a positive rational integer; twists are
 rational phases (so automatically roots of unity) and must agree with
 the conformal weights mod 1.
+
+When every entry of s_tilde is a root of unity, as for every pointed
+category, `exponents` writes the data over one root of unity zeta_M:
+s_tilde[i][j] = zeta_M^E[i, j] and theta_i = zeta_M^tau[i], with M the
+lcm of the entry orders and twist denominators.  Relations, fusion and
+the anomaly test run on these integer tables; for data such as Ising the
+field is None and they run in cyclotomic arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
-from typing import Sequence
+from math import gcd, lcm, prod
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from ..errors import ValidationError
-from ..exactkernel import CyclotomicNumber, PhaseMod1, as_fraction
+from ..exactkernel import CyclotomicNumber, PhaseMod1, as_fraction, order_cap
+from ..exactkernel.cyclotomic import _reduction_rows
 from ..quadspace import FiniteQuadraticSpace
+
+
+class Exponents(NamedTuple):
+    """s_tilde[i][j] = zeta_order^s[i, j] and theta_i = zeta_order^twists[i]."""
+
+    order: int
+    s: np.ndarray
+    twists: np.ndarray
 
 
 def _as_cyclo(x) -> CyclotomicNumber:
@@ -33,6 +52,7 @@ class ModularData:
     s_tilde: tuple[tuple[CyclotomicNumber, ...], ...]
     twists: tuple[PhaseMod1, ...]
     weights: tuple[PhaseMod1, ...]
+    exponents: Exponents | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.dual)
@@ -88,6 +108,23 @@ class ModularData:
         return f"ModularData(n={self.n}, D={self.discriminant})"
 
 
+def _exponents_of(mat, twists) -> Exponents | None:
+    """The exponents of every entry and twist, or None when some entry is
+    not a root of unity or the common order passes the cyclotomic cap."""
+    order = lcm(*(x.order for row in mat for x in row),
+                *(t.value.denominator for t in twists))
+    if order > order_cap():
+        return None
+    power = {row: e for e, row in enumerate(_reduction_rows(order))}
+    exps = []
+    for row in mat:
+        exps.append([power.get(x.embed(order).coeffs) for x in row])
+        if None in exps[-1]:
+            return None
+    tau = [t.value.numerator * (order // t.value.denominator) for t in twists]
+    return Exponents(order, np.array(exps, dtype=np.int64), np.array(tau, dtype=np.int64))
+
+
 def build_modular_data(dual: Sequence[int],
                        s_tilde: Sequence[Sequence],
                        twists: Sequence,
@@ -101,41 +138,28 @@ def build_modular_data(dual: Sequence[int],
         wt = tuple(w if isinstance(w, PhaseMod1) else PhaseMod1(as_fraction(w))
                    for w in weights)
     mat = tuple(tuple(_as_cyclo(x) for x in row) for row in s_tilde)
-    return ModularData(tuple(dual), mat, tw, wt)
+    return ModularData(tuple(dual), mat, tw, wt, _exponents_of(mat, tw))
 
 
 def from_quadratic_space(s: FiniteQuadraticSpace) -> ModularData:
     """The pointed modular data of (A, q): labels are the elements of A,
     s_tilde[x][y] = exp(-2 pi i b(x,y)), twist of x is q(x)/2 mod 1."""
-    elems = list(s.elements())
-    index = {x: i for i, x in enumerate(elems)}
-    dual = tuple(index[s.group.neg(x)] for x in elems)
-    phases = [[(-s.eval_b(x, y).value) % 1 for y in elems] for x in elems]
-    twists = tuple(s.eval_q(x).half() for x in elems)
-    memo: dict[Fraction, CyclotomicNumber] = {}
-
-    def root(p: Fraction) -> CyclotomicNumber:
-        z = memo.get(p)
-        if z is None:
-            z = CyclotomicNumber.from_exponents(p.denominator, {p.numerator: 1})
-            memo[p] = z
-        return z
-
-    m = ModularData(dual, tuple(tuple(root(p) for p in row) for row in phases),
-                    twists, twists)
-    order = 1
-    for row in phases:
-        for p in row:
-            order = lcm(order, p.denominator)
-    for t in twists:
-        order = lcm(order, t.value.denominator)
-    if order <= 512:
-        # the exponent form zeta_order^e of every entry is already known
-        # here; stash it so downstream fast paths skip the rescan
-        exps = tuple(tuple(int(p * order) for p in row) for row in phases)
-        tau = tuple(int(t.value * order) % order for t in twists)
-        object.__setattr__(m, "_root_exps", (order, exps, tau))
-    return m
+    coords, q, _ = s.table
+    level = s.level
+    b = (coords @ s.gram_array % level) @ coords.T % level
+    order = lcm(level // gcd(level, int(np.gcd.reduce(b, axis=None))),
+                2 * level // gcd(2 * level, int(np.gcd.reduce(q))))
+    exps = (-b) % level * order // level
+    tau = q * order // (2 * level)
+    strides = np.array([prod(s.orders[i + 1:]) for i in range(s.rank)], dtype=np.int64)
+    dual = tuple(((-coords) % np.array(s.orders, dtype=np.int64) @ strides).tolist())
+    roots = {}
+    for e in np.unique(exps).tolist():
+        p = Fraction(e, order)
+        roots[e] = CyclotomicNumber.from_exponents(p.denominator, {p.numerator: 1})
+    twists = tuple(PhaseMod1(Fraction(v, 2 * level)) for v in q.tolist())
+    return ModularData(dual, tuple(tuple(roots[e] for e in row) for row in exps.tolist()),
+                       twists, twists, Exponents(order, exps, tau))
 
 
 def product(m1: ModularData, m2: ModularData) -> ModularData:
@@ -153,7 +177,7 @@ def product(m1: ModularData, m2: ModularData) -> ModularData:
                    for i in m1.labels for j in m2.labels)
     weights = tuple(m1.weights[i] + m2.weights[j]
                     for i in m1.labels for j in m2.labels)
-    return ModularData(dual, tuple(rows), twists, weights)
+    return build_modular_data(dual, rows, twists, weights)
 
 
 def ising_data() -> ModularData:

@@ -18,7 +18,7 @@ from ..errors import NonIntegralError, ValidationError
 from ..exactkernel import CyclotomicNumber
 from ..exactkernel.cyclotomic import _reduction_rows, reduce_int_counts
 from .data import ModularData
-from .relations import _root_exponents, verify_relations
+from .relations import verify_relations
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,8 @@ def _require_modular(m: ModularData) -> None:
             f"modular relations fail ({report.failed}): {report.detail}")
 
 
-def _fusion_fast(m: ModularData, order, exps, tau) -> FusionTable:
+def _fusion_exponents(m: ModularData) -> FusionTable:
+    order, exps, _ = m.exponents
     n = m.n
     d = m.discriminant
     rows = np.array(_reduction_rows(order), dtype=np.int64)
@@ -65,11 +66,11 @@ def _fusion_fast(m: ModularData, order, exps, tau) -> FusionTable:
             raise NonIntegralError(
                 f"fusion N[{i}][{j}][{k}] is not a nonnegative integer")
         nij = (vals // d).T  # [j, k]
-        out.append(tuple(tuple(int(x) for x in row) for row in nij))
+        out.append(tuple(map(tuple, nij.tolist())))
     return FusionTable(tuple(out))
 
 
-def _fusion_generic(m: ModularData) -> FusionTable:
+def _fusion_cyclotomic(m: ModularData) -> FusionTable:
     n = m.n
     d = Fraction(m.discriminant)
     inv_dims = [m.dims[l].inverse() for l in range(n)]
@@ -96,10 +97,37 @@ def _fusion_generic(m: ModularData) -> FusionTable:
 def verlinde_fusion(m: ModularData) -> FusionTable:
     """N[i][j][k] = (1/D) sum_l s[i][l] s[j][l] conj(s[k][l]) / s[0][l]."""
     _require_modular(m)
-    fast = _root_exponents(m)
-    if fast is not None:
-        return _fusion_fast(m, *fast)
-    return _fusion_generic(m)
+    return _fusion_cyclotomic(m) if m.exponents is None else _fusion_exponents(m)
+
+
+def _block_sum_exponents(m: ModularData, power: int, labels) -> Fraction:
+    """sum_j dims_j^power prod_s s_tilde[i_s][j], on exponents."""
+    order, exps, _ = m.exponents
+    e = (power * exps[0]) % order
+    for i in labels:
+        e = (e + exps[i]) % order
+    coeffs = reduce_int_counts(order, np.bincount(e, minlength=order))
+    if any(coeffs[1:]):
+        raise NonIntegralError("genus dimension is not rational")
+    return Fraction(coeffs[0])
+
+
+def _block_sum_cyclotomic(m: ModularData, power: int, labels) -> Fraction:
+    """sum_j dims_j^power prod_s s_tilde[i_s][j], in cyclotomic arithmetic."""
+    acc = CyclotomicNumber.zero()
+    for j in range(m.n):
+        dim = m.dims[j]
+        base = dim.inverse() if power < 0 else dim
+        term = CyclotomicNumber.one()
+        for _ in range(abs(power)):
+            term = term * base
+        for i in labels:
+            term = term * m.s_tilde[i][j]
+        acc = acc + term
+    val = acc.is_rational()
+    if val is None:
+        raise NonIntegralError("genus dimension is not rational")
+    return val
 
 
 def genus_dimension(m: ModularData, g: int,
@@ -114,33 +142,8 @@ def genus_dimension(m: ModularData, g: int,
             raise ValidationError(f"puncture label {i!r} out of range")
     _require_modular(m)
     power = 2 - 2 * g - len(labels)
-    d = m.discriminant
-
-    fast = _root_exponents(m)
-    if fast is not None:
-        order, exps, _ = fast
-        e = (power * exps[0]) % order
-        for i in labels:
-            e = (e + exps[i]) % order
-        coeffs = reduce_int_counts(order, np.bincount(e, minlength=order))
-        if any(coeffs[1:]):
-            raise NonIntegralError("genus dimension is not rational")
-        total = Fraction(coeffs[0]) * Fraction(d) ** (g - 1)
-    else:
-        acc = CyclotomicNumber.zero()
-        for j in range(m.n):
-            dim = m.dims[j]
-            base = dim.inverse() if power < 0 else dim
-            term = CyclotomicNumber.one()
-            for _ in range(abs(power)):
-                term = term * base
-            for i in labels:
-                term = term * m.s_tilde[i][j]
-            acc = acc + term
-        val = acc.is_rational()
-        if val is None:
-            raise NonIntegralError("genus dimension is not rational")
-        total = val * Fraction(d) ** (g - 1)
+    block_sum = _block_sum_cyclotomic if m.exponents is None else _block_sum_exponents
+    total = block_sum(m, power, labels) * Fraction(m.discriminant) ** (g - 1)
     if total.denominator != 1 or total < 0:
         raise NonIntegralError(
             f"genus dimension {total} is not a nonnegative integer")

@@ -8,18 +8,16 @@ nor the cube root gamma ever appears:
   (iii) s_tilde^2 T = T s_tilde^2
   (iv)  (s_tilde T)^3 = (sum_i theta_i dim_i^2) * s_tilde^2
 
-When every matrix entry is a root of unity (all pointed categories are
-of this shape) the products are pushed into exponent-count vectors and
-reduced with one integer matrix multiplication; otherwise the products
-run directly in cyclotomic arithmetic, which is fine for small label
-sets like the Ising data.
+For pointed data, which carry their exponents over one root of unity
+zeta_M, each product becomes a count of exponent sums mod M, reduced to
+the power basis with one integer matrix multiplication.  Data without
+exponents, such as Ising, are multiplied out in cyclotomic arithmetic,
+which is fine for small label sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import lcm
 
 import numpy as np
 
@@ -47,60 +45,6 @@ class RelationReport:
 _PASS = RelationReport(None, "")
 
 
-@lru_cache(maxsize=32)
-def _root_table(order: int) -> dict:
-    """coeff-tuple -> exponent, for every power of zeta_order."""
-    table = {}
-    for e in range(order):
-        z = CyclotomicNumber.from_exponents(order, {e: 1})
-        table[z.coeffs] = e
-    return table
-
-
-_MISSING = object()
-
-
-def _root_exponents(m: ModularData):
-    """(M, E, tau) if every s_tilde entry is a root of unity, else None.
-
-    s_tilde[i][j] = zeta_M^E[i][j] and theta_i = zeta_M^tau[i].
-    """
-    cached = getattr(m, "_root_exps_np", _MISSING)
-    if cached is not _MISSING:
-        return cached
-    result = _scan_root_exponents(m)
-    object.__setattr__(m, "_root_exps_np", result)
-    return result
-
-
-def _scan_root_exponents(m: ModularData):
-    raw = getattr(m, "_root_exps", None)
-    if raw is not None:
-        order, exps, tau = raw
-        return (order, np.array(exps, dtype=np.int64),
-                np.array(tau, dtype=np.int64))
-    order = 1
-    for row in m.s_tilde:
-        for x in row:
-            order = lcm(order, x.order)
-    for t in m.twists:
-        order = lcm(order, t.value.denominator)
-    if order > 512:
-        return None
-    table = _root_table(order)
-    n = m.n
-    exps = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            e = table.get(m.s_tilde[i][j].embed(order).coeffs)
-            if e is None:
-                return None
-            exps[i][j] = e
-    tau = np.array([int(t.value * order) % order for t in m.twists],
-                   dtype=np.int64)
-    return order, exps, tau
-
-
 def _pair_counts(left: np.ndarray, right: np.ndarray, order: int) -> np.ndarray:
     """counts[i, k, e] = #{j : left[i,j] + right[j,k] == e (mod order)}."""
     n = left.shape[0]
@@ -119,7 +63,8 @@ def _reduce_counts(counts: np.ndarray, order: int) -> np.ndarray:
     return counts @ rows
 
 
-def _verify_fast(m: ModularData, order, exps, tau) -> RelationReport:
+def _verify_exponents(m: ModularData) -> RelationReport:
+    order, exps, tau = m.exponents
     n = m.n
     d = m.discriminant
     phi = euler_phi(order)
@@ -180,7 +125,7 @@ def _mat_mul_cyclo(a, b):
     return tuple(out)
 
 
-def _verify_generic(m: ModularData) -> RelationReport:
+def _verify_cyclotomic(m: ModularData) -> RelationReport:
     n = m.n
     d = CyclotomicNumber.from_rational(m.discriminant)
     zero = CyclotomicNumber.zero()
@@ -216,8 +161,7 @@ def verify_relations(m: ModularData) -> RelationReport:
     """Check relations (i)-(iv) exactly; report the first failure."""
     if getattr(m, "_relations_ok", False):
         return _PASS
-    fast = _root_exponents(m)
-    report = _verify_fast(m, *fast) if fast is not None else _verify_generic(m)
+    report = _verify_cyclotomic(m) if m.exponents is None else _verify_exponents(m)
     if report.ok:
         object.__setattr__(m, "_relations_ok", True)
     return report

@@ -28,14 +28,12 @@ from ..quadspace import (
     quotient_space,
 )
 from .data import ModularData
-from .relations import _root_exponents
 
 
 def _twisted_dimension_sum(m: ModularData) -> CyclotomicNumber:
     # sum_j theta_j d_j^2
-    fast = _root_exponents(m)
-    if fast is not None:
-        order, exps, tau = fast
+    if m.exponents is not None:
+        order, exps, tau = m.exponents
         e = (tau + 2 * exps[0]) % order
         counts = np.bincount(e, minlength=order)
         coeffs = reduce_int_counts(order, counts)

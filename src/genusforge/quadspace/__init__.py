@@ -6,6 +6,7 @@ from .space import (
     FiniteQuadraticSpace,
     build_space,
     direct_sum,
+    space_from_gram,
     space_from_json,
     space_to_json,
     trivial_space,
@@ -46,6 +47,7 @@ __all__ = [
     "primary_decomposition",
     "quotient_space",
     "signature_mod8",
+    "space_from_gram",
     "space_from_json",
     "space_to_json",
     "subgroup_from_elements",

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import InternalError, NotPrimaryError, ValidationError
-from .present import present_subquotient
-from .space import FiniteQuadraticSpace, build_space, trivial_space
+from .space import FiniteQuadraticSpace, subquotient
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,7 @@ def primary_decomposition(s: FiniteQuadraticSpace) -> dict[int, FiniteQuadraticS
     if s.order == 1:
         return {}
     primes = sorted(_factorize(s.order))
-    orders, q, b = s._raw()
+    orders = s.orders
     n = s.rank
     out: dict[int, FiniteQuadraticSpace] = {}
     for p in primes:
@@ -62,9 +61,7 @@ def primary_decomposition(s: FiniteQuadraticSpace) -> dict[int, FiniteQuadraticS
             if e:
                 # d/p^e times the generator has exact order p^e.
                 gens.append(tuple((d // p ** e) if j == i else 0 for j in range(n)))
-        (new_orders, new_q, new_b), _ = present_subquotient(orders, q, b, gens)
-        out[p] = build_space(list(new_orders), list(new_q),
-                             [list(r) for r in new_b])
+        out[p] = subquotient(s, gens)
     return out
 
 
@@ -138,13 +135,7 @@ def jordan_blocks_odd(s: FiniteQuadraticSpace, p: int) -> list[JordanBlockSummar
             u = (bi.numerator * (pk // bi.denominator)) % pk
             lam = (u * inv) % pk
             gens.append(tuple((basis[i][t] - lam * x[t]) % orders[t] for t in range(n)))
-        o, q, b = current._raw()
-        (new_orders, new_q, new_b), _ = present_subquotient(o, q, b, gens)
-        if not new_orders:
-            current = trivial_space()
-        else:
-            current = build_space(list(new_orders), list(new_q),
-                                  [list(r) for r in new_b])
+        current = subquotient(current, gens)
     return [JordanBlockSummary(p=p, k=k, rank=len(thetas), theta=math.prod(thetas))
             for k, thetas in sorted(scales.items())]
 

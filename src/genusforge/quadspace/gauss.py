@@ -25,16 +25,12 @@ from ..exactkernel import (
 from .space import FiniteQuadraticSpace
 
 
-def _phase_counts(s: FiniteQuadraticSpace) -> tuple[int, list[int]]:
+def _phase_counts(s: FiniteQuadraticSpace) -> tuple[int, np.ndarray]:
     """Counts of exp(2 pi i k/M) terms in G, indexed by k."""
-    halves = [s.eval_q(x).half().value for x in s.elements()]
-    m = 1
-    for fr in halves:
-        m = math.lcm(m, fr.denominator)
-    counts = [0] * m
-    for fr in halves:
-        counts[(fr.numerator * (m // fr.denominator)) % m] += 1
-    return m, counts
+    two_n = 2 * s.level
+    q = s.table.q
+    m = two_n // math.gcd(two_n, int(np.gcd.reduce(q)))
+    return m, np.bincount(q // (two_n // m), minlength=m)
 
 
 def gauss_sum(s: FiniteQuadraticSpace) -> CyclotomicNumber:
@@ -48,8 +44,7 @@ def signature_mod8(s: FiniteQuadraticSpace, bits: int = 128) -> int:
     if s.order == 1:
         return 0
     m, counts = _phase_counts(s)
-    arr = np.asarray(counts, dtype=np.int64)
-    full = np.convolve(arr, arr)
+    full = np.convolve(counts, counts)
     squared = np.zeros(m, dtype=np.int64)
     for start in range(0, len(full), m):
         chunk = full[start:start + m]

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from ..errors import LimitError
 from .space import FiniteQuadraticSpace
 from .subgroups import closure
@@ -46,19 +48,20 @@ def is_isometric(s1: FiniteQuadraticSpace, s2: FiniteQuadraticSpace,
         raise LimitError(f"group order {s1.order} exceeds isometry cap {cap}")
     if s1.order == 1:
         return ()
-    q1 = sorted(p.value for p in s1.q_values().values())
-    q2 = sorted(p.value for p in s2.q_values().values())
-    if q1 != q2:
+    # Isometric spaces share the level, the least common denominator of all
+    # their values, so q numerators compare directly.
+    if s1.level != s2.level or not np.array_equal(np.sort(s1.table.q), np.sort(s2.table.q)):
         return None
 
+    level = s1.level
     gens = s1.generators()
     n = s1.rank
     # Subgroup sizes along s1's generator chain; images must track them.
     sizes = [len(closure(s1, gens[: i + 1])) for i in range(n)]
-    by_profile: dict[tuple, list[Coords]] = {}
-    for y in s2.elements():
-        key = (s2.group.element_order(y), s2.eval_q(y).value)
-        by_profile.setdefault(key, []).append(y)
+    t2 = s2.table
+    by_profile: dict[tuple[int, int], list[Coords]] = {}
+    for y, order, q in zip(map(tuple, t2.coords.tolist()), t2.order.tolist(), t2.q.tolist()):
+        by_profile.setdefault((order, q), []).append(y)
 
     images: list[Coords] = []
 
@@ -66,13 +69,13 @@ def is_isometric(s1: FiniteQuadraticSpace, s2: FiniteQuadraticSpace,
         if i == n:
             return True
         g = gens[i]
-        key = (s1.orders[i], s1.eval_q(g).value)
-        pool = by_profile.get(key, [])
+        want = s1.gram[i]
+        pool = by_profile.get((s1.orders[i], want[i]), [])
         # Stable order, but try the literal generator first so that a space
         # compared with itself reports the identity.
         ordered = sorted(pool, key=lambda y: (y != g, y))
         for y in ordered:
-            if any(s2.eval_b(y, images[j]) != s1.eval_b(g, gens[j]) for j in range(i)):
+            if any(s2.pair(y, images[j]) % level != want[j] for j in range(i)):
                 continue
             images.append(y)
             if len(closure(s2, images)) == sizes[i] and extend(i + 1):

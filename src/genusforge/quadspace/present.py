@@ -1,63 +1,35 @@
-"""Presentation plumbing for quotients of quadratic-space data.
+"""Presentation of subquotients in the integer encoding of a space.
 
-Works on raw (orders, q, b) triples of plain Fractions so it can run before
-a validated space object exists; space.py builds on this to canonicalize
-arbitrary generator data into invariant-factor form.
+Works on (orders, G) data, so it can run before a validated space exists:
+span(gens)/span(rels) is re-presented on new generators W in
+invariant-factor form, and the form on them is W G W^T at the same level.
+space.py builds on this to canonicalize arbitrary generator data, and to
+form quotients and primary parts.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from ..errors import InternalError
 from ..exactkernel import int_inv_unimodular, integer_kernel, smith_normal_form
 
-RawTriple = tuple[tuple[int, ...], tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]
 
-
-def raw_eval_q(orders: Sequence[int], q: Sequence[Fraction],
-               b: Sequence[Sequence[Fraction]], x: Sequence[int]) -> Fraction:
-    """q(x) mod 2 for an integer coordinate vector (not necessarily reduced)."""
-    total = Fraction(0)
-    n = len(orders)
-    for i in range(n):
-        if x[i]:
-            total += x[i] * x[i] * q[i]
-            for j in range(i + 1, n):
-                if x[j]:
-                    total += 2 * x[i] * x[j] * b[i][j]
-    return total % 2
-
-
-def raw_eval_b(orders: Sequence[int], b: Sequence[Sequence[Fraction]],
-               x: Sequence[int], y: Sequence[int]) -> Fraction:
-    total = Fraction(0)
-    for i, xi in enumerate(x):
-        if xi:
-            row = b[i]
-            for j, yj in enumerate(y):
-                if yj:
-                    total += xi * yj * row[j]
-    return total % 1
-
-
-def present_subquotient(orders: Sequence[int], q: Sequence[Fraction],
-                        b: Sequence[Sequence[Fraction]],
+def present_subquotient(orders: Sequence[int], gram: Sequence[Sequence[int]],
                         gen_vectors: Sequence[Sequence[int]],
                         rel_vectors: Sequence[Sequence[int]] = ()
-                        ) -> tuple[RawTriple, tuple[tuple[int, ...], ...]]:
+                        ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Present span(gen_vectors)/span(rel_vectors) in invariant-factor form.
 
-    Returns ((new_orders, new_q, new_b), new_gen_coords) where new_gen_coords
-    gives each new generator as an integer vector in the ambient coordinates.
-    The caller is responsible for the induced form being well defined
-    (rel_vectors isotropic and orthogonal to the generators).
+    Returns (new_orders, W G W^T), where row k of W is new generator k as
+    an integer vector in the ambient coordinates.  The caller is
+    responsible for the induced form being well defined (rel_vectors
+    isotropic and orthogonal to the generators).
     """
     n = len(orders)
     m = len(gen_vectors)
     if m == 0 or n == 0:
-        return ((), (), ()), ()
+        return (), ()
     # Relation lattice: a in Z^m with sum a_i v_i in span(rels) + diag(orders).
     cols: list[list[int]] = []
     for v in gen_vectors:
@@ -77,7 +49,7 @@ def present_subquotient(orders: Sequence[int], q: Sequence[Fraction],
         raise InternalError("subgroup presentation is not finite")
     v_inv = int_inv_unimodular(res.v)
     new_orders: list[int] = []
-    new_coords: list[tuple[int, ...]] = []
+    w: list[list[int]] = []
     for k in range(m):
         d = res.d[k][k]
         if d == 1:
@@ -88,10 +60,8 @@ def present_subquotient(orders: Sequence[int], q: Sequence[Fraction],
             if combo[j]:
                 for t in range(n):
                     vec[t] += combo[j] * gen_vectors[j][t]
-        vec = [vec[t] % orders[t] for t in range(n)]
         new_orders.append(d)
-        new_coords.append(tuple(vec))
-    new_q = tuple(raw_eval_q(orders, q, b, w) for w in new_coords)
-    new_b = tuple(tuple(raw_eval_b(orders, b, w, w2) for w2 in new_coords)
-                  for w in new_coords)
-    return (tuple(new_orders), new_q, new_b), tuple(new_coords)
+        w.append([vec[t] % orders[t] for t in range(n)])
+    wg = [[sum(a * row[t] for a, row in zip(x, gram)) for t in range(n)] for x in w]
+    return (tuple(new_orders),
+            tuple(tuple(sum(a * b for a, b in zip(x, y)) for y in w) for x in wg))

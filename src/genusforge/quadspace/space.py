@@ -1,10 +1,18 @@
-"""Finite quadratic spaces (A, q) with exact rational phase values.
+"""Finite quadratic spaces (A, q) in one integer encoding.
 
-A space carries a finite abelian group in invariant-factor form, the values
-of q on generators (mod 2) and the full bilinear matrix b on generator pairs
-(mod 1).  build_space validates consistency, the polarization identity and
-nondegeneracy, re-presenting arbitrary generator data into canonical form
-first when needed.
+A space is a finite abelian group in invariant-factor form d_1 | ... | d_n,
+a level N and a symmetric integer matrix G on the generators, with
+
+    q(x) = x^T G x / N  mod 2,        b(x, y) = x^T G y / N  mod 1.
+
+The encoding is canonical: N is minimal, the diagonal of G is reduced
+mod 2N and the off-diagonal mod N, so two spaces are equal exactly when
+their generators carry equal values.  The per-element values (coordinates,
+q numerators, element orders) come from one numpy pass over the elements
+in `elements()` order and are cached on the space.  `build_space` checks
+rational generator data and encodes it; `space_from_gram` takes integer
+data, re-presents generator orders that do not form a divisibility chain,
+and rejects degenerate forms.
 """
 
 from __future__ import annotations
@@ -13,11 +21,20 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from ..errors import ConsistencyError, DegenerateFormError, ValidationError
-from ..exactkernel import PhaseMod1, PhaseMod2, as_fraction, smith_normal_form
-from .present import present_subquotient, raw_eval_b, raw_eval_q
+from ..exactkernel import (
+    PhaseMod1,
+    PhaseMod2,
+    as_fraction,
+    integer_kernel,
+    smith_normal_form,
+)
+from .present import present_subquotient
 
 
 @dataclass(frozen=True)
@@ -62,11 +79,19 @@ class FiniteAbelianGroup:
         return itertools.product(*(range(d) for d in self.invariant_factors))
 
 
+class ElementTable(NamedTuple):
+    """One row per element, in `elements()` order."""
+
+    coords: np.ndarray  # (|A|, n) coordinates
+    q: np.ndarray       # numerator of q(x) over the level, in [0, 2N)
+    order: np.ndarray   # element orders
+
+
 @dataclass(frozen=True)
 class FiniteQuadraticSpace:
     group: FiniteAbelianGroup
-    q_gen: tuple[PhaseMod2, ...]
-    b_matrix: tuple[tuple[PhaseMod1, ...], ...]
+    level: int
+    gram: tuple[tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
@@ -80,18 +105,42 @@ class FiniteQuadraticSpace:
     def orders(self) -> tuple[int, ...]:
         return self.group.invariant_factors
 
-    def _raw(self):
-        q = tuple(p.value for p in self.q_gen)
-        b = tuple(tuple(p.value for p in row) for row in self.b_matrix)
-        return self.orders, q, b
+    @property
+    def q_gen(self) -> tuple[PhaseMod2, ...]:
+        return tuple(PhaseMod2(Fraction(self.gram[i][i], self.level))
+                     for i in range(self.rank))
+
+    @property
+    def b_matrix(self) -> tuple[tuple[PhaseMod1, ...], ...]:
+        return tuple(tuple(PhaseMod1(Fraction(x, self.level)) for x in row)
+                     for row in self.gram)
+
+    @property
+    def gram_array(self) -> np.ndarray:
+        return np.array(self.gram, dtype=np.int64).reshape(self.rank, self.rank)
+
+    def pair(self, x: Sequence[int], y: Sequence[int]) -> int:
+        """x^T G y; b(x, y) is this over the level mod 1, q(x) = pair(x, x)
+        over the level mod 2."""
+        return sum(xi * gij * yj for xi, row in zip(x, self.gram) if xi
+                   for gij, yj in zip(row, y) if yj)
 
     def eval_q(self, x: Sequence[int]) -> PhaseMod2:
-        orders, q, b = self._raw()
-        return PhaseMod2(raw_eval_q(orders, q, b, self.group.reduce(x)))
+        x = self.group.reduce(x)
+        return PhaseMod2(Fraction(self.pair(x, x), self.level))
 
     def eval_b(self, x: Sequence[int], y: Sequence[int]) -> PhaseMod1:
-        orders, _, b = self._raw()
-        return PhaseMod1(raw_eval_b(orders, b, self.group.reduce(x), self.group.reduce(y)))
+        return PhaseMod1(Fraction(self.pair(self.group.reduce(x), self.group.reduce(y)),
+                                  self.level))
+
+    @cached_property
+    def table(self) -> ElementTable:
+        orders = np.array(self.orders, dtype=np.int64)
+        coords = np.indices(self.orders, dtype=np.int64).reshape(self.rank, self.order).T
+        two_n = 2 * self.level
+        q = ((coords @ self.gram_array) % two_n * coords).sum(axis=1) % two_n
+        order = np.lcm.reduce(orders // np.gcd(coords, orders), axis=1, initial=1)
+        return ElementTable(coords, q, order)
 
     def elements(self) -> Iterator[tuple[int, ...]]:
         return self.group.elements()
@@ -101,88 +150,77 @@ class FiniteQuadraticSpace:
         return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
     def q_values(self) -> dict[tuple[int, ...], PhaseMod2]:
-        return {x: self.eval_q(x) for x in self.elements()}
+        return {x: PhaseMod2(Fraction(v, self.level))
+                for x, v in zip(self.elements(), self.table.q.tolist())}
 
     def __repr__(self) -> str:
         qs = ", ".join(str(p.value) for p in self.q_gen)
         return f"FiniteQuadraticSpace(orders={list(self.orders)}, q=[{qs}])"
 
 
-def _consistency_checks(orders, q, b) -> None:
-    n = len(orders)
-    for i in range(n):
-        if (q[i] * orders[i] * orders[i]) % 2 != 0:
-            raise ConsistencyError(
-                f"q[{i}] = {q[i]} is not defined on a generator of order {orders[i]}")
-    for i in range(n):
-        for j in range(n):
-            if b[i][j] != b[j][i]:
-                raise ConsistencyError(f"b is not symmetric at generator pair ({i}, {j})")
-            if (b[i][j] * orders[i]) % 1 != 0:
-                raise ConsistencyError(
-                    f"b[{i}][{j}] = {b[i][j]} is not defined for generator order {orders[i]}")
-    # Polarization on all generator pairs: b = (q(x+y) - q(x) - q(y))/2.
-    basis = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            xy = [basis[i][k] + basis[j][k] for k in range(n)]
-            lhs = raw_eval_b(orders, b, basis[i], basis[j])
-            rhs = ((raw_eval_q(orders, q, b, xy) - raw_eval_q(orders, q, b, basis[i])
-                    - raw_eval_q(orders, q, b, basis[j])) % 2) / 2
-            if lhs != rhs % 1:
-                raise ConsistencyError(
-                    f"polarization fails at generator pair ({i}, {j}): "
-                    f"b = {lhs} but (q(x+y) - q(x) - q(y))/2 = {rhs % 1}")
-
-
-def _nondegenerate(orders, b) -> tuple[int, ...] | None:
+def _nondegenerate(orders, level, gram) -> tuple[int, ...] | None:
     """None if nondegenerate, else a witness annihilated by b."""
     n = len(orders)
     if n == 0:
         return None
-    total = math.prod(orders)
-    ell = 1
-    for row in b:
-        for x in row:
-            ell = math.lcm(ell, x.denominator)
-    m = tuple(tuple(int(x * ell) for x in row) for row in b)
-    diag = smith_normal_form(m).diagonal
-    image = 1
-    for k in range(n):
-        dk = diag[k] if k < len(diag) else 0
-        image *= ell // math.gcd(ell, dk)
-    if image == total:
+    diag = smith_normal_form(gram).diagonal
+    image = math.prod(level // math.gcd(level, dk) for dk in diag)
+    if image == math.prod(orders):
         return None
-    # Recover a witness: x with x . (b-matrix) = 0 mod 1, x nonzero mod orders.
-    from ..exactkernel import integer_kernel
+    # Recover a witness: x with x G = 0 mod N, x nonzero mod orders.
     stacked = tuple(
-        tuple([m[i][j] for i in range(n)] + [ell if t == j else 0 for t in range(n)])
+        tuple([gram[i][j] for i in range(n)] + [level if t == j else 0 for t in range(n)])
         for j in range(n))
-    kernel = integer_kernel(stacked)
-    for vec in kernel:
+    for vec in integer_kernel(stacked):
         x = tuple(vec[i] % orders[i] for i in range(n))
         if any(x):
             return x
     raise AssertionError("degenerate form without witness")  # pragma: no cover
 
 
-def _canonicalize(orders, q, b):
-    """Re-present raw data with invariant factors in a divisibility chain."""
-    keep = [i for i, d in enumerate(orders) if d > 1]
-    orders2 = [orders[i] for i in keep]
-    q2 = [q[i] for i in keep]
-    b2 = [[b[i][j] for j in keep] for i in keep]
-    order_perm = sorted(range(len(orders2)), key=lambda i: orders2[i])
-    sorted_orders = [orders2[i] for i in order_perm]
-    if all(sorted_orders[i + 1] % sorted_orders[i] == 0
-           for i in range(len(sorted_orders) - 1)):
-        return (tuple(sorted_orders),
-                tuple(q2[i] for i in order_perm),
-                tuple(tuple(b2[i][j] for j in order_perm) for i in order_perm))
-    n = len(orders2)
+def _invariant_factors(orders, gram):
+    """Re-present (orders, G) with orders in a divisibility chain."""
+    keep = sorted((i for i, d in enumerate(orders) if d > 1), key=lambda i: orders[i])
+    chain = [orders[i] for i in keep]
+    if all(chain[i + 1] % chain[i] == 0 for i in range(len(chain) - 1)):
+        return chain, [[gram[i][j] for j in keep] for i in keep]
+    keep.sort()
+    n = len(keep)
     gens = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    (new_orders, new_q, new_b), _ = present_subquotient(orders2, q2, b2, gens)
-    return new_orders, new_q, new_b
+    return present_subquotient([orders[i] for i in keep],
+                               [[gram[i][j] for j in keep] for i in keep], gens)
+
+
+def space_from_gram(orders: Sequence[int], level: int,
+                    gram: Sequence[Sequence[int]]) -> FiniteQuadraticSpace:
+    """Validated canonical space with q(x) = x^T G x / level mod 2 and
+    b(x, y) = x^T G y / level mod 1 on generators of the given orders.
+
+    The generators are re-presented in invariant-factor form when the
+    orders do not already form a divisibility chain.
+    """
+    n = len(orders)
+    for i, d in enumerate(orders):
+        if (d * d * gram[i][i]) % (2 * level):
+            raise ConsistencyError(
+                f"q[{i}] = {Fraction(gram[i][i], level) % 2} is not defined on a "
+                f"generator of order {d}")
+    for i, d in enumerate(orders):
+        for j in range(n):
+            if (d * gram[i][j]) % level:
+                raise ConsistencyError(
+                    f"b[{i}][{j}] = {Fraction(gram[i][j], level) % 1} is not defined "
+                    f"for generator order {d}")
+    orders, gram = _invariant_factors(orders, gram)
+    g = math.gcd(level, *(x for row in gram for x in row))
+    level //= g
+    gram = tuple(tuple(x // g % (2 * level if i == j else level) for j, x in enumerate(row))
+                 for i, row in enumerate(gram))
+    witness = _nondegenerate(orders, level, gram)
+    if witness is not None:
+        raise DegenerateFormError(
+            f"form is degenerate: {witness} pairs to zero with every generator")
+    return FiniteQuadraticSpace(FiniteAbelianGroup(tuple(orders)), level, gram)
 
 
 def build_space(group: FiniteAbelianGroup | Sequence[int],
@@ -201,44 +239,51 @@ def build_space(group: FiniteAbelianGroup | Sequence[int],
         if any(d < 1 for d in orders):
             raise ValidationError("generator orders must be positive")
     q = [as_fraction(x) % 2 for x in q_gen]
-    if len(q) != len(orders):
-        raise ValidationError(
-            f"got {len(q)} q-values for {len(orders)} generators")
+    n = len(orders)
+    if len(q) != n:
+        raise ValidationError(f"got {len(q)} q-values for {n} generators")
     if b_matrix is None:
-        b = [[q[i] % 1 if i == j else Fraction(0) for j in range(len(orders))]
-             for i in range(len(orders))]
+        b = [[q[i] % 1 if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     else:
         b = [[as_fraction(x) % 1 for x in row] for row in b_matrix]
-        if len(b) != len(orders) or any(len(row) != len(orders) for row in b):
+        if len(b) != n or any(len(row) != n for row in b):
             raise ValidationError("b matrix shape does not match generator count")
-    _consistency_checks(orders, q, b)
-    orders_c, q_c, b_c = _canonicalize(orders, q, b)
-    witness = _nondegenerate(orders_c, b_c)
-    if witness is not None:
-        raise DegenerateFormError(
-            f"form is degenerate: {witness} pairs to zero with every generator")
-    return FiniteQuadraticSpace(
-        group=FiniteAbelianGroup(tuple(orders_c)),
-        q_gen=tuple(PhaseMod2(x) for x in q_c),
-        b_matrix=tuple(tuple(PhaseMod1(x) for x in row) for row in b_c))
+    for i in range(n):
+        for j in range(i):
+            if b[i][j] != b[j][i]:
+                raise ConsistencyError(f"b is not symmetric at generator pair ({i}, {j})")
+        # Polarization, b = (q(x+y) - q(x) - q(y))/2, at x = y = generator i.
+        if b[i][i] != q[i] % 1:
+            raise ConsistencyError(
+                f"polarization fails at generator pair ({i}, {i}): "
+                f"b = {b[i][i]} but (q(x+y) - q(x) - q(y))/2 = {q[i] % 1}")
+    level = math.lcm(*(x.denominator for x in q),
+                     *(x.denominator for row in b for x in row))
+    gram = [[int((q[i] if i == j else b[i][j]) * level) for j in range(n)] for i in range(n)]
+    return space_from_gram(orders, level, gram)
+
+
+def subquotient(s: FiniteQuadraticSpace, gens: Sequence[Sequence[int]],
+                rels: Sequence[Sequence[int]] = ()) -> FiniteQuadraticSpace:
+    """The space span(gens)/span(rels) with the form of s; the caller makes
+    sure rels is isotropic and orthogonal to gens."""
+    orders, gram = present_subquotient(s.orders, s.gram, gens, rels)
+    return space_from_gram(orders, s.level, gram)
 
 
 def trivial_space() -> FiniteQuadraticSpace:
-    return FiniteQuadraticSpace(FiniteAbelianGroup(()), (), ())
+    return FiniteQuadraticSpace(FiniteAbelianGroup(()), 1, ())
 
 
 def direct_sum(s1: FiniteQuadraticSpace, s2: FiniteQuadraticSpace) -> FiniteQuadraticSpace:
-    orders = list(s1.orders) + list(s2.orders)
-    q = [p.value for p in s1.q_gen] + [p.value for p in s2.q_gen]
+    level = math.lcm(s1.level, s2.level)
     n1, n2 = s1.rank, s2.rank
-    b = [[Fraction(0)] * (n1 + n2) for _ in range(n1 + n2)]
-    for i in range(n1):
-        for j in range(n1):
-            b[i][j] = s1.b_matrix[i][j].value
-    for i in range(n2):
-        for j in range(n2):
-            b[n1 + i][n1 + j] = s2.b_matrix[i][j].value
-    return build_space(orders, q, b)
+    gram = [[0] * (n1 + n2) for _ in range(n1 + n2)]
+    for s, off in ((s1, 0), (s2, n1)):
+        scale = level // s.level
+        for i, row in enumerate(s.gram):
+            gram[off + i][off:off + s.rank] = [x * scale for x in row]
+    return space_from_gram(list(s1.orders) + list(s2.orders), level, gram)
 
 
 def space_to_json(s: FiniteQuadraticSpace) -> dict:

@@ -9,13 +9,13 @@ only by the element that the child's own chain would pick next.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 from ..errors import InternalError, LimitError, NonIsotropicSubgroupError
-from .present import present_subquotient
-from .space import FiniteQuadraticSpace, build_space, trivial_space
+from .space import FiniteQuadraticSpace, subquotient
 
 Coords = tuple[int, ...]
 
@@ -85,23 +85,29 @@ def trivial_subgroup(s: FiniteQuadraticSpace) -> Subgroup:
 def isotropic_subgroups(s: FiniteQuadraticSpace, cap: int = 4096) -> list[Subgroup]:
     """All subgroups C with q vanishing on C, trivial subgroup included.
 
+    The cap bounds the work: LimitError when |A| exceeds it, and as soon as
+    the search has found more than cap subgroups.
+
     Isotropy of every element forces b to vanish on C x C, so extensions only
     need the new generator to be isotropic and b-orthogonal to the chain.
     """
     if s.order > cap:
         raise LimitError(f"group order {s.order} exceeds isotropic cap {cap}")
     zero = tuple([0] * s.rank)
-    iso_elements = [x for x in s.elements() if s.eval_q(x).is_zero()]
+    t = s.table
+    iso_elements = list(map(tuple, t.coords[t.q == 0].tolist()))
     results: list[Subgroup] = []
     # (element set, canonical chain)
     stack: list[tuple[set[Coords], tuple[Coords, ...]]] = [({zero}, ())]
     while stack:
         elts, chain = stack.pop()
         results.append(Subgroup(elements=tuple(sorted(elts)), generators=chain))
+        if len(results) > cap:
+            raise LimitError(f"more than {cap} isotropic subgroups; the cap stops the search")
         for v in iso_elements:
             if v in elts or (chain and v <= chain[-1]):
                 continue
-            if any(not s.eval_b(v, g).is_zero() for g in chain):
+            if any(s.pair(v, g) % s.level for g in chain):
                 continue
             child = closure(s, list(chain) + [v])
             # Canonical chains increase, so the child is new exactly when its
@@ -113,10 +119,10 @@ def isotropic_subgroups(s: FiniteQuadraticSpace, cap: int = 4096) -> list[Subgro
 
 
 def orthogonal_complement(s: FiniteQuadraticSpace, c: Subgroup) -> Subgroup:
-    gens = c.generators if c.generators else ()
-    perp = [x for x in s.elements()
-            if all(s.eval_b(x, g).is_zero() for g in gens)]
-    return subgroup_from_elements(s, perp)
+    coords = s.table.coords
+    gens = np.array(c.generators, dtype=np.int64).reshape(len(c.generators), s.rank)
+    perp = (coords @ (s.gram_array @ gens.T % s.level) % s.level == 0).all(axis=1)
+    return subgroup_from_elements(s, map(tuple, coords[perp].tolist()))
 
 
 def quotient_space(s: FiniteQuadraticSpace, c: Subgroup) -> FiniteQuadraticSpace:
@@ -126,13 +132,7 @@ def quotient_space(s: FiniteQuadraticSpace, c: Subgroup) -> FiniteQuadraticSpace
             raise NonIsotropicSubgroupError(
                 f"subgroup element {x} has q = {s.eval_q(x).value}, not isotropic")
     perp = orthogonal_complement(s, c)
-    orders, q, b = s._raw()
-    (new_orders, new_q, new_b), _ = present_subquotient(
-        orders, q, b, list(perp.generators), list(c.generators))
-    if not new_orders:
-        result = trivial_space()
-    else:
-        result = build_space(list(new_orders), list(new_q), [list(r) for r in new_b])
+    result = subquotient(s, perp.generators, c.generators)
     expected = s.order // (c.order * c.order)
     if result.order != expected:
         raise InternalError(

@@ -53,6 +53,18 @@ class TestRoundTrips:
         g = write(tmp_path, "part.json", parts["2"])
         assert payload("qs", "validate", g)["valid"]
 
+    @pytest.mark.parametrize("gram,parts", [
+        ([[2, -1], [-1, 2]], {"3": [3]}),                              # A2
+        ([[2, 0, 0], [0, 2, -1], [0, -1, 2]], {"2": [2], "3": [3]}),  # A1 + A2
+    ])
+    def test_decompose_with_odd_part(self, tmp_path, gram, parts):
+        f = write(tmp_path, "qs.json", payload(
+            "lattice", "disc-form", write(tmp_path, "l.json", {"gram": gram})))
+        got = payload("qs", "decompose", f)["primary"]
+        assert {p: part["orders"] for p, part in got.items()} == parts
+        for part in got.values():
+            assert payload("qs", "validate", write(tmp_path, "part.json", part))["valid"]
+
     def test_quotient_output_is_a_valid_space(self, tmp_path):
         lat = write(tmp_path, "d8.json", payload("lattice", "builtin", "D8"))
         f = write(tmp_path, "d8qs.json", payload("lattice", "disc-form", lat))

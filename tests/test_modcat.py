@@ -1,5 +1,6 @@
 """Modular data, relations, fusion, genus dimensions, and VOA checks."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,12 @@ from genusforge.modcat import (
     voa_genus_equal,
     voa_milgram_check,
 )
+from genusforge.modcat.fusion import (
+    _block_sum_cyclotomic,
+    _block_sum_exponents,
+    _fusion_cyclotomic,
+)
+from genusforge.modcat.relations import _verify_cyclotomic, _verify_exponents
 from genusforge.quadspace import (
     build_space,
     direct_sum,
@@ -30,6 +37,7 @@ from genusforge.quadspace import (
     trivial_space,
 )
 from space_library import space_library
+from space_oracle import basis_change, oracle_twists_and_dual
 
 F = Fraction
 
@@ -92,9 +100,15 @@ class TestConstruction:
 
 class TestRelations:
     def test_pointed_library(self):
+        rng = random.Random(16)
         for s in space_library(16):
-            report = verify_relations(from_quadratic_space(s))
-            assert report.ok, (s.orders, report)
+            for t in (s, basis_change(s, rng)[0]):
+                m = from_quadratic_space(t)
+                report = verify_relations(m)
+                assert report.ok, (t.orders, report)
+                twists, dual = oracle_twists_and_dual(t)
+                assert [x.value for x in m.twists] == twists, t
+                assert list(m.dual) == dual, t
 
     def test_ising(self):
         assert verify_relations(ising_data()).ok
@@ -128,15 +142,19 @@ class TestRelations:
         assert report.failed == "i"
 
     def test_generic_path_agrees_with_fast_path(self):
-        # force the generic route by inflating one entry's representation
-        s = build_space((4,), [F(1, 4)])
-        m = from_quadratic_space(s)
-        mixed = build_modular_data(
-            m.dual,
-            [[x * CyclotomicNumber.one() for x in row] for row in m.s_tilde],
-            [t.value for t in m.twists])
-        object.__setattr__(mixed, "_root_exps_np", None)
-        assert verify_relations(mixed).ok
+        # the cyclotomic code is the reference for the exponent code, on
+        # the data of every small space and on a copy with a wrong twist
+        for s in space_library(8):
+            m = from_quadratic_space(s)
+            assert _verify_cyclotomic(m).ok and _verify_exponents(m).ok
+            assert _fusion_cyclotomic(m) == verlinde_fusion(m), s
+            if m.n > 1:
+                twists = [t.value for t in m.twists]
+                twists[1] += F(1, 8)
+                broken = build_modular_data(m.dual, m.s_tilde, twists)
+                assert (_verify_cyclotomic(broken).failed
+                        == _verify_exponents(broken).failed
+                        is not None)
 
 
 class TestFusion:
@@ -223,9 +241,15 @@ class TestGenusDimension:
 
     def test_generic_path(self):
         m = ising_data()
-        object.__setattr__(m, "_root_exps_np", None)
+        assert m.exponents is None
         assert genus_dimension(m, 1) == 3
         assert genus_dimension(m, 2) == 10
+        for s in space_library(8):
+            m = from_quadratic_space(s)
+            for power in (2, 0, -2):
+                for labels in ([], [1 % m.n], [1 % m.n, m.dual[1 % m.n]]):
+                    assert (_block_sum_cyclotomic(m, power - len(labels), labels)
+                            == _block_sum_exponents(m, power - len(labels), labels)), s
 
     def test_bad_arguments(self):
         m = ising_data()

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from genusforge.errors import (
     ConsistencyError,
     DegenerateFormError,
+    LimitError,
     NonIsotropicSubgroupError,
     NotPrimaryError,
     ValidationError,
@@ -36,6 +37,14 @@ from genusforge.quadspace import (
     subgroup_from_generators,
     trivial_space,
     verify_isometry,
+)
+from genusforge.quadspace.gauss import _phase_counts
+from space_oracle import (
+    basis_change,
+    image,
+    oracle_b,
+    oracle_phase_counts,
+    oracle_q,
 )
 
 
@@ -213,6 +222,13 @@ class TestIsotropic:
         # counted by Gaussian binomials: 1 + 35 + 105 + 30.
         assert len(isotropic_subgroups(s)) == 171
 
+    def test_cap_bounds_the_subgroups_found(self):
+        # disc(A1^7): |A| = 128 passes the cap, its 171 subgroups do not
+        s = build_space([2] * 7, ["1/2"] * 7)
+        with pytest.raises(LimitError):
+            isotropic_subgroups(s, cap=150)
+        assert len(isotropic_subgroups(s)) == 171
+
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from([
         ([4], ["1/4"]),
@@ -377,14 +393,30 @@ def _valid_cyclic(a, d):
     return r != 0 and r.denominator == d
 
 
+def _sum_of(parts):
+    s = None
+    for d, q in parts:
+        nxt = build_space([d], [str(q)])
+        s = nxt if s is None else direct_sum(s, nxt)
+    return s
+
+
+def _assert_matches_oracle(s):
+    elems = list(s.elements())
+    for x in elems:
+        assert s.eval_q(x).value == oracle_q(s, x), (s, x)
+        for y in elems:
+            assert s.eval_b(x, y).value == oracle_b(s, x, y), (s, x, y)
+    m, counts = _phase_counts(s)
+    assert (m, counts.tolist()) == oracle_phase_counts(s), s
+
+
 class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(random_space())
     def test_gauss_norm_and_quotients(self, parts):
-        s = None
-        for d, q in parts:
-            nxt = build_space([d], [str(q)])
-            s = nxt if s is None else direct_sum(s, nxt)
+        s = _sum_of(parts)
+        _assert_matches_oracle(s)
         g = gauss_sum(s)
         assert g * g.conjugate() == s.order
         sig = signature_mod8(s)
@@ -394,15 +426,23 @@ class TestProperties:
             t = quotient_space(s, c)
             assert t.order * c.order ** 2 == s.order
             assert signature_mod8(t) == sig
+            _assert_matches_oracle(t)
 
     @settings(max_examples=25, deadline=None)
-    @given(random_space())
-    def test_json_and_isometry_round_trip(self, parts):
-        s = None
-        for d, q in parts:
-            nxt = build_space([d], [str(q)])
-            s = nxt if s is None else direct_sum(s, nxt)
+    @given(random_space(), st.randoms(use_true_random=False))
+    def test_json_and_isometry_round_trip(self, parts, rng):
+        s = _sum_of(parts)
         t = space_from_json(space_to_json(s))
         w = is_isometric(s, t)
         assert w is not None
         assert verify_isometry(s, t, w)
+        # A basis change: values on the new generators agree with the
+        # oracle on the old ones, and the spaces are isometric.
+        u, gens = basis_change(s, rng)
+        _assert_matches_oracle(u)
+        for x in u.elements():
+            assert u.eval_q(x).value == oracle_q(s, image(s, gens, x))
+        assert signature_mod8(u) == signature_mod8(s)
+        w = is_isometric(s, u)
+        assert w is not None
+        assert verify_isometry(s, u, w)
