@@ -2,14 +2,18 @@
 
 The norm-2 vectors of an even lattice always form a root system whose
 components are simply laced, so classification only has to tell the ADE
-shapes apart.  Simple roots are extracted as the positive roots (under a
-generic exact linear functional) that are not sums of two positive ones.
+shapes apart.  A generic integer functional f picks the positive roots,
+and the simple ones are read off their Gram matrix.  For distinct roots
+r and q, (r - q, r - q) = 4 - 2 (r, q), so r - q is a root exactly when
+(r, q) = 1.  A positive root r is therefore a sum of two positive roots,
+that is, not simple, iff some positive q has (r, q) = 1 and f(q) < f(r).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+
+import numpy as np
 
 from ..errors import InternalError
 from .lattice import EvenLattice
@@ -28,20 +32,28 @@ class RootSystemReport:
     root_count: int
 
 
-def _positive_roots(l: EvenLattice, roots):
-    """Split the roots into +/- halves by a generic rational functional.
+def _simple_roots(l: EvenLattice, roots) -> tuple[np.ndarray, np.ndarray]:
+    """The simple roots, one per row, and their Gram matrix.
 
-    The ladder (1, 1/p, 1/p^2, ...) vanishes on an integer vector only if
-    that vector encodes a polynomial with root 1/p, which can happen for
-    at most finitely many primes, so redrawing p always terminates.
+    The functional f = (p^(n-1), ..., p, 1) vanishes on an integer vector
+    only if that vector encodes a polynomial with root p, which happens
+    for at most finitely many primes, so redrawing p always terminates.
+    Its values are Python integers, so nothing overflows.
     """
     p = 2
     while True:
-        f = [Fraction(1, p ** i) for i in range(l.rank)]
-        values = {r: sum(fi * ri for fi, ri in zip(f, r)) for r in roots}
-        if all(v != 0 for v in values.values()):
-            return [r for r in roots if values[r] > 0]
+        f = [p ** (l.rank - 1 - i) for i in range(l.rank)]
+        values = [sum(fi * ri for fi, ri in zip(f, r)) for r in roots]
+        if all(values):
+            break
         p = next(q for q in range(p + 1, 10 * p) if all(q % t for t in range(2, q)))
+    # Positive roots in increasing order of f; f(q) != f(r) whenever
+    # (r, q) = 1, since then r - q is a root and f(r - q) != 0.
+    positive = np.array([r for v, r in sorted(zip(values, roots)) if v > 0],
+                        dtype=np.int64)
+    pairs = positive @ np.array(l.gram, dtype=np.int64) @ positive.T
+    simple = ~np.tril(pairs == 1, -1).any(axis=1)
+    return positive[simple], pairs[np.ix_(simple, simple)]
 
 
 def _classify_component(nodes, adj) -> tuple[str, int]:
@@ -82,25 +94,12 @@ def root_system(l: EvenLattice) -> RootSystemReport:
     roots = short_vectors(l, 2)
     if not roots:
         return RootSystemReport((), 0)
-    positive = _positive_roots(l, roots)
-    pos_set = set(positive)
-    simple = []
-    for r in positive:
-        if not any(tuple(a - b for a, b in zip(r, q)) in pos_set
-                   for q in positive):
-            simple.append(r)
+    simple, pairs = _simple_roots(l, roots)
 
-    adj = {i: [] for i in range(len(simple))}
-    for i in range(len(simple)):
-        for j in range(i + 1, len(simple)):
-            prod = l.inner(simple[i], simple[j])
-            if prod == 0:
-                continue
-            if prod != -1:
-                raise InternalError("simple roots of an even lattice must "
-                                    "pair to 0 or -1")
-            adj[i].append(j)
-            adj[j].append(i)
+    if not np.isin(pairs[~np.eye(len(simple), dtype=bool)], (0, -1)).all():
+        raise InternalError("simple roots of an even lattice must "
+                            "pair to 0 or -1")
+    adj = {i: np.flatnonzero(row == -1).tolist() for i, row in enumerate(pairs)}
 
     components = []
     seen: set[int] = set()

@@ -1,15 +1,20 @@
 """Short vectors and theta coefficients of positive definite even lattices.
 
-Enumeration is Fincke-Pohst: an exact LDL^T decomposition gives the
-bounds, floats prune the search tree (always widened outward, so a float
-rounding error can only admit extra candidates, never drop one), and
-every surviving candidate has its norm recomputed in integer arithmetic
-before it is counted.
+Enumeration is Fincke-Pohst (Math. Comp. 44, 1985) on an exact
+G = L D L^T, with (x, x) = sum_j d_j (x_j + c_j)^2 and centres c_j that
+depend only on x_{j+1}, ..., x_{n-1}.  It runs one level at a time:
+numpy bounds x_j for every node of level j at once, and the children
+that fit form level j - 1, walked depth-first in chunks so memory stays
+bounded.  Floats only prune, with every bound widened
+outward, so a rounding error can admit extra candidates but never drop
+one.  Only vectors whose last nonzero coordinate is positive are
+generated, and every candidate's norm is recomputed in integer
+arithmetic before it is counted.
 """
 
 from __future__ import annotations
 
-import math
+import logging
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +28,11 @@ from ..errors import (
 from .lattice import EvenLattice
 
 _SLACK = 1e-6
-_FLUSH_ROWS = 1 << 16
+# The depth-first walk keeps one chunk of each level alive, so at most
+# rank * _CHUNK_ROWS nodes are held at once.
+_CHUNK_ROWS = 1 << 12
+
+_log = logging.getLogger(__name__)
 
 
 def _ldl(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
@@ -53,93 +62,83 @@ def _enumerate(l: EvenLattice, max_norm: int, store: bool):
     themselves when store is set.  Counts and stored vectors include both
     signs of each +/- pair."""
     n = l.rank
-    gram = l.gram
-    d, low = _ldl(gram)
+    d, low = _ldl(l.gram)
     df = [float(x) for x in d]
-    lf = [[float(x) for x in row] for row in low]
-    gnp = np.array(gram, dtype=np.int64)
+    lf = np.array([[float(x) for x in row] for row in low])
+    gnp = np.array(l.gram, dtype=np.int64)
     counts: dict[int, int] = {}
-    kept_blocks: list[np.ndarray] = []
-    blocks: list[np.ndarray] = []
-    pending = 0
-    c = [0.0] * n
-    x = [0] * n
+    kept: list[np.ndarray] = []
+    nodes = [0] * (n + 1)  # nodes[j + 1] at level j; nodes[0] leaf candidates
+    # Ancestry of the chunk being expanded at each level: a node of level
+    # j < n - 1 has x_{j+1} = val[j] and its parent in row up[j] of level j + 1.
+    up, val = [None] * n, [None] * n
 
-    def flush() -> None:
-        nonlocal blocks, pending
-        if not blocks:
-            return
-        cand = np.concatenate(blocks)
-        blocks = []
-        pending = 0
-        norms = np.einsum("ij,jk,ik->i", cand, gnp, cand)
+    def leaves(idx: np.ndarray, v: np.ndarray) -> None:
+        nodes[0] += len(v)
+        cand = np.empty((len(v), n), dtype=np.int64)
+        cand[:, 0] = v
+        for j in range(n - 1):
+            cand[:, j + 1] = val[j][idx]
+            idx = up[j][idx]
+        norms = np.einsum("ij,ij->i", cand @ gnp, cand)
         keep = (norms > 0) & (norms <= max_norm)
         vals, reps = np.unique(norms[keep], return_counts=True)
-        for v, r in zip(vals, reps):
-            if int(v) % 2:
+        for v, r in zip(vals.tolist(), reps.tolist()):
+            if v % 2:
                 raise InternalError("odd vector norm in an even lattice")
-            counts[int(v)] = counts.get(int(v), 0) + 2 * int(r)
+            counts[v] = counts.get(v, 0) + 2 * r
         if store and keep.any():
-            kept_blocks.append(cand[keep])
+            kept.append(cand[keep])
 
-    def descend(j: int, rem: float, zero_prefix: bool) -> None:
-        nonlocal pending
-        if rem < -_SLACK:
-            return
-        radius = math.sqrt(max(rem, 0.0) / df[j]) + 1e-9
-        lo = math.ceil(-c[j] - radius)
-        hi = math.floor(-c[j] + radius)
-        if zero_prefix:
-            lo = max(lo, 0)
-        if hi < lo:
-            return
-        if j == 0:
-            block = np.empty((hi - lo + 1, n), dtype=np.int64)
-            block[:, 0] = np.arange(lo, hi + 1)
-            for t in range(1, n):
-                block[:, t] = x[t]
-            blocks.append(block)
-            pending += len(block)
-            if pending >= _FLUSH_ROWS:
-                flush()
-            return
-        for v in range(lo, hi + 1):
-            y = v + c[j]
-            rem2 = rem - df[j] * y * y
-            if rem2 < -_SLACK:
-                continue
-            x[j] = v
-            for t in range(j):
-                c[t] += lf[j][t] * v
-            descend(j - 1, rem2, zero_prefix and v == 0)
-            for t in range(j):
-                c[t] -= lf[j][t] * v
-        x[j] = 0
+    def level(j: int, c: np.ndarray, rem: np.ndarray, zero_prefix: np.ndarray) -> None:
+        # c holds each node's centres c_0..c_j, rem its remaining norm.
+        nodes[j + 1] += len(rem)
+        radius = np.sqrt(np.maximum(rem, 0.0) / df[j]) + 1e-9
+        lo = np.ceil(-c[:, j] - radius)
+        hi = np.floor(-c[:, j] + radius)
+        lo = np.where(zero_prefix, np.maximum(lo, 0.0), lo).astype(np.int64)
+        width = np.maximum(hi.astype(np.int64) - lo + 1, 0)
+        ends = np.cumsum(width)
+        # Children are numbered consecutively, parent by parent; a chunk of
+        # child numbers finds its parents by searching the running counts.
+        for start in range(0, int(width.sum()), _CHUNK_ROWS):
+            pos = np.arange(start, min(start + _CHUNK_ROWS, ends[-1]))
+            idx = np.searchsorted(ends, pos, side="right")
+            v = lo[idx] + pos - (ends[idx] - width[idx])
+            y = v + c[idx, j]
+            rem2 = rem[idx] - df[j] * y * y
+            fit = rem2 >= -_SLACK
+            idx, v = idx[fit], v[fit]
+            if j == 0:
+                leaves(idx, v)
+            else:
+                up[j - 1], val[j - 1] = idx, v
+                level(j - 1, c[idx, :j] + v[:, None] * lf[j, :j], rem2[fit],
+                      zero_prefix[idx] & (v == 0))
 
     if max_norm > 0:
-        descend(n - 1, float(max_norm), True)
-        flush()
-    vectors = None
-    if store:
-        if kept_blocks:
-            half = np.concatenate(kept_blocks)
-            vectors = np.concatenate([half, -half])
-        else:
-            vectors = np.empty((0, n), dtype=np.int64)
-    return counts, vectors
+        level(n - 1, np.zeros((1, n)), np.array([float(max_norm)]), np.array([True]))
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("short vectors of norm <= %d in rank %d: nodes per level "
+                   "(top first) %s, %d leaf candidates", max_norm, n,
+                   nodes[:0:-1], nodes[0])
+    if not store:
+        return counts, None
+    half = np.concatenate(kept) if kept else np.empty((0, n), dtype=np.int64)
+    return counts, np.concatenate([half, -half])
 
 
 def short_vectors(l: EvenLattice, max_norm: int) -> list[tuple[int, ...]]:
     """All nonzero v with (v, v) <= max_norm, both signs included."""
-    if not isinstance(max_norm, int) or max_norm < 0:
+    if not isinstance(max_norm, int) or isinstance(max_norm, bool) or max_norm < 0:
         raise ValidationError("max_norm must be a nonnegative integer")
     _, vectors = _enumerate(l, max_norm, store=True)
-    return sorted(tuple(int(t) for t in row) for row in vectors)
+    return sorted(map(tuple, vectors.tolist()))
 
 
 def theta_coefficients(l: EvenLattice, k: int, cap: int = 64) -> tuple[int, ...]:
     """(c_0, ..., c_k) with c_m the number of vectors of norm 2m."""
-    if not isinstance(k, int) or k < 0:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValidationError("theta needs a nonnegative term count")
     if k > cap:
         raise LimitError(f"theta term count {k} exceeds cap {cap}")

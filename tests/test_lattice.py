@@ -1,9 +1,12 @@
 """Tests for even lattices, their discriminant forms, and overlattices.
 
-The theta oracles are classical coefficient tables; the overlattice and
-genus checks lean on the quadspace layer, which is tested independently.
+The theta oracles are classical coefficient tables and the node-by-node
+enumeration in `theta_oracle.py`; the overlattice and genus checks lean
+on the quadspace layer, which is tested independently.
 """
 
+import logging
+import re
 from fractions import Fraction
 
 import pytest
@@ -35,12 +38,22 @@ from genusforge.lattice import (
     signature,
     theta_coefficients,
 )
+from genusforge.lattice import theta
+from genusforge.lattice.roots import _simple_roots
 from genusforge.quadspace import (
     build_space,
     is_isometric,
     quotient_space,
     signature_mod8,
     trivial_space,
+)
+from theta_oracle import (
+    lattice_basis_change,
+    oracle_root_system,
+    oracle_short_vectors,
+    oracle_simple_roots,
+    oracle_theta,
+    orthogonal_sum,
 )
 
 
@@ -54,6 +67,10 @@ class TestConstruction:
             build_lattice([[2, 2], [2, 2]])  # singular
         with pytest.raises(ValidationError):
             build_lattice([])
+        with pytest.raises(ValidationError):
+            theta_coefficients(lattice_a(1), True)
+        with pytest.raises(ValidationError):
+            short_vectors(lattice_a(1), True)
 
     def test_builtin_determinants(self):
         cases = [("A1", 2), ("A2", 3), ("A7", 8), ("D2", 4), ("D8", 4),
@@ -317,3 +334,41 @@ class TestProperties:
         for c, k in overlattices(l, cap=512):
             assert k.det * c.order ** 2 == l.det
             assert theta_coefficients(k, 1)[1] >= th[1]
+
+
+ORACLE_LATTICES = (
+    [builtin_lattice(name) for name in
+     ("A1", "A2", "A5", "A7", "D4", "D8", "E8", "E8E8", "D16+")]
+    + [orthogonal_sum([lattice_a(1)] * 4 + [lattice_a(3)]),
+       orthogonal_sum([lattice_d(4)] * 2)])
+
+
+class TestEnumerationOracle:
+    """The level-at-a-time enumeration and the Gram-matrix simple-root test
+    against the node-by-node recursion and the tuple scan they replaced."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(ORACLE_LATTICES), st.randoms(use_true_random=False))
+    def test_matches_oracle_under_basis_change(self, base, rng):
+        l = lattice_basis_change(base, rng)
+        for norm in (2, 4):
+            assert short_vectors(l, norm) == oracle_short_vectors(l, norm)
+        assert theta_coefficients(l, 2) == oracle_theta(l, 2)
+        report = root_system(l)
+        assert (report.components, report.root_count) == oracle_root_system(l)
+        simple, _ = _simple_roots(l, short_vectors(l, 2))
+        assert set(map(tuple, simple.tolist())) == oracle_simple_roots(l)
+
+    def test_chunks_split_inside_a_parent(self, monkeypatch):
+        # Chunks of 5 rows cut most levels' children mid-parent.
+        monkeypatch.setattr(theta, "_CHUNK_ROWS", 5)
+        for l in (lattice_e8(), orthogonal_sum([lattice_d(4)] * 2)):
+            assert short_vectors(l, 4) == oracle_short_vectors(l, 4)
+            assert theta_coefficients(l, 3) == oracle_theta(l, 3)
+
+    def test_debug_log_reports_the_work(self, caplog):
+        caplog.set_level(logging.DEBUG, logger=theta.__name__)
+        short_vectors(lattice_e8(), 2)
+        [record] = [r for r in caplog.records if r.name == theta.__name__]
+        leaves = int(re.search(r"(\d+) leaf candidates", record.getMessage())[1])
+        assert leaves >= 120  # the positive half of the 240 roots
