@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import mpmath
+import numpy as np
 
 from ..errors import LimitError, InternalError, ValidationError
 from .rationals import PhaseMod1, as_fraction
@@ -122,6 +123,12 @@ def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
             shifted = [s + overflow * t for s, t in zip(shifted, top)]
         rows.append(tuple(shifted))
     return tuple(rows)
+
+
+@lru_cache(maxsize=64)
+def _power_index(n: int) -> dict[tuple[int, ...], int]:
+    """The inverse of `_reduction_rows`: zeta_n^e in the power basis -> e."""
+    return {row: e for e, row in enumerate(_reduction_rows(n))}
 
 
 def reduce_int_counts(order: int, counts: Iterable[int]) -> list[int]:
@@ -476,7 +483,13 @@ def _mpf_to_fraction(x) -> Fraction:
 
 
 def cyclo_approx(z: CyclotomicNumber, bits: int = 128) -> ComplexInterval:
-    """Certified rectangle containing z; width at most 2^(1-bits).
+    """Certified rectangle containing z; width at most 2^(1-bits)."""
+    return _enclose(z.order, z.coeffs, bits)
+
+
+def _enclose(n: int, coeffs: Sequence[Scalar], bits: int) -> ComplexInterval:
+    """Certified rectangle containing sum_i coeffs[i] zeta_n^i, reduced or
+    not; width at most 2^(1-bits).
 
     Each root of unity is evaluated by mpmath.cospi/sinpi at a working
     precision chosen so the summed per-term envelope (a deliberately fat
@@ -484,8 +497,7 @@ def cyclo_approx(z: CyclotomicNumber, bits: int = 128) -> ComplexInterval:
     """
     if bits < 32:
         raise ValidationError("cyclo_approx needs bits >= 32")
-    n = z.order
-    total = sum(abs(c) for c in z.coeffs)
+    total = sum(abs(c) for c in coeffs)
     if total == 0:
         zero = Fraction(0)
         return ComplexInterval(zero, zero, zero, zero)
@@ -494,7 +506,7 @@ def cyclo_approx(z: CyclotomicNumber, bits: int = 128) -> ComplexInterval:
     re_acc = Fraction(0)
     im_acc = Fraction(0)
     with mpmath.workprec(prec):
-        for i, c in enumerate(z.coeffs):
+        for i, c in enumerate(coeffs):
             if c == 0:
                 continue
             arg = mpmath.mpf(2 * i) / n
@@ -504,3 +516,46 @@ def cyclo_approx(z: CyclotomicNumber, bits: int = 128) -> ComplexInterval:
     if err > Fraction(1, 2 ** bits):  # pragma: no cover
         raise InternalError("approximation envelope exceeded request")
     return ComplexInterval(re_acc - err, re_acc + err, im_acc - err, im_acc + err)
+
+
+def gauss_phase(order: int, counts: Sequence[int], norm: int,
+                bits: int = 128) -> Fraction | None:
+    """The phase t in [0, 1) with G = sqrt(norm) exp(2 pi i t), for the sum
+    G = sum_e counts[e] zeta_order^e with integer counts, or None when G is
+    not of that form.
+
+    G^2 is the cyclic convolution of the counts, reduced mod Phi_order in
+    integers; it must be norm times +-zeta_order^e, which fixes 2t mod 1.
+    The two candidates for t differ by 1/2, so G turned back by the first
+    is +-sqrt(norm) with norm >= 1, and one certified interval (the
+    enclosure `cyclo_approx` uses, on integer coordinates) reads the sign.
+    No `CyclotomicNumber` is built.
+    """
+    c = np.zeros(order, dtype=np.int64 if sum(map(abs, counts)) < 2 ** 31 else object)
+    c[:len(counts)] = counts
+    full = np.convolve(c, c)
+    squared = full[:order].copy()
+    squared[:order - 1] += full[order:]
+    coeffs = reduce_int_counts(order, squared)
+    if any(x % norm for x in coeffs):
+        return None
+    index = _power_index(order)
+    target = tuple(x // norm for x in coeffs)
+    if target in index:
+        twice = Fraction(index[target], order)
+    else:
+        e = index.get(tuple(-x for x in target))
+        if e is None:
+            return None
+        twice = (Fraction(e, order) + Fraction(1, 2)) % 1
+    t = twice / 2
+    rot = math.lcm(order, t.denominator)
+    turned = [0] * rot  # G zeta^(-t), over the order rot
+    for e, k in enumerate(c.tolist()):
+        turned[(e * (rot // order) - t.numerator * (rot // t.denominator)) % rot] = k
+    box = _enclose(rot, reduce_int_counts(rot, turned), bits)
+    if box.strictly_positive_real():
+        return t
+    if box.strictly_negative_real():
+        return t + Fraction(1, 2)
+    raise InternalError("certified interval failed to separate the two phases")

@@ -20,7 +20,7 @@ def as_fraction(value: RationalLike) -> Fraction:
     # Fraction("2/3") parses the CLI/JSON spelling directly.
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
     raise ValidationError(f"not a rational value: {value!r}")
 

@@ -10,28 +10,41 @@ the conformal weights mod 1.
 When every entry of s_tilde is a root of unity, as for every pointed
 category, `exponents` writes the data over one root of unity zeta_M:
 s_tilde[i][j] = zeta_M^E[i, j] and theta_i = zeta_M^tau[i], with M the
-lcm of the entry orders and twist denominators.  Relations, fusion and
-the anomaly test run on these integer tables; for data such as Ising the
-field is None and they run in cyclotomic arithmetic.
+lcm of the entry orders and twist denominators.  For such data the table
+(M, E, tau) is what is validated and what relations, fusion and the
+anomaly test read.  `from_quadratic_space` builds nothing else: the
+cyclotomic matrix `s_tilde` of its data is built from E on first access
+(JSON, `product`, `voa_genus_equal` and the cyclotomic reference paths).
+Data whose entries are not all roots of unity, such as Ising, keep their
+given matrix, have `exponents` None and are checked and used in
+cyclotomic arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ..errors import ValidationError
-from ..exactkernel import CyclotomicNumber, PhaseMod1, as_fraction, order_cap
-from ..exactkernel.cyclotomic import _reduction_rows
+from ..exactkernel import (
+    CyclotomicNumber,
+    PhaseMod1,
+    as_fraction,
+    order_cap,
+    reduce_int_counts,
+)
+from ..exactkernel.cyclotomic import _power_index
 from ..quadspace import FiniteQuadraticSpace
 
 
 class Exponents(NamedTuple):
-    """s_tilde[i][j] = zeta_order^s[i, j] and theta_i = zeta_order^twists[i]."""
+    """s_tilde[i][j] = zeta_order^s[i, j] and theta_i = zeta_order^twists[i],
+    with every exponent in [0, order)."""
 
     order: int
     s: np.ndarray
@@ -44,15 +57,19 @@ def _as_cyclo(x) -> CyclotomicNumber:
     return CyclotomicNumber.from_rational(as_fraction(x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModularData:
-    """Labels 0..n-1 with 0 the unit; dual is charge conjugation."""
+    """Labels 0..n-1 with 0 the unit; dual is charge conjugation.
+
+    `matrix` is s_tilde as given, or None when the data are given by their
+    `exponents` alone; read the matrix through `s_tilde` either way.
+    """
 
     dual: tuple[int, ...]
-    s_tilde: tuple[tuple[CyclotomicNumber, ...], ...]
+    matrix: tuple[tuple[CyclotomicNumber, ...], ...] | None
     twists: tuple[PhaseMod1, ...]
     weights: tuple[PhaseMod1, ...]
-    exponents: Exponents | None = field(default=None, compare=False)
+    exponents: Exponents | None = None
 
     def __post_init__(self) -> None:
         n = len(self.dual)
@@ -64,29 +81,45 @@ class ModularData:
             raise ValidationError("the unit label must be self-dual")
         if any(self.dual[self.dual[i]] != i for i in range(n)):
             raise ValidationError("dual must be an involution")
-        if len(self.s_tilde) != n or any(len(row) != n for row in self.s_tilde):
-            raise ValidationError("s_tilde must be square over the labels")
         if len(self.twists) != n or len(self.weights) != n:
             raise ValidationError("twists and weights must match the labels")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.s_tilde[i][j] != self.s_tilde[j][i]:
-                    raise ValidationError(f"s_tilde not symmetric at ({i},{j})")
-        for i, d in enumerate(self.s_tilde[0]):
-            if d.is_zero():
-                raise ValidationError(f"dimension of label {i} vanishes")
+        if self.exponents is None:
+            self._check_matrix()
+        else:
+            self._check_exponents()
         for i in range(n):
             if self.twists[i] != self.weights[i]:
                 raise ValidationError(
                     f"twist and weight of label {i} differ mod 1")
-        d = CyclotomicNumber.zero()
-        for x in self.s_tilde[0]:
-            d = d + x * x
-        val = d.is_integer()
-        if val is None or val <= 0:
+        if self.discriminant <= 0:
             raise ValidationError("sum of squared dimensions must be a "
                                   "positive integer")
-        object.__setattr__(self, "_disc", val)
+
+    def _check_matrix(self) -> None:
+        n = self.n
+        mat = self.matrix
+        if mat is None or len(mat) != n or any(len(row) != n for row in mat):
+            raise ValidationError("s_tilde must be square over the labels")
+        for i in range(n):
+            for j in range(i + 1, n):
+                if mat[i][j] != mat[j][i]:
+                    raise ValidationError(f"s_tilde not symmetric at ({i},{j})")
+        for i, d in enumerate(mat[0]):
+            if d.is_zero():
+                raise ValidationError(f"dimension of label {i} vanishes")
+
+    def _check_exponents(self) -> None:
+        # roots of unity never vanish, so only shape and symmetry are left
+        order, exps, tau = self.exponents
+        n = self.n
+        if exps.shape != (n, n) or tau.shape != (n,):
+            raise ValidationError("s_tilde must be square over the labels")
+        if exps.min() < 0 or exps.max() >= order:
+            raise ValidationError("exponents must lie in [0, order)")
+        bad = np.argwhere(exps != exps.T)
+        if len(bad):
+            i, j = bad[0].tolist()
+            raise ValidationError(f"s_tilde not symmetric at ({i},{j})")
 
     @property
     def n(self) -> int:
@@ -96,13 +129,50 @@ class ModularData:
     def labels(self) -> range:
         return range(self.n)
 
+    @cached_property
+    def s_tilde(self) -> tuple[tuple[CyclotomicNumber, ...], ...]:
+        if self.matrix is not None:
+            return self.matrix
+        order, exps, _ = self.exponents
+        roots = {}
+        for e in np.unique(exps).tolist():
+            p = Fraction(e, order)
+            roots[e] = CyclotomicNumber.from_exponents(p.denominator, {p.numerator: 1})
+        return tuple(tuple(roots[e] for e in row) for row in exps.tolist())
+
     @property
     def dims(self) -> tuple[CyclotomicNumber, ...]:
         return self.s_tilde[0]
 
-    @property
+    @cached_property
     def discriminant(self) -> int:
-        return self._disc  # type: ignore[attr-defined]
+        """D = sum of dim^2; raises ValidationError unless it is an integer."""
+        if self.exponents is not None:
+            order, exps, _ = self.exponents
+            coeffs = reduce_int_counts(order, np.bincount(2 * exps[0] % order,
+                                                          minlength=order))
+            val = None if any(coeffs[1:]) else coeffs[0]
+        else:
+            d = CyclotomicNumber.zero()
+            for x in self.dims:
+                d = d + x * x
+            val = d.is_integer()
+        if val is None:
+            raise ValidationError("sum of squared dimensions must be a "
+                                  "positive integer")
+        return val
+
+    @cached_property
+    def _relation_report(self):
+        """The result of `verify_relations`, computed once per data."""
+        from .relations import _verify  # relations.py imports this module
+        return _verify(self)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ModularData):
+            return NotImplemented
+        return ((self.dual, self.twists, self.weights, self.s_tilde)
+                == (other.dual, other.twists, other.weights, other.s_tilde))
 
     def __repr__(self) -> str:
         return f"ModularData(n={self.n}, D={self.discriminant})"
@@ -110,19 +180,23 @@ class ModularData:
 
 def _exponents_of(mat, twists) -> Exponents | None:
     """The exponents of every entry and twist, or None when some entry is
-    not a root of unity or the common order passes the cyclotomic cap."""
+    not a root of unity, the matrix is not square or the common order
+    passes the cyclotomic cap."""
+    if any(len(row) != len(mat) for row in mat):
+        return None
     order = lcm(*(x.order for row in mat for x in row),
                 *(t.value.denominator for t in twists))
     if order > order_cap():
         return None
-    power = {row: e for e, row in enumerate(_reduction_rows(order))}
+    power = _power_index(order)
     exps = []
     for row in mat:
         exps.append([power.get(x.embed(order).coeffs) for x in row])
         if None in exps[-1]:
             return None
     tau = [t.value.numerator * (order // t.value.denominator) for t in twists]
-    return Exponents(order, np.array(exps, dtype=np.int64), np.array(tau, dtype=np.int64))
+    return Exponents(order, np.array(exps, dtype=np.int64).reshape(len(mat), len(mat)),
+                     np.array(tau, dtype=np.int64))
 
 
 def build_modular_data(dual: Sequence[int],
@@ -153,13 +227,8 @@ def from_quadratic_space(s: FiniteQuadraticSpace) -> ModularData:
     tau = q * order // (2 * level)
     strides = np.array([prod(s.orders[i + 1:]) for i in range(s.rank)], dtype=np.int64)
     dual = tuple(((-coords) % np.array(s.orders, dtype=np.int64) @ strides).tolist())
-    roots = {}
-    for e in np.unique(exps).tolist():
-        p = Fraction(e, order)
-        roots[e] = CyclotomicNumber.from_exponents(p.denominator, {p.numerator: 1})
     twists = tuple(PhaseMod1(Fraction(v, 2 * level)) for v in q.tolist())
-    return ModularData(dual, tuple(tuple(roots[e] for e in row) for row in exps.tolist()),
-                       twists, twists, Exponents(order, exps, tau))
+    return ModularData(dual, None, twists, twists, Exponents(order, exps, tau))
 
 
 def product(m1: ModularData, m2: ModularData) -> ModularData:

@@ -157,11 +157,11 @@ def _verify_cyclotomic(m: ModularData) -> RelationReport:
     return _PASS
 
 
+def _verify(m: ModularData) -> RelationReport:
+    return _verify_cyclotomic(m) if m.exponents is None else _verify_exponents(m)
+
+
 def verify_relations(m: ModularData) -> RelationReport:
-    """Check relations (i)-(iv) exactly; report the first failure."""
-    if getattr(m, "_relations_ok", False):
-        return _PASS
-    report = _verify_cyclotomic(m) if m.exponents is None else _verify_exponents(m)
-    if report.ok:
-        object.__setattr__(m, "_relations_ok", True)
-    return report
+    """Check relations (i)-(iv) exactly; report the first failure.  The
+    report is computed once per data and kept on it."""
+    return m._relation_report

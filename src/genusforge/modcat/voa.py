@@ -1,25 +1,26 @@
 """Central-charge compatibility and extension bookkeeping.
 
-The anomaly test compares the twist-weighted dimension sum against
-exp(2 pi i c/8) sqrt(D) without ever taking a square root: square both
-sides exactly, then separate the remaining sign with a certified
-interval, the same scheme used for the signature of a quadratic space.
+The anomaly test asks whether G = sum_j theta_j dim_j^2 equals
+exp(2 pi i c/8) sqrt(D), without ever taking a square root.  G is a
+vector of integer counts over one root of unity: for pointed data the
+counts of tau_j + 2 E[0, j] mod M, for other data the power-basis
+coordinates of G cleared of denominators.  `gauss_phase` squares the
+counts by cyclic convolution in integers, finds the root of unity G^2/D,
+and settles the remaining sign with one certified interval, the scheme
+`signature_mod8` uses for a quadratic space.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
-from ..errors import InternalError, LimitError, ValidationError
-from ..exactkernel import (
-    CyclotomicNumber,
-    cyclo_approx,
-    reduce_int_counts,
-    root_of_unity,
-)
+from ..errors import LimitError, ValidationError
+from ..exactkernel import CyclotomicNumber, gauss_phase, root_of_unity
 from ..exactkernel.rationals import RationalLike, as_fraction
 from ..quadspace import (
     FiniteQuadraticSpace,
@@ -29,36 +30,33 @@ from ..quadspace import (
 )
 from .data import ModularData
 
+_log = logging.getLogger(__name__)
 
-def _twisted_dimension_sum(m: ModularData) -> CyclotomicNumber:
-    # sum_j theta_j d_j^2
+
+def _twisted_dimension_counts(m: ModularData) -> tuple[int, list[int], int]:
+    """(order, counts, scale) with sum_j theta_j d_j^2 equal to
+    sum_e counts[e] zeta_order^e / scale."""
     if m.exponents is not None:
         order, exps, tau = m.exponents
-        e = (tau + 2 * exps[0]) % order
-        counts = np.bincount(e, minlength=order)
-        coeffs = reduce_int_counts(order, counts)
-        return CyclotomicNumber(order, [Fraction(c) for c in coeffs])
+        return order, np.bincount((tau + 2 * exps[0]) % order, minlength=order).tolist(), 1
     acc = CyclotomicNumber.zero()
     for j in range(m.n):
         d = m.dims[j]
         acc = acc + root_of_unity(m.twists[j]) * d * d
-    return acc
+    scale = lcm(*(c.denominator for c in acc.coeffs))
+    return acc.order, [int(c * scale) for c in acc.coeffs], scale
 
 
 def voa_milgram_check(m: ModularData, c: RationalLike, bits: int = 128) -> bool:
     """Whether sum_j theta_j d_j^2 equals exp(2 pi i c/8) sqrt(D)."""
     c = as_fraction(c)
-    g = _twisted_dimension_sum(m)
-    d = m.discriminant
-    if g * g != root_of_unity(c / 4) * CyclotomicNumber.from_rational(d):
-        return False
-    aligned = g * root_of_unity(-c / 8)
-    box = cyclo_approx(aligned, bits=bits)
-    if box.strictly_positive_real():
-        return True
-    if box.strictly_negative_real():
-        return False
-    raise InternalError("certified interval failed to separate the two roots")
+    order, counts, scale = _twisted_dimension_counts(m)
+    phase = gauss_phase(order, counts, scale * scale * m.discriminant, bits)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("Milgram check of %d labels at c = %s: %s", m.n, c,
+                   "integer square test failed" if phase is None else
+                   f"integer square test, interval at {bits} bits, phase {phase}")
+    return phase == (c / 8) % 1
 
 
 @dataclass(frozen=True)

@@ -1,28 +1,27 @@
 """Gauss sums of finite quadratic spaces and the signature mod 8.
 
-The sum G = sum_x exp(pi i q(x)) is assembled exactly from exponent counts.
-Squaring G stays in integer arithmetic (a cyclic convolution of the count
-vector), which pins the signature mod 4 by cyclotomic equality; the mod-8
-ambiguity is settled by a certified interval around G rotated back to the
-real axis.  The two candidate phases differ by pi, so any interval of width
-below 1 separates them.
+The sum G = sum_x exp(pi i q(x)) is a count vector: how many x have
+q(x)/2 = k/M mod 1, for each k.  By Milgram's formula G = sqrt|A| zeta_8^sig,
+and `gauss_phase` reads that phase off the counts: squaring G is a cyclic
+convolution in integers, which pins sig mod 4, and one certified interval
+around G turned back to the real axis settles the sign, since the two
+candidate phases differ by pi.  `gauss_sum` builds G itself as a
+cyclotomic number for callers that want the value.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from ..errors import InternalError
-from ..exactkernel import (
-    CyclotomicNumber,
-    cyclo_approx,
-    reduce_int_counts,
-    root_of_unity,
-)
+from ..exactkernel import CyclotomicNumber, gauss_phase, reduce_int_counts
 from .space import FiniteQuadraticSpace
+
+_log = logging.getLogger(__name__)
 
 
 def _phase_counts(s: FiniteQuadraticSpace) -> tuple[int, np.ndarray]:
@@ -44,25 +43,12 @@ def signature_mod8(s: FiniteQuadraticSpace, bits: int = 128) -> int:
     if s.order == 1:
         return 0
     m, counts = _phase_counts(s)
-    full = np.convolve(counts, counts)
-    squared = np.zeros(m, dtype=np.int64)
-    for start in range(0, len(full), m):
-        chunk = full[start:start + m]
-        squared[: len(chunk)] += chunk
-    g_squared = CyclotomicNumber(m, [Fraction(int(c))
-                                     for c in reduce_int_counts(m, squared.tolist())])
-    total = s.order
-    s4 = next((k for k in range(4)
-               if g_squared == total * root_of_unity(Fraction(k, 4))), None)
-    if s4 is None:
+    phase = gauss_phase(m, counts, s.order, bits)
+    if phase is None or (8 * phase).denominator != 1:
         raise InternalError(
             "Gauss sum squared is not |A| times a fourth root of unity; "
             "the form must be degenerate")
-    g = gauss_sum(s)
-    aligned = g * root_of_unity(Fraction(-s4, 8))
-    box = cyclo_approx(aligned, bits=bits)
-    if box.strictly_positive_real():
-        return s4 % 8
-    if box.strictly_negative_real():
-        return (s4 + 4) % 8
-    raise InternalError("certified interval failed to separate Gauss phases")
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("signature mod 8 of |A| = %d: integer square test over "
+                   "zeta_%d, then an interval at %d bits", s.order, m, bits)
+    return int(8 * phase)

@@ -1,18 +1,24 @@
 """Modular data, relations, fusion, genus dimensions, and VOA checks."""
 
+import json
+import logging
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genusforge.errors import LimitError, ValidationError
+from genusforge.errors import LimitError, NonIntegralError, ValidationError
 from genusforge.exactkernel import CyclotomicNumber
 from genusforge.lattice import builtin_lattice, discriminant_form
 from genusforge.modcat import (
+    ModularData,
     VoaGenusSymbol,
     build_modular_data,
     from_quadratic_space,
+    fusion,
     genus_dimension,
     ising_data,
     modular_data_from_json,
@@ -21,6 +27,7 @@ from genusforge.modcat import (
     simple_current_extensions,
     verify_relations,
     verlinde_fusion,
+    voa,
     voa_genus_equal,
     voa_milgram_check,
 )
@@ -28,13 +35,21 @@ from genusforge.modcat.fusion import (
     _block_sum_cyclotomic,
     _block_sum_exponents,
     _fusion_cyclotomic,
+    _fusion_rows,
 )
 from genusforge.modcat.relations import _verify_cyclotomic, _verify_exponents
 from genusforge.quadspace import (
     build_space,
     direct_sum,
+    gauss,
     signature_mod8,
     trivial_space,
+)
+from modcat_oracle import (
+    eager_s_tilde,
+    fusion_by_counts,
+    milgram_by_cyclotomics,
+    signature_by_cyclotomics,
 )
 from space_library import space_library
 from space_oracle import basis_change, oracle_twists_and_dual
@@ -252,11 +267,15 @@ class TestGenusDimension:
                             == _block_sum_exponents(m, power - len(labels), labels)), s
 
     def test_bad_arguments(self):
-        m = ising_data()
-        with pytest.raises(ValidationError):
-            genus_dimension(m, -1)
-        with pytest.raises(ValidationError):
-            genus_dimension(m, 0, (7,))
+        for m in (ising_data(), from_quadratic_space(build_space((2,), [F(1, 2)]))):
+            with pytest.raises(ValidationError):
+                genus_dimension(m, -1)
+            with pytest.raises(ValidationError):
+                genus_dimension(m, 0, (7,))
+            with pytest.raises(ValidationError):
+                genus_dimension(m, True)
+            with pytest.raises(ValidationError):
+                genus_dimension(m, 0, (True, True))
 
 
 class TestVoaMilgram:
@@ -276,6 +295,11 @@ class TestVoaMilgram:
             m = from_quadratic_space(discriminant_form(l))
             assert voa_milgram_check(m, l.rank), name
             assert not voa_milgram_check(m, l.rank + 4), name
+
+    def test_bool_charge_rejected(self):
+        for m in (ising_data(), from_quadratic_space(trivial_space())):
+            with pytest.raises(ValidationError):
+                voa_milgram_check(m, True)
 
     def test_matches_signature_mod8(self):
         for s in space_library(8):
@@ -407,3 +431,105 @@ class TestJson:
         doc["s_tilde"] = [[1.0]]
         with pytest.raises(ValidationError, match="exact"):
             modular_data_from_json(doc)
+
+
+def _entries(matrix):
+    return [[(x.order, x.coeffs) for x in row] for row in matrix]
+
+
+def _assert_matches_oracle(m, s):
+    """Fusion, signature, Milgram, s_tilde and JSON of the data m of the
+    space s, against the code the exponent tables replaced."""
+    sig = signature_mod8(s)
+    assert sig == signature_by_cyclotomics(s), s
+    assert verlinde_fusion(m) == fusion_by_counts(m), s
+    for c in (sig, sig + 4, sig + 2, sig + F(1, 2)):
+        assert voa_milgram_check(m, c) == milgram_by_cyclotomics(m, c), (s, c)
+    eager = eager_s_tilde(m)
+    assert _entries(m.s_tilde) == _entries(eager), s
+    given_matrix = ModularData(m.dual, eager, m.twists, m.weights)
+    assert (json.dumps(modular_data_to_json(m))
+            == json.dumps(modular_data_to_json(given_matrix))), s
+
+
+LIBRARY_16 = space_library(16)
+LIBRARY_4 = space_library(4)
+
+
+class TestExponentTablesAgainstOracle:
+    """Row-lookup fusion, Gauss phases from integer counts and the lazy
+    s_tilde against the counting and cyclotomic code they replaced."""
+
+    def test_every_library_space(self):
+        for s in LIBRARY_16:
+            _assert_matches_oracle(from_quadratic_space(s), s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(LIBRARY_16), st.randoms(use_true_random=False))
+    def test_automorphism_twists(self, s, rng):
+        t, _ = basis_change(s, rng)
+        _assert_matches_oracle(from_quadratic_space(t), t)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(LIBRARY_4), st.sampled_from(LIBRARY_4))
+    def test_product_data(self, s1, s2):
+        m = product(from_quadratic_space(s1), from_quadratic_space(s2))
+        assert m.exponents is not None
+        assert verlinde_fusion(m) == fusion_by_counts(m)
+        sig = signature_mod8(s1) + signature_mod8(s2)
+        for c in (sig, sig + 4, sig + 2, sig + F(1, 2)):
+            assert voa_milgram_check(m, c) == milgram_by_cyclotomics(m, c), c
+        with_ising = product(m, ising_data())
+        assert with_ising.exponents is None
+        for c in (sig + F(1, 2), sig + F(9, 2), sig + 1):
+            assert (voa_milgram_check(with_ising, c)
+                    == milgram_by_cyclotomics(with_ising, c)), c
+        back = modular_data_from_json(modular_data_to_json(m))
+        assert json.dumps(modular_data_to_json(back)) == json.dumps(modular_data_to_json(m))
+        assert verlinde_fusion(back) == fusion_by_counts(m)
+
+    def test_pointed_path_builds_no_cyclotomic_number(self, monkeypatch):
+        def refuse(self, *args):
+            raise AssertionError("a CyclotomicNumber was built")
+
+        spaces = LIBRARY_16[::10]
+        monkeypatch.setattr(CyclotomicNumber, "__init__", refuse)
+        for s in spaces:
+            m = from_quadratic_space(s)
+            sig = signature_mod8(s)
+            assert verify_relations(m).ok
+            verlinde_fusion(m)
+            assert genus_dimension(m, 1) == m.n
+            assert voa_milgram_check(m, sig) and not voa_milgram_check(m, sig + 4)
+
+    def test_no_matching_row(self):
+        # A symmetric complex Hadamard matrix on zeta_8 that is no
+        # character table: relation (i) fails, and the row of
+        # E[1] + E[1] - E[0] = (0, 2, 0, 2) is missing.
+        z = CyclotomicNumber.from_exponents(8, {1: 1})
+        one = CyclotomicNumber.one()
+        h = [[one, one, one, one], [one, z, -one, -z],
+             [one, -one, one, -one], [one, -z, -one, z]]
+        m = build_modular_data((0, 1, 2, 3), h, [0, 0, 0, 0])
+        assert m.exponents.order == 8 and m.discriminant == m.n
+        assert verify_relations(m).failed == "i"
+        with pytest.raises(NonIntegralError, match=r"N\[1\]\[1\]"):
+            _fusion_rows(m)
+        with pytest.raises(NonIntegralError):
+            fusion_by_counts(m)
+
+    def test_debug_log_names_the_path(self, caplog):
+        m = from_quadratic_space(build_space((4,), [F(1, 4)]))
+        for logger in (fusion, voa, gauss):
+            caplog.set_level(logging.DEBUG, logger=logger.__name__)
+        verlinde_fusion(m)
+        verlinde_fusion(ising_data())
+        voa_milgram_check(m, 1, bits=64)
+        voa_milgram_check(m, 2)
+        signature_mod8(build_space((4,), [F(1, 4)]))
+        lines = [r.getMessage() for r in caplog.records]
+        assert "row lookup" in lines[0]
+        assert "cyclotomic" in lines[1]
+        assert "interval at 64 bits, phase 1/8" in lines[2]
+        assert "interval at 128 bits, phase 1/8" in lines[3]
+        assert "interval at 128 bits" in lines[4]
