@@ -15,7 +15,6 @@ being materialized.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -215,6 +214,9 @@ def sigma_profile(r: int, *, max_k: int | None = None, cap: int | None = DEFAULT
         if node_budget is not None or threads <= 1 or need < 2:
             counts, complete = _sweep(r, need, 0, 1, _Budget(node_budget))
         else:
+            # imported here: most callers never start a pool, and the import
+            # pulls in multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 parts = list(pool.map(_sweep_worker,
                                       [(r, need, w, threads) for w in range(threads)]))

@@ -6,9 +6,12 @@ coordinate tuples are canonical and equality is coordinate equality after
 embedding into the lcm order.  Orders widen lazily and are capped (default
 10080) so runaway lcm growth raises LimitError instead of thrashing.
 
-No floating point enters any algebraic operation.  `cyclo_approx` returns a
-certified complex enclosure: mpmath evaluation at elevated precision wrapped
-in an outward rational error envelope.
+No floating point enters any algebraic operation, and none enters the
+enclosures either.  `cyclo_approx` returns a certified complex rectangle
+built from integer tables of 2^prec cos and 2^prec sin of 2 pi e/n, each
+entry within 1 of the true value by a proof carried out in integers (pi
+by Machin's formula, octant reduction, fixed-point Taylor series); the
+proof is in the docstring of `_unit_circle`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence, Union
 
-import mpmath
 import numpy as np
 
 from ..errors import LimitError, InternalError, ValidationError
@@ -105,30 +107,57 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=64)
-def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row e (0 <= e < n) is zeta_n^e written in the power basis, integer."""
+def _reduction_rows(n: int) -> np.ndarray:
+    """Row e (0 <= e < n) is zeta_n^e written in the power basis, as a
+    read-only integer array of shape (n, phi(n))."""
     phi = euler_phi(n)
     phi_poly = cyclotomic_polynomial(n)
+    rows = np.zeros((n, phi), dtype=np.int64)
+    rows[:phi] = np.eye(phi, dtype=np.int64)
     # x^phi = -(c_0 + c_1 x + ... + c_{phi-1} x^{phi-1})
-    top = [-c for c in phi_poly[:phi]]
-    rows: list[tuple[int, ...]] = []
-    for e in range(n):
-        if e < phi:
-            rows.append(tuple(1 if i == e else 0 for i in range(phi)))
-            continue
-        prev = rows[e - 1]
-        overflow = prev[phi - 1]
-        shifted = [0] + list(prev[: phi - 1])
-        if overflow:
-            shifted = [s + overflow * t for s, t in zip(shifted, top)]
-        rows.append(tuple(shifted))
-    return tuple(rows)
+    top = -np.array(phi_poly[:phi], dtype=np.int64)
+    for e in range(phi, n):
+        rows[e, 1:] = rows[e - 1, :-1]
+        rows[e, 0] = 0
+        rows[e] += rows[e - 1, -1] * top
+    rows.flags.writeable = False
+    return rows
+
+
+@lru_cache(maxsize=64)
+def _reduction_tuples(n: int) -> tuple[tuple[int, ...], ...]:
+    """`_reduction_rows` as tuples of Python ints, for per-term loops."""
+    return tuple(map(tuple, _reduction_rows(n).tolist()))
 
 
 @lru_cache(maxsize=64)
 def _power_index(n: int) -> dict[tuple[int, ...], int]:
     """The inverse of `_reduction_rows`: zeta_n^e in the power basis -> e."""
-    return {row: e for e, row in enumerate(_reduction_rows(n))}
+    return {row: e for e, row in enumerate(_reduction_tuples(n))}
+
+
+def _reduce_counts(order: int, counts) -> np.ndarray:
+    """Power-basis coordinates of sum_e counts[..., e] zeta_order^e for
+    integer counts along the last axis (exponents taken mod order): one
+    integer matrix product, in Python integers when int64 could overflow."""
+    _check_order(order)
+    counts = np.asarray(counts)
+    if counts.shape[-1] != order:
+        pad = np.zeros(counts.shape[:-1] + (-counts.shape[-1] % order,), counts.dtype)
+        counts = np.concatenate([counts, pad], axis=-1)
+        counts = counts.reshape(counts.shape[:-1] + (-1, order)).sum(axis=-2)
+    rows = _reduction_rows(order)
+    if counts.dtype != object and (
+            counts.size == 0 or
+            int(np.abs(counts).max()) * order * _row_bound(order) < 2 ** 63):
+        return counts.astype(np.int64, copy=False) @ rows
+    return counts.astype(object) @ rows.astype(object)
+
+
+@lru_cache(maxsize=64)
+def _row_bound(n: int) -> int:
+    """The largest |entry| of `_reduction_rows(n)`."""
+    return int(np.abs(_reduction_rows(n)).max())
 
 
 def reduce_int_counts(order: int, counts: Iterable[int]) -> list[int]:
@@ -136,18 +165,9 @@ def reduce_int_counts(order: int, counts: Iterable[int]) -> list[int]:
 
     Integer in, integer out; used by the Gauss-sum and fusion fast paths.
     """
-    _check_order(order)
-    phi = euler_phi(order)
-    rows = _reduction_rows(order)
-    out = [0] * phi
-    for e, c in enumerate(counts):
-        if c:
-            c = int(c)  # numpy scalars overflow on later bigint arithmetic
-            row = rows[e % order]
-            for i in range(phi):
-                if row[i]:
-                    out[i] += c * row[i]
-    return out
+    if not isinstance(counts, np.ndarray):
+        counts = list(counts)
+    return _reduce_counts(order, counts).tolist()
 
 
 class ComplexInterval(NamedTuple):
@@ -221,7 +241,7 @@ class CyclotomicNumber:
         """Sum of c * zeta_order^e over (e, c) pairs; exponents mod order."""
         _check_order(order)
         phi = euler_phi(order)
-        rows = _reduction_rows(order)
+        rows = _reduction_tuples(order)
         acc = [Fraction(0)] * phi
         for e, c in terms.items():
             c = as_fraction(c)
@@ -468,18 +488,105 @@ def sum_of_phases(phases: Iterable[PhaseMod1 | Fraction]) -> CyclotomicNumber:
     return CyclotomicNumber(order, [Fraction(c) for c in reduced])
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    if x == 0:
-        return Fraction(0)
-    try:
-        sign, man, exp, _ = x._mpf_
-    except (AttributeError, ValueError) as e:  # pragma: no cover
-        raise InternalError(f"unexpected mpf value {x!r}") from e
-    if not isinstance(exp, int):  # pragma: no cover
-        raise InternalError(f"non-finite mpf value {x!r}")
-    value = Fraction(int(man))
-    value = -value if sign else value
-    return value * Fraction(2) ** exp
+# Table precisions are rounded up to a multiple of this many bits, so one
+# cached table serves every request whose precision rounds to it.
+_PREC_STEP = 32
+
+
+def _arctan_inv(x: int, w: int) -> tuple[int, int]:
+    """(A, err) with |A - 2^w arctan(1/x)| <= err, for an integer x >= 2.
+
+    A sums floor(2^w / ((2k+1) x^(2k+1))) with alternating signs until a
+    term floors to 0.  Each of the K terms added is off by less than 1,
+    and the tail of the alternating series, whose terms decrease, is at
+    most its first term, which is below 1.  So err = K + 1.
+    """
+    total, k, den, x2 = 0, 0, x, x * x
+    while term := (1 << w) // ((2 * k + 1) * den):
+        total += -term if k & 1 else term
+        k += 1
+        den *= x2
+    return total, k + 1
+
+
+def _pi_fixed(w: int) -> tuple[int, int]:
+    """(P, err) with |P - 2^w pi| <= err, by Machin's formula
+    pi = 16 arctan(1/5) - 4 arctan(1/239)."""
+    a5, e5 = _arctan_inv(5, w)
+    a239, e239 = _arctan_inv(239, w)
+    return 16 * a5 - 4 * a239, 16 * e5 + 4 * e239
+
+
+def _taylor(x2: int, w: int, first: int, start: int) -> tuple[int, int]:
+    """(V, K): V = sum_k (-1)^k T_k for T_0 = first and
+    T_k = floor(T_(k-1) x2 / (2^(2w) (start+2k-1)(start+2k))), stopped at
+    the first T_K = 0; x2 = x^2 for an argument 0 <= x < 2^w."""
+    total, t, k = 0, first, 0
+    while t:
+        total += -t if k & 1 else t
+        k += 1
+        t = (t * x2 >> 2 * w) // ((start + 2 * k - 1) * (start + 2 * k))
+    return total, k
+
+
+# Octant o = floor(8e/n) of the angle 2 pi e/n, as (swap, sign of cos,
+# sign of sin) applied to (cos, sin) of the reduced angle in [0, pi/4].
+_OCTANTS = ((False, 1, 1), (True, 1, 1), (True, -1, 1), (False, -1, 1),
+            (False, -1, -1), (True, -1, -1), (True, 1, -1), (False, 1, -1))
+
+
+@lru_cache(maxsize=64)
+def _unit_circle(n: int, prec: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(C, S) with |C[e] - 2^prec cos(2 pi e/n)| <= 1 and the same for S
+    and sin, for 0 <= e < n, in integer arithmetic only.
+
+    Proof of the bound.  Work at w = prec + g bits.  Write 8e = o n + r
+    with 0 <= r < n.  The angle is o pi/4 + r pi/(4n), so by the octant
+    symmetries (`_OCTANTS`) cos and sin of it are +-cos or +-sin of
+    phi = j pi/(4n) with j = r for even o and j = n - r for odd o; phi
+    lies in [0, pi/4].  Only integers enter below.
+
+    - pi: P = `_pi_fixed(w)` has |P - 2^w pi| <= E_pi, counted.
+    - Argument: x = floor(j P/(4n)), so |x - 2^w phi| <= j E_pi/(4n) + 1
+      <= E_pi/4 + 1 =: E_x.  Since |cos'|, |sin'| <= 1, cos and sin of
+      y = x/2^w differ from those of phi by at most E_x units of 2^-w.
+      Also y < 1, as phi <= pi/4 and E_x is far below 2^w/5.
+    - Series: the terms u_k of cos y (T_0 = 2^w) and sin y (T_0 = x) are
+      formed by `_taylor` with one floor per term, so the error
+      eps_k = T_k - 2^w u_k obeys |eps_k| <= |eps_(k-1)| y^2/2 + 1, and
+      |eps_k| < 2 by induction from eps_0 = 0.  The K terms summed are
+      off by less than 2K together.  The terms decrease (y < 1), so the
+      remainder of the alternating series is at most 2^w u_K
+      = -eps_K < 2 units, where T_K = 0 stopped the sum.
+    - Rounding: with E = E_x + 2K + 2 <= 2^(g-1), checked for every angle,
+      the value V at w bits is within E of 2^w cos phi, and
+      C = floor((V + 2^(g-1)) / 2^g) is within 1/2 + E/2^g <= 1 of
+      2^prec cos phi.  Signs and swaps are exact.
+    """
+    g = (prec + 64).bit_length() + 4
+    w = prec + g
+    pi, pi_err = _pi_fixed(w)
+    half = 1 << (g - 1)
+    reduced: dict[int, tuple[int, int]] = {}
+    cos, sin = [], []
+    for e in range(n):
+        o, r = divmod(8 * e, n)
+        j = n - r if o & 1 else r
+        if j not in reduced:
+            x = j * pi // (4 * n)
+            x2 = x * x
+            c, kc = _taylor(x2, w, 1 << w, 0)
+            s, ks = _taylor(x2, w, x, 1)
+            if pi_err + 4 * (2 * max(kc, ks) + 3) > 4 * half:
+                raise InternalError("unit circle table lost its error bound")
+            reduced[j] = ((c + half) >> g, (s + half) >> g)
+        c, s = reduced[j]
+        swap, sign_c, sign_s = _OCTANTS[o]
+        if swap:
+            c, s = s, c
+        cos.append(sign_c * c)
+        sin.append(sign_s * s)
+    return tuple(cos), tuple(sin)
 
 
 def cyclo_approx(z: CyclotomicNumber, bits: int = 128) -> ComplexInterval:
@@ -488,34 +595,33 @@ def cyclo_approx(z: CyclotomicNumber, bits: int = 128) -> ComplexInterval:
 
 
 def _enclose(n: int, coeffs: Sequence[Scalar], bits: int) -> ComplexInterval:
-    """Certified rectangle containing sum_i coeffs[i] zeta_n^i, reduced or
+    """Certified rectangle containing sum_e coeffs[e] zeta_n^e, reduced or
     not; width at most 2^(1-bits).
 
-    Each root of unity is evaluated by mpmath.cospi/sinpi at a working
-    precision chosen so the summed per-term envelope (a deliberately fat
-    2^5 ulp per term) stays below 2^-bits.
+    The coefficients are cleared to integers a_e = L coeffs[e] by their
+    common denominator L.  The entries of `_unit_circle(n, prec)` are
+    within 1 of 2^prec cos and 2^prec sin, so sum_e a_e C[e] is within
+    T = sum_e |a_e| of 2^prec L Re(z).  The rectangle takes twice that
+    error, (sum_e a_e C[e] +- 2T) / (2^prec L), and likewise for Im(z).
+    prec = bits + k with k >= 0 and 2^k L >= 2T, rounded up to a multiple
+    of `_PREC_STEP`, so the width 4T / (2^prec L) is at most 2^(1-bits).
     """
     if bits < 32:
         raise ValidationError("cyclo_approx needs bits >= 32")
-    total = sum(abs(c) for c in coeffs)
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c.numerator) * (scale // c.denominator) for c in coeffs]
+    total = sum(map(abs, ints))
     if total == 0:
         zero = Fraction(0)
         return ComplexInterval(zero, zero, zero, zero)
-    # total * 2^(5-prec) <= 2^(-bits)  <=  prec >= bits + 5 + log2(total)
-    prec = bits + 6 + max(0, math.ceil(math.log2(float(total) + 1)))
-    re_acc = Fraction(0)
-    im_acc = Fraction(0)
-    with mpmath.workprec(prec):
-        for i, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            arg = mpmath.mpf(2 * i) / n
-            re_acc += c * _mpf_to_fraction(mpmath.cospi(arg))
-            im_acc += c * _mpf_to_fraction(mpmath.sinpi(arg))
-    err = total * Fraction(2) ** (5 - prec)
-    if err > Fraction(1, 2 ** bits):  # pragma: no cover
-        raise InternalError("approximation envelope exceeded request")
-    return ComplexInterval(re_acc - err, re_acc + err, im_acc - err, im_acc + err)
+    prec = bits + max(0, (2 * total).bit_length() - scale.bit_length() + 1)
+    prec = -(-prec // _PREC_STEP) * _PREC_STEP
+    cos, sin = _unit_circle(n, prec)
+    re = sum(a * c for a, c in zip(ints, cos) if a)
+    im = sum(a * s for a, s in zip(ints, sin) if a)
+    err, den = 2 * total, scale << prec
+    return ComplexInterval(Fraction(re - err, den), Fraction(re + err, den),
+                           Fraction(im - err, den), Fraction(im + err, den))
 
 
 def gauss_phase(order: int, counts: Sequence[int], norm: int,
@@ -528,8 +634,9 @@ def gauss_phase(order: int, counts: Sequence[int], norm: int,
     integers; it must be norm times +-zeta_order^e, which fixes 2t mod 1.
     The two candidates for t differ by 1/2, so G turned back by the first
     is +-sqrt(norm) with norm >= 1, and one certified interval (the
-    enclosure `cyclo_approx` uses, on integer coordinates) reads the sign.
-    No `CyclotomicNumber` is built.
+    enclosure `cyclo_approx` uses) reads the sign.  The interval is taken
+    of the turned counts as they are, over zeta_rot: reducing them mod
+    Phi_rot would not change the value.  No `CyclotomicNumber` is built.
     """
     c = np.zeros(order, dtype=np.int64 if sum(map(abs, counts)) < 2 ** 31 else object)
     c[:len(counts)] = counts
@@ -553,7 +660,7 @@ def gauss_phase(order: int, counts: Sequence[int], norm: int,
     turned = [0] * rot  # G zeta^(-t), over the order rot
     for e, k in enumerate(c.tolist()):
         turned[(e * (rot // order) - t.numerator * (rot // t.denominator)) % rot] = k
-    box = _enclose(rot, reduce_int_counts(rot, turned), bits)
+    box = _enclose(rot, turned, bits)
     if box.strictly_positive_real():
         return t
     if box.strictly_negative_real():

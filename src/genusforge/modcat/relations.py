@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exactkernel import CyclotomicNumber, euler_phi, root_of_unity
-from ..exactkernel.cyclotomic import _reduction_rows
+from ..exactkernel.cyclotomic import _reduce_counts
 from .data import ModularData
 
 
@@ -45,22 +45,42 @@ class RelationReport:
 _PASS = RelationReport(None, "")
 
 
+# The counts below take rows i in chunks so that the keyed and gathered
+# temporaries (n^2 and n^2 M entries per row) stay near this many entries;
+# all rows at once would need n^3 M, 2^27 at n = 64, M = 512.
+_CHUNK = 1 << 20
+
+
 def _pair_counts(left: np.ndarray, right: np.ndarray, order: int) -> np.ndarray:
-    """counts[i, k, e] = #{j : left[i,j] + right[j,k] == e (mod order)}."""
+    """counts[i, k, e] = #{j : left[i,j] + right[j,k] == e (mod order)}:
+    one bincount over the keys (i n + k) order + e per chunk of rows i."""
     n = left.shape[0]
     out = np.empty((n, n, order), dtype=np.int64)
-    offsets = (order * np.arange(n))[None, :]
-    for i in range(n):
-        t = (left[i, :][:, None] + right) % order  # [j, k]
-        flat = np.bincount((t + offsets).ravel(), minlength=order * n)
-        out[i] = flat.reshape(n, order)
+    step = max(1, min(n, _CHUNK // (n * n)))
+    offsets = order * np.arange(n * step).reshape(step, 1, n)
+    for i in range(0, n, step):
+        block = left[i:i + step]
+        rows = block.shape[0]
+        keys = (block[:, :, None] + right[None, :, :]) % order + offsets[:rows]
+        out[i:i + rows] = np.bincount(
+            keys.ravel(), minlength=rows * n * order).reshape(rows, n, order)
     return out
 
 
-def _reduce_counts(counts: np.ndarray, order: int) -> np.ndarray:
-    """Reduce exponent-count vectors (last axis) into power-basis coords."""
-    rows = np.array(_reduction_rows(order), dtype=np.int64)
-    return counts @ rows
+def _triple_counts(a: np.ndarray, order: int) -> np.ndarray:
+    """counts[i, k, e] = #{(j, l) : a[i,l] + a[l,j] + a[j,k] == e (mod order)}:
+    the pair counts of a with a, gathered along a[j, k] and summed over j."""
+    n = a.shape[0]
+    a2 = _pair_counts(a, a, order)
+    # shift[j, k, e] = e - a[j, k], so a2[i, j, shift[j, k, e]] counts the
+    # paths through j that end at exponent e
+    shift = (np.arange(order)[None, None, :] - a[:, :, None]) % order
+    js = np.arange(n)[:, None, None]
+    out = np.empty((n, n, order), dtype=np.int64)
+    step = max(1, _CHUNK // (n * n * order))
+    for i in range(0, n, step):
+        out[i:i + step] = a2[i:i + step][:, js, shift].sum(axis=1)
+    return out
 
 
 def _verify_exponents(m: ModularData) -> RelationReport:
@@ -68,11 +88,12 @@ def _verify_exponents(m: ModularData) -> RelationReport:
     n = m.n
     d = m.discriminant
     phi = euler_phi(order)
+    labels = np.arange(n)
+    dual = np.asarray(m.dual)
 
-    s2 = _reduce_counts(_pair_counts(exps, exps, order), order)
+    s2 = _reduce_counts(order, _pair_counts(exps, exps, order))
     target = np.zeros((n, n, phi), dtype=np.int64)
-    for i in range(n):
-        target[i, m.dual[i], 0] = d
+    target[labels, dual, 0] = d
     if not np.array_equal(s2, target):
         bad = next((i, k) for i in range(n) for k in range(n)
                    if not np.array_equal(s2[i, k], target[i, k]))
@@ -89,20 +110,12 @@ def _verify_exponents(m: ModularData) -> RelationReport:
                 "iii", f"theta differs on the dual pair ({i},{m.dual[i]})")
 
     a = (exps + tau[None, :]) % order  # s_tilde * T, columns scaled
-    a2 = _pair_counts(a, a, order)
-    a3 = np.zeros((n, n, order), dtype=np.int64)
-    eye = np.arange(order)
-    for j in range(n):
-        idx = (eye[None, :] - a[j, :][:, None]) % order  # [k, e]
-        a3 += a2[:, j, :][:, idx]
-    lhs = _reduce_counts(a3, order)
+    lhs = _reduce_counts(order, _triple_counts(a, order))
 
     # Gauss part: sum theta_i dim_i^2 = sum zeta^(tau_i + 2 E[0,i]).
     gauss = np.bincount((tau + 2 * exps[0]) % order, minlength=order)
-    gauss_coeffs = _reduce_counts(gauss[None, :], order)[0]
     rhs = np.zeros((n, n, phi), dtype=np.int64)
-    for i in range(n):
-        rhs[i, m.dual[i]] = d * gauss_coeffs
+    rhs[labels, dual] = d * _reduce_counts(order, gauss)
     if not np.array_equal(lhs, rhs):
         bad = next((i, k) for i in range(n) for k in range(n)
                    if not np.array_equal(lhs[i, k], rhs[i, k]))

@@ -5,7 +5,9 @@ q(x)/2 = k/M mod 1, for each k.  By Milgram's formula G = sqrt|A| zeta_8^sig,
 and `gauss_phase` reads that phase off the counts: squaring G is a cyclic
 convolution in integers, which pins sig mod 4, and one certified interval
 around G turned back to the real axis settles the sign, since the two
-candidate phases differ by pi.  `gauss_sum` builds G itself as a
+candidate phases differ by pi.  The interval is exact integer arithmetic
+too: sums of integer tables of cos and sin whose error is proven (see
+`exactkernel.cyclotomic._unit_circle`), with no floating point.  `gauss_sum` builds G itself as a
 cyclotomic number for callers that want the value.
 """
 

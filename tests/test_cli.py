@@ -1,9 +1,13 @@
 """CLI dispatch, JSON round trips, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import genusforge
 from genusforge.cli import main, run
 
 
@@ -180,3 +184,16 @@ class TestStatusAndFlags:
         out = capsys.readouterr().out
         assert "\n" in out.strip()
         assert json.loads(out) == {"sigma": 1}
+
+
+def test_import_loads_no_mpmath_and_no_process_pool():
+    # numpy is the one runtime dependency; worker pools are imported only
+    # when sigma_profile starts one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(genusforge.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, genusforge.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('mpmath', 'multiprocessing') or m == 'concurrent.futures.process'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"

@@ -3,8 +3,9 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from genusforge.errors import LimitError, ValidationError
 from genusforge.exactkernel import (
@@ -28,6 +29,19 @@ from genusforge.exactkernel import (
     smith_normal_form,
     sum_of_phases,
     transpose,
+)
+from genusforge.exactkernel.cyclotomic import (
+    _enclose,
+    _pi_fixed,
+    _reduce_counts,
+    _unit_circle,
+    reduce_int_counts,
+)
+from interval_oracle import (
+    mp_pi_scaled,
+    mp_unit_circle,
+    mp_value,
+    oracle_enclose,
 )
 
 small_int = st.integers(min_value=-30, max_value=30)
@@ -242,3 +256,101 @@ class TestInterval:
         zero = cyclo_approx(CyclotomicNumber.zero())
         assert not zero.strictly_positive_real()
         assert not zero.strictly_negative_real()
+
+
+# Every order up to 720, and two large ones: 5040 and the default order
+# cap, 10080.
+ORDERS = st.one_of(st.integers(min_value=1, max_value=720),
+                   st.sampled_from((5040, 10080)))
+BITS = st.sampled_from((32, 64, 128, 256))
+COEFFS = st.one_of(
+    st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10 ** 6))
+
+
+@st.composite
+def sparse_vectors(draw):
+    """(n, a coefficient list of length n with a few nonzero entries)."""
+    n = draw(ORDERS)
+    terms = draw(st.dictionaries(st.integers(min_value=0, max_value=n - 1),
+                                 COEFFS, max_size=12))
+    vec = [0] * n
+    for e, c in terms.items():
+        vec[e] = c
+    return n, vec
+
+
+class TestIntegerEnclosure:
+    """The integer tables behind `cyclo_approx` against the mpmath
+    enclosure they replaced and 512-bit mpmath values."""
+
+    @staticmethod
+    def check_box(box, n, coeffs, bits):
+        re, im = mp_value(n, coeffs)
+        assert box.contains(re, im)
+        assert box.width <= Fraction(2) ** (1 - bits)
+        oracle = oracle_enclose(n, coeffs, bits)
+        assert oracle.contains(re, im)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_vectors(), BITS)
+    def test_cyclo_approx_encloses_the_value(self, vec, bits):
+        n, coeffs = vec
+        z = CyclotomicNumber.from_exponents(n, dict(enumerate(coeffs)))
+        self.check_box(cyclo_approx(z, bits), z.order, z.coeffs, bits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_vectors(), BITS)
+    @example((10080, [0] * 1261 + [3] + [0] * 6299 + [Fraction(-7, 9)] + [0] * 2517 + [5]), 256)
+    def test_unreduced_vectors(self, vec, bits):
+        # gauss_phase encloses sum_e counts[e] zeta_n^e without reducing
+        n, coeffs = vec
+        self.check_box(_enclose(n, coeffs, bits), n, coeffs, bits)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ORDERS, st.sampled_from((32, 64, 160, 288)),
+           st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=24))
+    @example(10080, 160, [1, 1259, 1261, 5039, 7561, 10079])
+    @example(5040, 288, [629, 631, 2521, 3779])
+    def test_table_entries_within_one_unit(self, n, prec, sample):
+        cos, sin = _unit_circle(n, prec)
+        assert len(cos) == len(sin) == n
+        # every octant boundary and a sample of other angles
+        picks = {n * k // 8 for k in range(8)} | {e % n for e in sample}
+        for e in sorted(picks):
+            c, s = mp_unit_circle(n, e, prec, prec + 60)
+            assert abs(cos[e] - c) <= 1, (n, prec, e)
+            assert abs(sin[e] - s) <= 1, (n, prec, e)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=1, max_value=900))
+    def test_pi_within_its_counted_error(self, w):
+        value, err = _pi_fixed(w)
+        assert abs(value - mp_pi_scaled(w)) <= err
+        # the count stays linear in w, which the tables' guard bits assume
+        assert err < 4 * w + 64
+
+
+class TestCountReduction:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=120), st.data())
+    def test_matches_term_by_term(self, n, data):
+        big = st.integers(min_value=-2 ** 70, max_value=2 ** 70)
+        small = st.integers(min_value=-50, max_value=50)
+        counts = data.draw(st.lists(st.one_of(small, big) if data.draw(st.booleans())
+                                    else small, min_size=1, max_size=3 * n))
+        want = CyclotomicNumber.zero()
+        for e, c in enumerate(counts):
+            want = want + CyclotomicNumber.from_exponents(n, {e: c})
+        got = reduce_int_counts(n, counts)
+        assert all(isinstance(x, int) for x in got)
+        assert CyclotomicNumber(n, got) == want
+
+    def test_overflow_switches_to_python_integers(self):
+        counts = np.array([2 ** 61, 0, 2 ** 61, 2 ** 61], dtype=np.int64)
+        out = _reduce_counts(12, np.stack([counts, -counts]))
+        assert out.dtype == object
+        z = CyclotomicNumber.from_exponents(12, {0: 2 ** 61, 2: 2 ** 61, 3: 2 ** 61})
+        want = [int(c) for c in z.coeffs]
+        assert out.tolist() == [want, [-x for x in want]]
+        assert reduce_int_counts(12, counts) == want

@@ -4,6 +4,7 @@ import json
 import logging
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from genusforge.modcat.fusion import (
     _fusion_cyclotomic,
     _fusion_rows,
 )
+from genusforge.modcat import relations
 from genusforge.modcat.relations import _verify_cyclotomic, _verify_exponents
 from genusforge.quadspace import (
     build_space,
@@ -170,6 +172,45 @@ class TestRelations:
                 assert (_verify_cyclotomic(broken).failed
                         == _verify_exponents(broken).failed
                         is not None)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=12),
+           st.randoms(use_true_random=False))
+    def test_whole_array_counts_match_their_definition(self, n, order, rng):
+        left, right = (np.array([[rng.randrange(order) for _ in range(n)]
+                                 for _ in range(n)], dtype=np.int64) for _ in range(2))
+        pairs = np.zeros((n, n, order), dtype=np.int64)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    pairs[i, k, (left[i, j] + right[j, k]) % order] += 1
+        triples = np.zeros((n, n, order), dtype=np.int64)
+        for i in range(n):
+            for l in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        triples[i, k, (left[i, l] + left[l, j] + left[j, k]) % order] += 1
+        # chunks of one row, of rows that split the last chunk, and whole
+        for chunk in (1, 2 * n * n * order + 1, 1 << 20):
+            with mock.patch.object(relations, "_CHUNK", chunk):
+                assert np.array_equal(relations._pair_counts(left, right, order), pairs)
+                assert np.array_equal(relations._triple_counts(left, order), triples)
+
+    def test_reports_do_not_depend_on_the_chunk(self):
+        rng = random.Random(5)
+        cases = []
+        for s in space_library(8):
+            m = from_quadratic_space(basis_change(s, rng)[0])
+            twists = [t.value for t in m.twists]
+            twists[-1] += F(1, 8)
+            cases += [m, build_modular_data(m.dual, m.s_tilde, twists),
+                      build_modular_data(tuple(range(m.n)), m.s_tilde,
+                                         [t.value for t in m.twists])]
+        want = [_verify_exponents(m) for m in cases]
+        with mock.patch.object(relations, "_CHUNK", 1):
+            assert [_verify_exponents(m) for m in cases] == want
+        assert {r.failed for r in want} == {None, "i", "iii", "iv"}
 
 
 class TestFusion:
