@@ -11,8 +11,6 @@ from math import comb
 
 from ..errors import LimitError, ValidationError
 
-_ENUM_CAP = 1 << 22
-
 
 def _rref_rows(rows, length):
     """Reduced row echelon form, pivots at the lowest set bit, rows sorted."""

@@ -1,161 +1,246 @@
-"""Counts of 8-divisible codes containing the all-ones word.
+"""Counts of 8-divisible codes containing the all-ones word, by orbits.
 
-sigma_k(r) is the number of dimension-k binary codes of length r that
-contain the all-ones word and whose weights all lie in 8Z.  Quotienting
-by the all-ones word identifies these with (k-1)-dimensional subspaces
-of F_2^(r-1) whose nonzero vectors stay inside a fixed candidate set;
-the count is over subspaces, so the search walks each one exactly once
-through its greedy-minimal basis: generator top bits strictly increase,
-later generators avoid the pivot bits of earlier ones, and closure
-against the running span is enforced at every step.  The deepest two
-levels are counted in bulk as compatible pairs and triples instead of
-being materialized.
+sigma_k(r) counts the k-dimensional binary codes of length r through the
+all-ones word with every weight in 8Z: a sum of orbit sizes r!/|Aut C| over
+classes up to coordinate permutation (McKay, J. Algorithms 1998; Betsumiya
+and Munemasa, arXiv:1012.4134).  A code with a basis is a table m: F_2^k -> N
+of column counts, bit 0 being the all-ones word; |Aut C| = prod m(x)! times
+|Stab_GL(k,2)(m)|, the product of the orbit sizes along the canonical path
+of a search over bases drawn from the support, never over coordinates.
+
+A word v extends C, up to permutations inside column classes, as a count
+vector 0 <= a <= m of weight prod C(m(x), a_x); it is valid when wt(v),
+wt(v & b_i) and wt(v & b_i & b_j) vanish mod 8, 4 and 2 over basis words
+b_i.  With ext(C) the weight of the valid vectors off C, and 2^k - 1
+subcodes through the all-ones word in a (k+1)-code, each met by 2^k words,
+sigma_{k+1} = sum over classes C of (r!/|Aut C|) ext(C) / (2^k (2^k - 1)).
+
+Levels below the last one requested are classified depth first, one child
+per stabilizer orbit put in canonical form and each new class expanded at
+once; the orbits of each classified level must add up to its double count,
+or InternalError.  node_budget bounds the extension half-vectors examined
+plus the canonical-form search nodes; when it runs out every level keeps
+the lower bound of the traversed prefix.  The count runs in one process:
+threads and GENUSFORGE_THREADS are accepted and have no effect.
 """
 
 from __future__ import annotations
 
-import os
+import logging
+import time
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 import numpy as np
 
-from ..errors import LimitError, ValidationError
+from ..errors import InternalError, LimitError, ValidationError
 
 DEFAULT_LENGTH_CAP = 24
 
-# largest candidate set the pair stage will hold as a dense matrix
-_BATCH_SIDE = 2048
-
-
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, nodes):
-        self.left = nodes
-
-    def spend(self) -> bool:
-        if self.left is None:
-            return True
-        if self.left <= 0:
-            return False
-        self.left -= 1
-        return True
+_log = logging.getLogger(__name__)
 
 
 class _Exhausted(Exception):
     pass
 
 
-def _tables(r):
-    """Sorted candidate array, membership mask, and top-bit lookup."""
-    q = r - 1
-    pc16 = np.zeros(1 << 16, dtype=np.uint8)
-    for i in range(16):
-        pc16[1 << i: 1 << (i + 1)] = pc16[: 1 << i] + 1
-    vals = np.arange(1 << q, dtype=np.int64)
-    w = pc16[vals & 0xFFFF].astype(np.int64)
-    if q > 16:
-        w += pc16[vals >> 16]
-    keep = (w > 0) & (w % 8 == 0)
-    cands = vals[keep]
-    memb = np.zeros(1 << q, dtype=bool)
-    memb[cands] = True
-    tops = np.zeros(1 << q, dtype=np.int64)
-    for k in range(1, q):
-        tops[1 << k: 1 << (k + 1)] = k
-    return cands, memb, tops
+def _orbit_labels(perms, n):
+    """Least point of each orbit of the group generated by perms."""
+    lab = np.arange(n)
+    while True:
+        new = lab
+        for p in perms:
+            new = np.minimum(new, new[p])
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
 
 
-def _children(c, v, vtop, span, memb):
-    """Valid next generators after choosing v from candidate set c."""
-    lo = int(np.searchsorted(c, np.int64(1) << (vtop + 1)))
-    out = c[lo:]
-    out = out[(out & (np.int64(1) << vtop)) == 0]
-    if len(out) == 0:
-        return out
-    mask = memb[out ^ (v ^ int(span[0]))]
-    for s in span[1:]:
-        mask &= memb[out ^ (v ^ int(s))]
-    return out[mask]
+class _Canon:
+    """Canonical table of m, |Stab(m)| and generators of Stab(m).
 
-
-def _count_node(c, span, memb, tops, counts, depth, need, budget):
-    """Accumulate subspace counts below one search node.
-
-    c holds the valid extensions of the node's span; each contributes a
-    subspace of dimension depth+1.  Deeper levels either recurse or, for
-    the final two, are counted through the pair compatibility matrix.
+    Tables are uint8, so their bytes compare lexicographically.  A search
+    node is the span of a partial basis, span[u] = L(u): first a support
+    point, then directions c with that point + c in the support.
     """
-    counts[depth + 1] += len(c)
-    if need <= depth + 1 or len(c) == 0:
-        return
-    if need >= depth + 4 or len(c) > _BATCH_SIDE:
-        tc = tops[c]
-        for j in range(len(c)):
-            if not budget.spend():
-                raise _Exhausted
-            v = int(c[j])
-            child = _children(c, v, int(tc[j]), span, memb)
-            span2 = np.concatenate([span, span ^ v])
-            _count_node(child, span2, memb, tops, counts, depth + 1, need, budget)
-        return
-    if not budget.spend():
-        raise _Exhausted
-    x = c[:, None] ^ c[None, :]
-    t = tops[c]
-    p = t[None, :] > t[:, None]
-    p &= (c[None, :] & (np.int64(1) << t)[:, None]) == 0
-    for s in span:
-        p &= memb[x ^ int(s)]
-    counts[depth + 2] += int(np.count_nonzero(p))
-    if need < depth + 3:
-        return
-    for i in np.nonzero(p.sum(axis=1) >= 2)[0]:
-        w_idx = np.nonzero(p[i])[0]
-        first, second = np.nonzero(p[np.ix_(w_idx, w_idx)])
-        if len(first) == 0:
-            continue
-        z = c[w_idx[first]] ^ c[w_idx[second]] ^ c[i]
-        ok = memb[z]
-        for s in span[1:]:
-            ok &= memb[z ^ int(s)]
-        counts[depth + 3] += int(np.count_nonzero(ok))
+
+    def __init__(self, m, k, walk):
+        self.m, self.k, self.walk, self.best, self.gens, self.seen = m, k, walk, None, [], {}
+        self._search(np.zeros(1, dtype=np.int64))
+        self.table = m[self.best]
+        self.stab = prod(self._orbit(d) for d in range(k))
+
+    def _options(self, span):
+        """Next basis vectors below a node, with the table block each adds."""
+        c = np.flatnonzero(self.m) ^ (span[1] if len(span) > 1 else 0)
+        free = np.ones(len(self.m), dtype=bool)
+        free[span] = False
+        c = c[free[c]]
+        return c, self.m[span ^ c[:, None]]
+
+    def _labels(self, span):
+        """Orbit labels under the generators found so far that fix span."""
+        key = (span.tobytes(), len(self.gens))
+        if key not in self.seen:
+            fix = [g for g in self.gens if (g[span] == span).all()]
+            self.seen[key] = _orbit_labels(fix, len(self.m))
+        return self.seen[key]
+
+    def _search(self, span):
+        """Depth first for the greatest leaf.  A leaf equal to the best one
+        gives an automorphism, and the search goes back to the last node the
+        two paths share: the rest of that subtree is the image of one searched."""
+        if self.walk.take(1) < 1:
+            raise _Exhausted
+        d = len(span).bit_length() - 1
+        best = b"" if self.best is None else self.m[self.best[: 2 * len(span)]].tobytes()
+        if d == self.k:
+            if self.m[span].tobytes() > best:
+                self.best = span
+                return None
+            if self.m[span].tobytes() < best:
+                return None
+            g = np.empty_like(span)
+            g[self.best] = span
+            self.gens.append(g)
+            return int(np.argmax(self.best[1 << np.arange(d)] != span[1 << np.arange(d)]))
+        cands, blocks = self._options(span)
+        top = blocks[np.lexsort(blocks.T[::-1])[-1]]
+        if np.append(self.m[span], top).tobytes() < best:
+            return None
+        done = []
+        for c in cands[(blocks == top).all(axis=1)]:
+            if done and self._labels(span)[c] in self._labels(span)[done]:
+                continue
+            back = self._search(np.append(span, span ^ c))
+            done.append(c)
+            if back is not None and back < d:
+                return back
+        return None
+
+    def _orbit(self, d):
+        """Orbit of canonical basis vector d under the pointwise stabilizer
+        of those before it: the options whose subtree holds a canonical leaf."""
+        span = self.best[: 1 << d]
+        cands, blocks = self._options(span)
+        cands = cands[(blocks == self.table[1 << d: 2 << d]).all(axis=1)]
+        inside, outside = [self.best[1 << d]], []
+        for c in cands:
+            if self._labels(span)[c] not in self._labels(span)[inside + outside]:
+                found = len(self.gens)
+                self._search(np.append(span, span ^ c))
+                (inside if len(self.gens) > found else outside).append(c)
+        return int(np.isin(self._labels(span)[cands], self._labels(span)[inside]).sum())
 
 
-def _sweep(r, need, offset, step, budget):
-    """Count subspaces of each dimension 1..need, striped over the
-    depth-1 generators so independent workers can split the frontier."""
-    counts = [0] * (need + 1)
-    if need < 1:
-        return counts, True
-    cands, memb, tops = _tables(r)
-    if len(cands) == 0:
-        return counts, True
-    try:
-        if need <= 3 and len(cands) <= _BATCH_SIDE:
-            if offset == 0:
-                _count_node(cands, np.zeros(1, dtype=np.int64), memb, tops,
-                            counts, 0, need, budget)
-            return counts, True
-        idx = range(offset, len(cands), step)
-        counts[1] += len(idx)
-        if need >= 2:
-            for j in idx:
-                if not budget.spend():
-                    raise _Exhausted
-                v = int(cands[j])
-                child = _children(cands, v, int(tops[v]), np.zeros(1, dtype=np.int64), memb)
-                span = np.array([0, v], dtype=np.int64)
-                _count_node(child, span, memb, tops, counts, 1, need, budget)
-    except _Exhausted:
-        return counts, False
-    return counts, True
+def _grid(mult):
+    """Every count vector below mult, in np.ravel_multi_index order, with
+    its weight prod C(mult, a)."""
+    rows, w = np.zeros((1, 0), dtype=np.int64), np.ones(1, dtype=np.int64)
+    for mx in mult:
+        rows = np.hstack([np.repeat(rows, mx + 1, axis=0),
+                          np.tile(np.arange(mx + 1), len(rows))[:, None]])
+        w = np.outer(w, [comb(int(mx), a) for a in range(mx + 1)]).ravel()
+    return rows, w
 
 
-def _sweep_worker(args):
-    return _sweep(args[0], args[1], args[2], args[3], _Budget(None))
+def _extensions(m, k, walk, keep):
+    """ext(C) over the half-vectors the budget allows, whether that was all,
+    and the indices of the valid count vectors off C if keep.  Each column
+    class is cut in two, a = a1 + a2, and the halves a1 are looked up
+    against the halves a2 by residue (weights multiply by Vandermonde)."""
+    if k > 10:
+        raise LimitError("residues of codes above dimension 10 exceed 64 bits")
+    pts = np.flatnonzero(m)
+    mult = m[pts].astype(np.int64)
+    bits = pts[:, None] >> np.arange(1, k) & 1
+    i, j = np.triu_indices(k - 1, 1)
+    coef = np.hstack([np.ones_like(pts)[:, None], bits, bits[:, i] & bits[:, j]])
+    # residues mod 8, 4 and 2, packed as bit fields of one integer
+    width = np.array([3] + [2] * (k - 1) + [1] * len(i))
+    mods, shift = 1 << width, np.cumsum(width) - width
+    # odd classes give their larger part to the two halves in turn
+    half = mult // 2 + mult % 2 * (np.cumsum(mult % 2) % 2)
+    (r1, w1), (r2, w2) = _grid(half), _grid(mult - half)
+    n = walk.take(len(r1), k)
+    l1 = (r1[:n] @ coef % mods << shift).sum(axis=1)
+    l2 = (-(r2 @ coef) % mods << shift).sum(axis=1)
+    order = np.argsort(l2, kind="stable")
+    lo, hi = np.searchsorted(l2[order], l1), np.searchsorted(l2[order], l1, "right")
+    acc = np.append(0, np.cumsum(w2[order]))
+    # the 2^k words of C are valid with weight 1; drop those joined so far
+    words = np.bitwise_count(np.arange(1 << k)[:, None] & pts) & 1
+    seen = np.ravel_multi_index((words * half).T, half + 1) < n
+    ext = int(w1[:n] @ (acc[hi] - acc[lo])) - int(seen.sum())
+    if not keep or n < len(r1):
+        return ext, n == len(r1), np.zeros(0, dtype=np.int64)
+    cnt = hi - lo
+    pick = np.arange(cnt.sum()) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+    kids = np.repeat(r1, cnt, axis=0) + r2[order[pick]]
+    keys = np.unique(np.ravel_multi_index(kids.T, mult + 1))
+    return ext, True, keys[~np.isin(keys, np.ravel_multi_index((words * mult).T, mult + 1))]
+
+
+def _orbit_reps(keys, mult, pts, gens):
+    """The count vector of least index in each orbit of the stabilizer."""
+    kids = np.stack(np.unravel_index(keys, mult + 1), axis=-1)
+    maps = []
+    for g in gens:
+        img = np.empty_like(kids)
+        img[:, np.searchsorted(pts, g[pts])] = kids
+        maps.append(np.searchsorted(keys, np.ravel_multi_index(img.T, mult + 1)))
+    return kids[_orbit_labels(maps, len(kids)) == np.arange(len(kids))]
+
+
+class _Walk:
+    """Depth-first expansion of code classes under a work budget."""
+
+    def __init__(self, r, classify, budget):
+        self.r, self.classify, self.left = r, classify, budget
+        self.double = defaultdict(int)    # level k + 1: sum of orbit * ext at level k
+        self.classes = defaultdict(dict)  # level: canonical bytes -> (table, |Aut|, gens)
+        self.vectors, self.secs = defaultdict(int), defaultdict(float)
+        self.level, self.clock = 1, time.perf_counter()
+        self.root = (np.array([0, r], dtype=np.uint8), factorial(r), [])
+        self.classes[1][self.root[0].tobytes()] = self.root
+
+    def take(self, n, k=None):
+        """The part of n work units the budget allows (half-vectors of level k)."""
+        if self.left is not None:
+            n = min(n, self.left)
+            self.left -= n
+        self.vectors[k] += n
+        return n
+
+    def charge(self, level):
+        """Book the time since the last call to the level expanded then."""
+        now = time.perf_counter()
+        self.secs[self.level] += now - self.clock
+        self.level, self.clock = level, now
+
+    def expand(self, k, table, aut, gens):
+        self.charge(k)
+        ext, whole, keys = _extensions(table, k, self, k < self.classify)
+        self.double[k + 1] += factorial(self.r) // aut * ext
+        if not whole:
+            raise _Exhausted
+        pts = np.flatnonzero(table)
+        for a in _orbit_reps(keys, table[pts], pts, gens):
+            child = np.zeros(2 << k, dtype=np.uint8)
+            child[pts], child[pts | 1 << k] = table[pts] - a, a
+            c = _Canon(child, k + 1, self)
+            if c.table.tobytes() not in self.classes[k + 1]:
+                inv = np.argsort(c.best)
+                new = (c.table, prod(factorial(int(v)) for v in c.table) * c.stab,
+                       [inv[g[c.best]] for g in c.gens])
+                self.classes[k + 1][c.table.tobytes()] = new
+                self.expand(k + 1, *new)
+                self.charge(k)
+
+    def sigma(self, k):
+        return self.double[k] // ((1 << k - 1) * ((1 << k - 1) - 1)) if k > 1 else 1
 
 
 @dataclass(frozen=True)
@@ -175,12 +260,11 @@ class SigmaProfile:
         for kk, v in self.counts:
             if kk == k:
                 return v
-        if not self.complete:
-            raise LimitError(f"partial profile does not determine sigma_{k}")
-        # beyond the last computed level everything vanishes: either a
-        # level came out empty (subspaces of higher dimension would
-        # contain one of that dimension) or the quotient dimension caps k
-        return 0
+        # past an empty level everything vanishes: a larger code would
+        # contain a code of that level
+        if self.complete and (self.counts[-1][1] == 0 or k > self.length):
+            return 0
+        raise LimitError(f"this profile does not determine sigma_{k}")
 
 
 def _validated_length(r, cap):
@@ -194,40 +278,38 @@ def sigma_profile(r: int, *, max_k: int | None = None, cap: int | None = DEFAULT
                   node_budget: int | None = None, threads: int | None = None) -> SigmaProfile:
     """Profile sigma_k for k = 1..max_k, or until a level vanishes.
 
-    Without max_k the search runs to exhaustion: once some sigma_k is 0
-    every higher level is 0 too.  node_budget caps the number of search
-    nodes and forces a serial run so the traversed prefix, and with it
-    the partial counts, is deterministic.  threads (or the environment
-    variable GENUSFORGE_THREADS) splits the depth-1 frontier across
-    processes; partial counts are summed, so the result does not depend
-    on the schedule.
+    node_budget caps the extension half-vectors examined plus the
+    canonical-form search nodes; the order is fixed, so partial counts are
+    deterministic.  threads (and GENUSFORGE_THREADS) have no effect.
     """
     _validated_length(r, cap)
     if max_k is not None and (not isinstance(max_k, int) or max_k < 1):
         raise ValidationError("max_k must be a positive integer")
     if r % 8:
         return SigmaProfile(r, ((1, 0),), True)
-    if threads is None:
-        threads = int(os.environ.get("GENUSFORGE_THREADS", "1"))
-    need = min(5 if max_k is None else max_k - 1, r - 1)
-    while True:
-        if node_budget is not None or threads <= 1 or need < 2:
-            counts, complete = _sweep(r, need, 0, 1, _Budget(node_budget))
-        else:
-            # imported here: most callers never start a pool, and the import
-            # pulls in multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(_sweep_worker,
-                                      [(r, need, w, threads) for w in range(threads)]))
-            counts = [sum(col) for col in zip(*(p[0] for p in parts))]
-            complete = all(p[1] for p in parts)
-        counts[0] = 1
-        if not complete or max_k is not None or need >= r - 1 or counts[need] == 0:
-            break
-        need += 1
-    pairs = tuple((e + 1, n) for e, n in enumerate(counts))
-    return SigmaProfile(r, pairs, complete)
+    if r > 62 and max_k != 1:
+        raise LimitError("extension weights beyond length 62 exceed 64 bits")
+    walk = _Walk(r, r if max_k is None else max_k - 1, node_budget)
+    complete = True
+    try:
+        if max_k != 1:
+            walk.expand(1, *walk.root)
+    except _Exhausted:
+        complete = False
+    walk.charge(0)
+    if _log.isEnabledFor(logging.DEBUG):
+        for k in sorted(walk.secs):
+            _log.debug("sigma_k(%d) level %d: %d classes, %d extension vectors, double "
+                       "count %d, %.3f s", r, k, len(walk.classes[k]), walk.vectors[k],
+                       walk.double[k + 1], walk.secs[k])
+    for k in range(2, max(walk.double, default=1) + 1) if complete else ():
+        orbits = sum(factorial(r) // c[1] for c in walk.classes[k].values())
+        if walk.double[k] % ((1 << k - 1) * ((1 << k - 1) - 1)):
+            raise InternalError(f"double count at level {k} does not divide")
+        if k <= walk.classify and orbits != walk.sigma(k):
+            raise InternalError(f"class orbits at level {k} miss the double count")
+    last = max_k or next(k for k in range(2, r + 2) if walk.sigma(k) == 0)
+    return SigmaProfile(r, tuple((k, walk.sigma(k)) for k in range(1, last + 1)), complete)
 
 
 def sigma_k(r: int, k: int, *, cap: int | None = DEFAULT_LENGTH_CAP,

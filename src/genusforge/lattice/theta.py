@@ -36,24 +36,29 @@ _log = logging.getLogger(__name__)
 
 
 def _ldl(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """G = L D L^T with L unit lower triangular, D diagonal positive."""
+    """G = L D L^T with L unit lower triangular, D diagonal positive.
+
+    Fraction-free (Bareiss, Math. Comp. 1968) elimination keeps every
+    entry an integer: the pivots are the leading principal minors
+    Delta_1, Delta_2, ..., and then d_j = Delta_{j+1} / Delta_j and
+    L_ij = M_ij / Delta_{j+1}, with M_ij the entry below pivot j.
+    """
     n = len(gram)
+    m = [[int(x) for x in row] for row in gram]
     d = [Fraction(0)] * n
-    low = [[Fraction(0)] * n for _ in range(n)]
+    low = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    prev = 1
     for j in range(n):
-        acc = Fraction(gram[j][j])
-        for k in range(j):
-            acc -= low[j][k] * low[j][k] * d[k]
-        if acc <= 0:
+        piv = m[j][j]
+        if piv <= 0:
             raise NotPositiveDefiniteError(
                 f"Gram matrix is not positive definite (pivot {j})")
-        d[j] = acc
-        low[j][j] = Fraction(1)
+        d[j] = Fraction(piv, prev)
         for i in range(j + 1, n):
-            val = Fraction(gram[i][j])
-            for k in range(j):
-                val -= low[i][k] * low[j][k] * d[k]
-            low[i][j] = val / d[j]
+            low[i][j] = Fraction(m[i][j], piv)
+            for t in range(j + 1, n):
+                m[i][t] = (piv * m[i][t] - m[i][j] * m[j][t]) // prev
+        prev = piv
     return d, low
 
 

@@ -178,6 +178,19 @@ class ModularData:
         return f"ModularData(n={self.n}, D={self.discriminant})"
 
 
+def _exponent(x: CyclotomicNumber, order: int) -> int | None:
+    """e with x = zeta_order^e, read off the power basis of x's own field:
+    the roots of unity there are +-zeta^j, each one row of `_power_index`."""
+    power = _power_index(x.order)
+    e = power.get(x.coeffs)
+    if e is not None:
+        return e * (order // x.order)
+    e = power.get(tuple(-c for c in x.coeffs))
+    if e is None or order % 2:
+        return None
+    return (e * (order // x.order) + order // 2) % order
+
+
 def _exponents_of(mat, twists) -> Exponents | None:
     """The exponents of every entry and twist, or None when some entry is
     not a root of unity, the matrix is not square or the common order
@@ -188,12 +201,9 @@ def _exponents_of(mat, twists) -> Exponents | None:
                 *(t.value.denominator for t in twists))
     if order > order_cap():
         return None
-    power = _power_index(order)
-    exps = []
-    for row in mat:
-        exps.append([power.get(x.embed(order).coeffs) for x in row])
-        if None in exps[-1]:
-            return None
+    exps = [[_exponent(x, order) for x in row] for row in mat]
+    if any(None in row for row in exps):
+        return None
     tau = [t.value.numerator * (order // t.value.denominator) for t in twists]
     return Exponents(order, np.array(exps, dtype=np.int64).reshape(len(mat), len(mat)),
                      np.array(tau, dtype=np.int64))

@@ -9,6 +9,8 @@ kept as the oracle for the exponent-table paths.
 - `signature_by_cyclotomics`: the same for the Gauss sum of a space.
 - `eager_s_tilde`: the matrix `from_quadratic_space` used to build up
   front, one root of unity per entry.
+- `exponents_by_embedding`: the exponent table of a given matrix, each
+  entry embedded in the common field and looked up in its power index.
 """
 
 from fractions import Fraction
@@ -23,7 +25,7 @@ from genusforge.exactkernel import (
     reduce_int_counts,
     root_of_unity,
 )
-from genusforge.exactkernel.cyclotomic import _reduction_rows
+from genusforge.exactkernel.cyclotomic import _power_index, _reduction_rows
 from genusforge.modcat import FusionTable
 from genusforge.quadspace import gauss_sum
 from genusforge.quadspace.gauss import _phase_counts
@@ -108,3 +110,16 @@ def eager_s_tilde(m):
         p = Fraction(e, order)
         roots[e] = CyclotomicNumber.from_exponents(p.denominator, {p.numerator: 1})
     return tuple(tuple(roots[e] for e in row) for row in exps.tolist())
+
+
+def exponents_by_embedding(matrix, twists):
+    """(order, exponents, twist exponents) of a square matrix of roots of
+    unity, or None."""
+    order = np.lcm.reduce([x.order for row in matrix for x in row]
+                          + [t.value.denominator for t in twists])
+    power = _power_index(int(order))
+    exps = [[power.get(x.embed(int(order)).coeffs) for x in row] for row in matrix]
+    if any(None in row for row in exps):
+        return None
+    tau = [t.value.numerator * (int(order) // t.value.denominator) for t in twists]
+    return int(order), np.array(exps, dtype=np.int64), np.array(tau, dtype=np.int64)

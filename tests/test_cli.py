@@ -42,6 +42,14 @@ class TestExamples:
     def test_sigma_length16_dim1(self):
         assert payload("codes", "sigma", "--length", "16", "--dim", "1") == {"sigma": 1}
 
+    def test_sigma_length24_dim3(self):
+        assert payload("codes", "sigma", "--length", "24", "--dim", "3") == {"sigma": 17194086195}
+
+    def test_mass_length32_is_exact(self):
+        out = payload("--limit", "32", "codes", "mass", "--length", "32")
+        assert out == {"mass": "1107745345048268068311104992186394483/"
+                               "7338560644151445665941498529411235840000000"}
+
 
 class TestRoundTrips:
     def test_disc_form_feeds_every_qs_command(self, tmp_path):
@@ -187,8 +195,7 @@ class TestStatusAndFlags:
 
 
 def test_import_loads_no_mpmath_and_no_process_pool():
-    # numpy is the one runtime dependency; worker pools are imported only
-    # when sigma_profile starts one
+    # numpy is the one runtime dependency, and nothing starts a worker pool
     src = os.path.dirname(os.path.dirname(os.path.abspath(genusforge.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, genusforge.cli; "

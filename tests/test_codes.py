@@ -1,10 +1,15 @@
 """Binary code operations, sigma counts, and lexicodes."""
 
 import json
+import logging
 import random
+from functools import cache
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genusforge.codes import (
     BinaryCode,
@@ -26,10 +31,18 @@ from genusforge.codes import (
 )
 from importlib import import_module
 
-from code_oracles import greedy_scan, naive_sigma
-from genusforge.codes.sigma import _tables
+from code_oracles import (
+    _tables,
+    extension_count,
+    gl_stabilizer_order,
+    greedy_scan,
+    naive_sigma,
+    support_stabilizer_order,
+    sweep_sigma,
+)
 
 lexicode_module = import_module("genusforge.codes.lexicode")
+sigma_module = import_module("genusforge.codes.sigma")
 from genusforge.errors import LimitError, ValidationError
 
 
@@ -235,6 +248,124 @@ class TestSigma:
             relative_mass_rhs(8)
         with pytest.raises(LimitError):
             relative_mass_rhs(32)
+
+
+@cache
+def code_classes(r, levels):
+    """(level, canonical table, |Aut|) of every class through level `levels`."""
+    walk = sigma_module._Walk(r, levels, None)
+    walk.expand(1, *walk.root)
+    return [(k, table, aut) for k in range(1, levels + 1)
+            for table, aut, _ in walk.classes[k].values()]
+
+
+def random_gl(rnd, k):
+    """g in GL(k, 2) as the array of images g[x] of every x in F_2^k."""
+    images = [0]
+    while len(set(images)) < 1 << k:
+        images = [0]
+        for y in [rnd.randrange(1, 1 << k) for _ in range(k)]:
+            images += [s ^ y for s in images]
+    return np.array(images)
+
+
+class TestSigmaOrbits:
+    def test_matches_the_subspace_search(self):
+        for r in range(1, 17):
+            for k in (1, 2, 3):
+                assert sigma_k(r, k) == sweep_sigma(r, k), (r, k)
+        for k in (1, 2):
+            assert sigma_k(24, k) == sweep_sigma(24, k)
+
+    def test_full_profile_of_length_16(self):
+        p = sigma_profile(16)
+        assert p.complete
+        assert [v for _, v in p.counts] == [1, 6435, 2627625, 60810750, 64864800, 0]
+
+    def test_sigma3_of_length_24_against_a_word_scan(self):
+        # one class of 2-dimensional codes: 1 and an octad, C(24, 8) codes;
+        # each 3-dimensional code holds 3 of them, each met by 4 words
+        ones, octad = (1 << 24) - 1, 0xFF
+        ext = extension_count(24, [0, ones, octad, ones ^ octad])
+        assert ext == 280540
+        assert sigma_k(24, 3) == comb(24, 8) * ext // 12 == 17194086195
+
+    def test_full_profile_of_length_24(self):
+        p = sigma_profile(24)
+        assert p.complete and p.counts[-1] == (7, 0)
+        assert p.sigma(2) == comb(24, 8) and p.sigma(3) == 17194086195
+
+    def test_stabilizers_against_all_of_gl(self):
+        for r in (8, 16, 24):
+            for k, table, aut in code_classes(r, 4):
+                stab = gl_stabilizer_order(table.astype(np.int64), k)
+                assert aut == prod(factorial(int(v)) for v in table) * stab, (r, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(code_classes(24, 5)), st.randoms(use_true_random=False))
+    def test_canonical_form_ignores_coordinates_and_basis(self, cls, rnd):
+        # the code's columns, permuted, then mapped by a random basis change
+        k, table, aut = cls
+        columns = np.repeat(np.arange(1 << k), table)
+        rnd.shuffle(columns)
+        moved = np.bincount(random_gl(rnd, k)[columns], minlength=1 << k).astype(np.uint8)
+        canon = sigma_module._Canon(moved, k, sigma_module._Walk(24, 0, None))
+        assert canon.table.tobytes() == table.tobytes()
+        assert prod(factorial(int(v)) for v in table) * canon.stab == aut
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.integers(0, 2 ** 32))
+    def test_random_tables_against_brute_force(self, k, seed):
+        # tables that need not come from 8-divisible codes: any support on
+        # the odd points (bit 0 set) that spans F_2^k
+        rnd = random.Random(seed)
+        while True:
+            table = np.zeros(1 << k, dtype=np.uint8)
+            table[1::2] = [rnd.choice((0, 0, 1, 1, 2, 3)) for _ in range(1 << k - 1)]
+            span = {0}
+            for x in np.flatnonzero(table):
+                span |= {s ^ int(x) for s in span}
+            if len(span) == 1 << k:
+                break
+        canon = sigma_module._Canon(table, k, sigma_module._Walk(8, 0, None))
+        assert canon.stab == support_stabilizer_order(table.astype(np.int64), k)
+        if k <= 3:
+            assert canon.stab == gl_stabilizer_order(table.astype(np.int64), k)
+        for g in canon.gens:
+            assert (table[g] == table).all()
+        moved = np.zeros_like(table)
+        moved[random_gl(rnd, k)] = table
+        again = sigma_module._Canon(moved, k, sigma_module._Walk(8, 0, None))
+        assert again.table.tobytes() == canon.table.tobytes()
+
+    @pytest.mark.parametrize("odd_entries", [
+        [2, 2, 0, 1, 1, 2, 1, 2, 1, 0, 0, 3, 1, 2, 2, 3],
+        [0, 0, 0, 1, 2, 2, 2, 2, 2, 2, 1, 1, 2, 2, 1, 0],
+        [0, 1, 0, 3, 3, 1, 0, 0, 1, 0, 1, 1, 1, 1, 1, 1],
+    ])
+    def test_orbits_use_only_generators_fixing_the_prefix(self, odd_entries):
+        # tables on F_2^5 where the whole automorphism group merges
+        # options that the pointwise stabilizer of the prefix keeps apart
+        table = np.zeros(32, dtype=np.uint8)
+        table[1::2] = odd_entries
+        canon = sigma_module._Canon(table, 5, sigma_module._Walk(8, 0, None))
+        assert canon.stab == support_stabilizer_order(table.astype(np.int64), 5)
+
+    def test_debug_log_has_one_line_per_level(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="genusforge.codes.sigma"):
+            sigma_profile(16)
+        lines = [rec.getMessage() for rec in caplog.records if rec.name == "genusforge.codes.sigma"]
+        assert [line.split(":")[0] for line in lines] == [
+            f"sigma_k(16) level {k}" for k in range(1, 6)]
+        assert "1 classes, 81 extension vectors, double count 3405402000" in lines[2]
+        assert "double count 0" in lines[4]
+
+    def test_length_32_counts(self):
+        # sigma_2 counts pairs {v, v + 1} with wt v in {8, 16, 24}; the full
+        # profile and its mass are checked through the CLI
+        assert sigma_k(32, 2, cap=None) == (comb(32, 8) + comb(32, 16) + comb(32, 24)) // 2
+        p = sigma_profile(32, max_k=4, cap=None)
+        assert p.complete and p.sigma(3) == 4651305429019275
 
 
 class TestLexicode:

@@ -49,6 +49,7 @@ from genusforge.quadspace import (
     trivial_space,
 )
 from theta_oracle import (
+    fraction_ldl,
     lattice_basis_change,
     oracle_root_system,
     oracle_short_vectors,
@@ -371,6 +372,12 @@ class TestEnumerationOracle:
     @given(st.sampled_from(SMALL_ORACLE_LATTICES), st.randoms(use_true_random=False))
     def test_matches_oracle_under_basis_change(self, base, rng):
         assert_matches_oracle(lattice_basis_change(base, rng))
+
+    @pytest.mark.parametrize("index", range(len(ORACLE_LATTICES)), ids=ORACLE_IDS)
+    def test_fraction_free_ldl_matches_fraction_ldl(self, index):
+        base = ORACLE_LATTICES[index]
+        for l in (base, lattice_basis_change(base, random.Random(100 + index))):
+            assert theta._ldl(l.gram) == fraction_ldl(l.gram)
 
     def test_chunks_split_inside_a_parent(self, monkeypatch):
         # Chunks of 5 rows cut most levels' children mid-parent.

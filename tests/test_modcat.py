@@ -49,6 +49,7 @@ from genusforge.quadspace import (
 )
 from modcat_oracle import (
     eager_s_tilde,
+    exponents_by_embedding,
     fusion_by_counts,
     milgram_by_cyclotomics,
     signature_by_cyclotomics,
@@ -460,6 +461,23 @@ class TestJson:
         back = modular_data_from_json(modular_data_to_json(m))
         assert back.discriminant == 4
         assert verify_relations(back).ok
+
+    def test_round_trip_keeps_json_and_exponents(self):
+        # the exponents read off each entry's own field agree with the
+        # entries embedded in the common field and looked up there
+        lib = space_library(16)
+        data = [from_quadratic_space(s) for s in lib] + [
+            ising_data(), product(from_quadratic_space(lib[3]), from_quadratic_space(lib[7]))]
+        for m in data:
+            doc = json.dumps(modular_data_to_json(m))
+            back = modular_data_from_json(json.loads(doc))
+            assert json.dumps(modular_data_to_json(back)) == doc
+            want = exponents_by_embedding(back.matrix, back.twists)
+            if want is None:
+                assert back.exponents is None
+            else:
+                assert [back.exponents[0]] + [a.tolist() for a in back.exponents[1:]] == (
+                    [want[0]] + [a.tolist() for a in want[1:]])
 
     def test_missing_key_rejected(self):
         doc = modular_data_to_json(ising_data())

@@ -7,7 +7,9 @@ the centres in a list it updates and restores around each child, and
 emits the last coordinate's whole interval as a block of candidates.
 `oracle_root_system` splits the roots by the rational ladder
 (1, 1/p, 1/p^2, ...) and calls a positive root simple when no difference
-with another positive root is itself positive.
+with another positive root is itself positive.  `fraction_ldl` is the
+LDL^T in `Fraction` arithmetic that the fraction-free elimination in
+`genusforge.lattice.theta` replaced.
 """
 
 import math
@@ -15,13 +17,34 @@ from fractions import Fraction
 
 import numpy as np
 
-from genusforge.errors import InternalError
+from genusforge.errors import InternalError, NotPositiveDefiniteError
 from genusforge.lattice import build_lattice
 from genusforge.lattice.roots import _EXPECTED_COUNTS, _classify_component
-from genusforge.lattice.theta import _ldl
 
 _SLACK = 1e-6
 _FLUSH_ROWS = 1 << 16
+
+
+def fraction_ldl(gram):
+    """G = L D L^T with L unit lower triangular, D diagonal positive."""
+    n = len(gram)
+    d = [Fraction(0)] * n
+    low = [[Fraction(0)] * n for _ in range(n)]
+    for j in range(n):
+        acc = Fraction(gram[j][j])
+        for k in range(j):
+            acc -= low[j][k] * low[j][k] * d[k]
+        if acc <= 0:
+            raise NotPositiveDefiniteError(
+                f"Gram matrix is not positive definite (pivot {j})")
+        d[j] = acc
+        low[j][j] = Fraction(1)
+        for i in range(j + 1, n):
+            val = Fraction(gram[i][j])
+            for k in range(j):
+                val -= low[i][k] * low[j][k] * d[k]
+            low[i][j] = val / d[j]
+    return d, low
 
 
 def oracle_enumerate(l, max_norm, store):
@@ -29,7 +52,7 @@ def oracle_enumerate(l, max_norm, store):
     signs of each +/- pair counted and stored."""
     n = l.rank
     gram = l.gram
-    d, low = _ldl(gram)
+    d, low = fraction_ldl(gram)
     df = [float(x) for x in d]
     lf = [[float(x) for x in row] for row in low]
     gnp = np.array(gram, dtype=np.int64)
