@@ -19,8 +19,8 @@ Levels below the last one requested are classified depth first, one child
 per stabilizer orbit put in canonical form and each new class expanded at
 once; the orbits of each classified level must add up to its double count,
 or InternalError.  node_budget bounds the extension half-vectors examined
-plus the canonical-form search nodes; when it runs out every level keeps
-the lower bound of the traversed prefix.  The count runs in one process:
+plus the inner nodes of the canonical-form searches; when it runs out
+every level keeps the lower bound of the traversed prefix.  The count runs in one process:
 threads and GENUSFORGE_THREADS are accepted and have no effect.
 """
 
@@ -92,8 +92,6 @@ class _Canon:
         """Depth first for the greatest leaf.  A leaf equal to the best one
         gives an automorphism, and the search goes back to the last node the
         two paths share: the rest of that subtree is the image of one searched."""
-        if self.walk.take(1) < 1:
-            raise _Exhausted
         d = len(span).bit_length() - 1
         best = b"" if self.best is None else self.m[self.best[: 2 * len(span)]].tobytes()
         if d == self.k:
@@ -106,6 +104,8 @@ class _Canon:
             g[self.best] = span
             self.gens.append(g)
             return int(np.argmax(self.best[1 << np.arange(d)] != span[1 << np.arange(d)]))
+        if self.walk.take(1) < 1:
+            raise _Exhausted
         cands, blocks = self._options(span)
         top = blocks[np.lexsort(blocks.T[::-1])[-1]]
         if np.append(self.m[span], top).tobytes() < best:
@@ -278,9 +278,9 @@ def sigma_profile(r: int, *, max_k: int | None = None, cap: int | None = DEFAULT
                   node_budget: int | None = None, threads: int | None = None) -> SigmaProfile:
     """Profile sigma_k for k = 1..max_k, or until a level vanishes.
 
-    node_budget caps the extension half-vectors examined plus the
-    canonical-form search nodes; the order is fixed, so partial counts are
-    deterministic.  threads (and GENUSFORGE_THREADS) have no effect.
+    node_budget caps the extension half-vectors examined plus the inner
+    nodes of the canonical-form searches; the order is fixed, so partial
+    counts are deterministic.  threads (and GENUSFORGE_THREADS) have no effect.
     """
     _validated_length(r, cap)
     if max_k is not None and (not isinstance(max_k, int) or max_k < 1):
