@@ -1,10 +1,16 @@
 """Exact cyclotomic numbers in the power basis modulo Phi_N.
 
 A value is a Q-linear combination of 1, zeta, ..., zeta^(phi(N)-1) for a
-root of unity zeta of order N.  The basis is a genuine Q-basis, so reduced
-coordinate tuples are canonical and equality is coordinate equality after
-embedding into the lcm order.  Orders widen lazily and are capped (default
-10080) so runaway lcm growth raises LimitError instead of thrashing.
+root of unity zeta of order N, stored as integer numerators `num` over one
+positive denominator `den` with gcd 1.  The basis is a genuine Q-basis, so
+the reduced (order, num, den) is canonical and equality is equality of it
+after embedding into the lcm order.  Every operation writes its result as
+integer counts over powers of zeta and reduces them mod Phi_N with one
+integer matrix product (`reduce_int_counts`): embedding, conjugation and
+the Galois maps send zeta^i to zeta^(a i), and a product is a convolution.
+The inverse is the product of the other Galois conjugates divided by the
+rational norm, so no polynomial gcd is taken.  Orders widen lazily up to
+`ORDER_CAP`; past it an operation raises LimitError instead of thrashing.
 
 No floating point enters any algebraic operation, and none enters the
 enclosures either.  `cyclo_approx` returns a certified complex rectangle
@@ -26,84 +32,65 @@ import numpy as np
 from ..errors import LimitError, InternalError, ValidationError
 from .rationals import PhaseMod1, as_fraction
 
-_ORDER_CAP = 10080
+ORDER_CAP = 10080
 
 Scalar = Union[int, Fraction]
-
-
-def order_cap() -> int:
-    return _ORDER_CAP
-
-
-def set_order_cap(n: int) -> None:
-    global _ORDER_CAP
-    if n < 1:
-        raise ValidationError("order cap must be positive")
-    _ORDER_CAP = n
 
 
 def _check_order(n: int) -> None:
     if n < 1:
         raise ValidationError(f"cyclotomic order must be positive, got {n}")
-    if n > _ORDER_CAP:
-        raise LimitError(f"cyclotomic order {n} exceeds cap {_ORDER_CAP}")
+    if n > ORDER_CAP:
+        raise LimitError(f"cyclotomic order {n} exceeds cap {ORDER_CAP}")
+
+
+@lru_cache(maxsize=None)
+def _primes(n: int) -> tuple[int, ...]:
+    """The distinct prime factors of n, ascending."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-def _poly_mul_int(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_div_exact_int(num: list[int], den: list[int]) -> list[int]:
-    # den is monic here; division must leave no remainder.
-    num = list(num)
-    dn = len(den) - 1
-    out = [0] * (len(num) - dn)
-    for k in range(len(num) - dn - 1, -1, -1):
-        c = num[k + dn]
-        out[k] = c
-        if c:
-            for j, y in enumerate(den):
-                num[k + j] -= c * y
-    if any(num[:dn]):
-        raise InternalError("inexact cyclotomic polynomial division")
-    return out
+    primes = _primes(n)
+    return n // math.prod(primes) * math.prod(p - 1 for p in primes)
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending degree, monic."""
+    """Coefficients of Phi_n, ascending degree, monic.
+
+    Phi_n(x) = Phi_m(x^(n/m)) for m the product of the primes of n, and
+    Phi_m is the product of (1 - x^d)^mu(m/d) over d | m for m > 1, taken
+    here as a power series cut after degree phi(m).
+    """
     if n == 1:
         return (-1, 1)
-    num = [0] * (n + 1)
-    num[0] = -1
-    num[n] = 1
-    den = [1]
-    for d in range(1, n):
-        if n % d == 0:
-            den = _poly_mul_int(den, list(cyclotomic_polynomial(d)))
-    return tuple(_poly_div_exact_int(num, den))
+    primes = _primes(n)
+    m = math.prod(primes)
+    phi = euler_phi(m)
+    series = [1] + [0] * phi
+    for k in range(1 << len(primes)):
+        chosen = [p for i, p in enumerate(primes) if k >> i & 1]
+        d = m // math.prod(chosen)
+        if len(chosen) % 2 == 0:  # times 1 - x^d
+            for i in range(phi, d - 1, -1):
+                series[i] -= series[i - d]
+        else:  # divided by 1 - x^d
+            for i in range(d, phi + 1):
+                series[i] += series[i - d]
+    out = [0] * (n // m * phi + 1)
+    out[::n // m] = series
+    return tuple(out)
 
 
 @lru_cache(maxsize=64)
@@ -125,49 +112,63 @@ def _reduction_rows(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _reduction_tuples(n: int) -> tuple[tuple[int, ...], ...]:
-    """`_reduction_rows` as tuples of Python ints, for per-term loops."""
-    return tuple(map(tuple, _reduction_rows(n).tolist()))
+def _row_bound(n: int) -> int:
+    """The largest |entry| of `_reduction_rows(n)`."""
+    rows = _reduction_rows(n)
+    return int(max(rows.max(), -rows.min()))
 
 
 @lru_cache(maxsize=64)
 def _power_index(n: int) -> dict[tuple[int, ...], int]:
     """The inverse of `_reduction_rows`: zeta_n^e in the power basis -> e."""
-    return {row: e for e, row in enumerate(_reduction_tuples(n))}
+    return {row: e for e, row in enumerate(map(tuple, _reduction_rows(n).tolist()))}
 
 
-def _reduce_counts(order: int, counts) -> np.ndarray:
-    """Power-basis coordinates of sum_e counts[..., e] zeta_order^e for
-    integer counts along the last axis (exponents taken mod order): one
-    integer matrix product, in Python integers when int64 could overflow."""
+def reduce_int_counts(order: int, counts) -> np.ndarray:
+    """Power-basis coordinates of sum_e counts[..., e] zeta_order^e, for
+    integer counts along the last axis (exponents taken mod order).
+
+    One integer matrix product, in int64 when no entry can overflow and in
+    Python integers otherwise; input that is not an array is read as
+    Python integers.  A single vector reduces only the rows of the
+    exponents that occur, so a sparse vector costs what its terms do.
+    """
     _check_order(order)
-    counts = np.asarray(counts)
-    if counts.shape[-1] != order:
-        pad = np.zeros(counts.shape[:-1] + (-counts.shape[-1] % order,), counts.dtype)
-        counts = np.concatenate([counts, pad], axis=-1)
-        counts = counts.reshape(counts.shape[:-1] + (-1, order)).sum(axis=-2)
-    rows = _reduction_rows(order)
-    if counts.dtype != object and (
-            counts.size == 0 or
-            int(np.abs(counts).max()) * order * _row_bound(order) < 2 ** 63):
+    if not isinstance(counts, np.ndarray):
+        counts = np.array(counts, dtype=object)
+        if not all(isinstance(c, (int, np.integer)) for c in counts.flat):
+            raise ValidationError("counts must be integers")
+    elif counts.dtype.kind not in "iuO":
+        raise ValidationError(f"counts must be integers, got dtype {counts.dtype}")
+    if counts.ndim == 1:
+        occur = counts.nonzero()[0]
+        counts = counts[occur]
+    else:
+        occur = np.arange(counts.shape[-1])
+    rows = _reduction_rows(order).take(occur, axis=0, mode="wrap")
+    if (counts.size == 0 or int(np.abs(counts).max()) * counts.shape[-1]
+            * _row_bound(order) < 2 ** 63):
         return counts.astype(np.int64, copy=False) @ rows
     return counts.astype(object) @ rows.astype(object)
 
 
-@lru_cache(maxsize=64)
-def _row_bound(n: int) -> int:
-    """The largest |entry| of `_reduction_rows(n)`."""
-    return int(np.abs(_reduction_rows(n)).max())
+def _convolve(a: Sequence[int], b: Sequence[int]) -> np.ndarray:
+    """The exact product of two integer polynomials, ascending degree."""
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    dtype = np.int64 if bound < 2 ** 63 else object
+    return np.convolve(np.array(a, dtype=dtype), np.array(b, dtype=dtype))
 
 
-def reduce_int_counts(order: int, counts: Iterable[int]) -> list[int]:
-    """Reduce an exponent-count vector (index = power of zeta) mod Phi_N.
-
-    Integer in, integer out; used by the Gauss-sum and fusion fast paths.
-    """
-    if not isinstance(counts, np.ndarray):
-        counts = list(counts)
-    return _reduce_counts(order, counts).tolist()
+def _clear(values: Iterable) -> tuple[list[int], int]:
+    """Rationals (ints, Fractions or their strings) as integer numerators
+    over their least common denominator."""
+    vals = list(values)
+    if set(map(type, vals)) <= {int}:
+        return vals, 1
+    vals = [v if isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+            else as_fraction(v) for v in vals]
+    den = math.lcm(*(int(v.denominator) for v in vals))
+    return [int(v.numerator) * (den // int(v.denominator)) for v in vals], den
 
 
 class ComplexInterval(NamedTuple):
@@ -195,80 +196,83 @@ class ComplexInterval(NamedTuple):
         return self.re_hi < 0
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 class CyclotomicNumber:
-    """Immutable exact element of a cyclotomic field."""
+    """Immutable exact element of a cyclotomic field: sum_i num[i] zeta^i
+    / den over the power basis of zeta = exp(2 pi i / order)."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
-    def __init__(self, order: int, coeffs: Iterable[Scalar]):
+    def __init__(self, order: int, coeffs: Iterable[Scalar], den: int = 1):
+        """The value sum_i coeffs[i] zeta_order^i / den, for at most phi(order)
+        rational coefficients (missing ones are 0) and a nonzero integer den."""
         _check_order(order)
-        raw = [as_fraction(c) if not isinstance(c, Fraction) else c for c in coeffs]
+        num = list(coeffs)
         phi = euler_phi(order)
-        if len(raw) > phi:
+        if len(num) > phi:
             raise ValidationError("unreduced coefficient vector; use from_exponents")
-        if len(raw) < phi:
-            raw.extend([Fraction(0)] * (phi - len(raw)))
-        if len(raw) != phi:
-            raise ValidationError(
-                f"need {phi} coefficients for order {order}, got {len(raw)}")
+        num, common = _clear(num + [0] * (phi - len(num)))
+        den *= common
+        if den == 0:
+            raise ValidationError("zero denominator")
+        g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
+        if g != 1:
+            num, den = [c // g for c in num], den // g
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(raw))
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *args) -> None:
         raise AttributeError("CyclotomicNumber is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates num[i] / den."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def from_rational(cls, value: Scalar) -> "CyclotomicNumber":
-        return cls(1, [as_fraction(value)])
+        return cls(1, [value])
 
     @classmethod
     def zero(cls) -> "CyclotomicNumber":
-        return cls.from_rational(0)
+        return cls(1, [0])
 
     @classmethod
     def one(cls) -> "CyclotomicNumber":
-        return cls.from_rational(1)
+        return cls(1, [1])
 
     @classmethod
     def from_exponents(cls, order: int,
                        terms: dict[int, Scalar]) -> "CyclotomicNumber":
         """Sum of c * zeta_order^e over (e, c) pairs; exponents mod order."""
         _check_order(order)
-        phi = euler_phi(order)
-        rows = _reduction_tuples(order)
-        acc = [Fraction(0)] * phi
-        for e, c in terms.items():
-            c = as_fraction(c)
-            if c == 0:
-                continue
-            row = rows[e % order]
-            for i in range(phi):
-                if row[i]:
-                    acc[i] += c * row[i]
-        return cls(order, acc)
+        num, den = _clear(terms.values())
+        return _from_terms(order, [e % order for e in terms], num, den)
 
     # -- structure -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> Fraction | None:
         """The value as a Fraction if it lies in Q, else None."""
-        if all(c == 0 for c in self.coeffs[1:]):
-            return self.coeffs[0]
-        return None
+        if any(self.num[1:]):
+            return None
+        return Fraction(self.num[0], self.den)
 
     def is_integer(self) -> int | None:
-        q = self.is_rational()
-        if q is not None and q.denominator == 1:
-            return int(q)
-        return None
+        if self.den != 1 or any(self.num[1:]):
+            return None
+        return self.num[0]
+
+    def _power_map(self, order: int, a: int) -> "CyclotomicNumber":
+        """zeta_self.order^i -> zeta_order^(a i) applied to self: a Galois
+        map for a unit a mod the same order, an embedding for a = the
+        ratio of the orders."""
+        exps = np.arange(0, a * len(self.num), a) % order
+        return _from_terms(order, exps, self.num, self.den)
 
     def embed(self, new_order: int) -> "CyclotomicNumber":
         """Rewrite in the field of order new_order (old order must divide it)."""
@@ -277,12 +281,12 @@ class CyclotomicNumber:
         if new_order % self.order != 0:
             raise ValidationError(
                 f"cannot embed order {self.order} into {new_order}")
-        step = new_order // self.order
-        terms = {i * step: c for i, c in enumerate(self.coeffs) if c != 0}
-        return CyclotomicNumber.from_exponents(new_order, terms)
+        if self.order == 1:  # a rational keeps its one coordinate
+            return CyclotomicNumber(new_order, self.num, self.den)
+        return self._power_map(new_order, new_order // self.order)
 
     def _common(self, other: "CyclotomicNumber") -> tuple["CyclotomicNumber", "CyclotomicNumber"]:
-        n = _lcm(self.order, other.order)
+        n = math.lcm(self.order, other.order)
         _check_order(n)
         return self.embed(n), other.embed(n)
 
@@ -301,12 +305,13 @@ class CyclotomicNumber:
         if o is None:
             return NotImplemented
         a, b = self._common(o)
-        return CyclotomicNumber(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return CyclotomicNumber(a.order, [x * b.den + y * a.den
+                                          for x, y in zip(a.num, b.num)], a.den * b.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CyclotomicNumber":
-        return CyclotomicNumber(self.order, [-c for c in self.coeffs])
+        return CyclotomicNumber(self.order, [-c for c in self.num], self.den)
 
     def __sub__(self, other) -> "CyclotomicNumber":
         o = self._coerce(other)
@@ -321,44 +326,36 @@ class CyclotomicNumber:
         return o + (-self)
 
     def __mul__(self, other) -> "CyclotomicNumber":
-        if isinstance(other, (int, Fraction)):
-            f = as_fraction(other)
-            return CyclotomicNumber(self.order, [c * f for c in self.coeffs])
-        if not isinstance(other, CyclotomicNumber):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        a, b = self._common(other)
-        n = a.order
-        terms: dict[int, Fraction] = {}
-        nz_b = [(j, cj) for j, cj in enumerate(b.coeffs) if cj != 0]
-        for i, ci in enumerate(a.coeffs):
-            if ci == 0:
-                continue
-            for j, cj in nz_b:
-                e = (i + j) % n
-                terms[e] = terms.get(e, Fraction(0)) + ci * cj
-        return CyclotomicNumber.from_exponents(n, terms)
+        a, b = self._common(o)
+        product = reduce_int_counts(a.order, _convolve(a.num, b.num))
+        return CyclotomicNumber(a.order, product.tolist(), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
+        """1/x = (product of the other Galois conjugates of x) / N(x), with
+        the rational norm N(x) = x times that product."""
         if self.is_zero():
             raise ValidationError("division by zero cyclotomic number")
-        q = self.is_rational()
-        if q is not None:
-            return CyclotomicNumber(self.order, [1 / q] + [Fraction(0)] * (len(self.coeffs) - 1))
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        u = _poly_xgcd_mod(list(self.coeffs), phi_poly)
-        return CyclotomicNumber(self.order, u)
+        n = self.order
+        y = CyclotomicNumber(n, self.num)  # x * den, an algebraic integer
+        others = CyclotomicNumber.one()
+        for a in range(2, n):
+            if math.gcd(a, n) == 1:
+                others = others * y._power_map(n, a)
+        norm = (y * others).is_integer()
+        if norm is None:
+            raise InternalError("the norm of a cyclotomic number is not rational")
+        return CyclotomicNumber(n, [c * self.den for c in others.num], norm)
 
     def __truediv__(self, other) -> "CyclotomicNumber":
-        if isinstance(other, (int, Fraction)):
-            f = as_fraction(other)
-            if f == 0:
-                raise ValidationError("division by zero")
-            return self * (1 / f)
-        if not isinstance(other, CyclotomicNumber):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self * other.inverse()
+        return self * o.inverse()
 
     def __rtruediv__(self, other) -> "CyclotomicNumber":
         o = self._coerce(other)
@@ -382,9 +379,7 @@ class CyclotomicNumber:
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation, zeta -> zeta^(-1)."""
-        n = self.order
-        terms = {(-i) % n: c for i, c in enumerate(self.coeffs) if c != 0}
-        return CyclotomicNumber.from_exponents(n, terms)
+        return self._power_map(self.order, -1)
 
     # -- comparison ------------------------------------------------------
 
@@ -393,7 +388,7 @@ class CyclotomicNumber:
         if o is None:
             return NotImplemented
         a, b = self._common(o)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     __hash__ = None  # equality crosses orders; no cheap consistent hash
 
@@ -405,61 +400,13 @@ class CyclotomicNumber:
         return f"Cyclo({body})"
 
 
-def _poly_xgcd_mod(a: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:
-    """u with a*u = 1 mod modulus, for modulus irreducible and a nonzero."""
-
-    def degree(p: list[Fraction]) -> int:
-        for i in range(len(p) - 1, -1, -1):
-            if p[i] != 0:
-                return i
-        return -1
-
-    def divmod_poly(num: list[Fraction], den: list[Fraction]):
-        num = list(num)
-        dd = degree(den)
-        lead = den[dd]
-        q = [Fraction(0)] * max(1, len(num) - dd)
-        for k in range(degree(num) - dd, -1, -1):
-            c = num[k + dd] / lead
-            if c != 0:
-                q[k] = c
-                for j in range(dd + 1):
-                    num[k + j] -= c * den[j]
-        return q, num[:dd] if dd > 0 else [Fraction(0)]
-
-    r0, r1 = list(modulus), list(a)
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while degree(r1) > 0:
-        q, r = divmod_poly(r0, r1)
-        r0, r1 = r1, r
-        qs = _poly_mul_frac(q, s1)
-        s_new = [x - y for x, y in _pad_pair(s0, qs)]
-        s0, s1 = s1, s_new
-    if degree(r1) != 0:
-        raise InternalError("xgcd of nonzero element with Phi_N hit zero gcd")
-    c = r1[0]
-    result = [x / c for x in s1]
-    # Reduce mod modulus to keep degree < phi.
-    _, rem = divmod_poly(result, modulus) if degree(result) >= degree(modulus) else (None, result)
-    rem = list(rem) + [Fraction(0)] * (degree(modulus) - len(rem))
-    return rem[: degree(modulus)]
-
-
-def _poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x != 0:
-            for j, y in enumerate(b):
-                if y != 0:
-                    out[i + j] += x * y
-    return out
-
-
-def _pad_pair(a: list[Fraction], b: list[Fraction]):
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return zip(a, b)
+def _from_terms(order: int, exps, num: Sequence[int], den: int) -> CyclotomicNumber:
+    """sum_k num[k] zeta_order^exps[k] / den, for exponents in [0, order)
+    that may repeat."""
+    small = max(map(abs, num), default=0) * len(num) < 2 ** 63
+    counts = np.zeros(order, dtype=np.int64 if small else object)
+    np.add.at(counts, np.asarray(exps, dtype=np.int64), np.array(num, dtype=counts.dtype))
+    return CyclotomicNumber(order, reduce_int_counts(order, counts).tolist(), den)
 
 
 def root_of_unity(phase: PhaseMod1 | Fraction | int | str) -> CyclotomicNumber:
@@ -470,22 +417,6 @@ def root_of_unity(phase: PhaseMod1 | Fraction | int | str) -> CyclotomicNumber:
         fr = as_fraction(phase) % 1
     order = fr.denominator
     return CyclotomicNumber.from_exponents(order, {fr.numerator: 1})
-
-
-def sum_of_phases(phases: Iterable[PhaseMod1 | Fraction]) -> CyclotomicNumber:
-    """Sum of exp(2*pi*i*t) over the phases, with one reduction at the end."""
-    fracs = []
-    order = 1
-    for t in phases:
-        fr = (t.value if isinstance(t, PhaseMod1) else as_fraction(t)) % 1
-        fracs.append(fr)
-        order = _lcm(order, fr.denominator)
-    _check_order(order)
-    counts = [0] * order
-    for fr in fracs:
-        counts[(fr.numerator * (order // fr.denominator)) % order] += 1
-    reduced = reduce_int_counts(order, counts)
-    return CyclotomicNumber(order, [Fraction(c) for c in reduced])
 
 
 # Table precisions are rounded up to a multiple of this many bits, so one
@@ -598,8 +529,9 @@ def _enclose(n: int, coeffs: Sequence[Scalar], bits: int) -> ComplexInterval:
     """Certified rectangle containing sum_e coeffs[e] zeta_n^e, reduced or
     not; width at most 2^(1-bits).
 
-    The coefficients are cleared to integers a_e = L coeffs[e] by their
-    common denominator L.  The entries of `_unit_circle(n, prec)` are
+    The coefficients are written as integer numerators a_e over their
+    least common denominator L, the form a `CyclotomicNumber` keeps, so
+    a_e = L coeffs[e].  The entries of `_unit_circle(n, prec)` are
     within 1 of 2^prec cos and 2^prec sin, so sum_e a_e C[e] is within
     T = sum_e |a_e| of 2^prec L Re(z).  The rectangle takes twice that
     error, (sum_e a_e C[e] +- 2T) / (2^prec L), and likewise for Im(z).
@@ -608,8 +540,7 @@ def _enclose(n: int, coeffs: Sequence[Scalar], bits: int) -> ComplexInterval:
     """
     if bits < 32:
         raise ValidationError("cyclo_approx needs bits >= 32")
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c.numerator) * (scale // c.denominator) for c in coeffs]
+    ints, scale = _clear(coeffs)
     total = sum(map(abs, ints))
     if total == 0:
         zero = Fraction(0)
@@ -638,12 +569,8 @@ def gauss_phase(order: int, counts: Sequence[int], norm: int,
     of the turned counts as they are, over zeta_rot: reducing them mod
     Phi_rot would not change the value.  No `CyclotomicNumber` is built.
     """
-    c = np.zeros(order, dtype=np.int64 if sum(map(abs, counts)) < 2 ** 31 else object)
-    c[:len(counts)] = counts
-    full = np.convolve(c, c)
-    squared = full[:order].copy()
-    squared[:order - 1] += full[order:]
-    coeffs = reduce_int_counts(order, squared)
+    counts = counts.tolist() if isinstance(counts, np.ndarray) else list(counts)
+    coeffs = reduce_int_counts(order, _convolve(counts, counts)).tolist()
     if any(x % norm for x in coeffs):
         return None
     index = _power_index(order)
@@ -658,7 +585,7 @@ def gauss_phase(order: int, counts: Sequence[int], norm: int,
     t = twice / 2
     rot = math.lcm(order, t.denominator)
     turned = [0] * rot  # G zeta^(-t), over the order rot
-    for e, k in enumerate(c.tolist()):
+    for e, k in enumerate(counts):
         turned[(e * (rot // order) - t.numerator * (rot // t.denominator)) % rot] = k
     box = _enclose(rot, turned, bits)
     if box.strictly_positive_real():

@@ -21,7 +21,10 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)) and not isinstance(value, bool):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ValidationError(f"not a rational value: {value!r}")
 
 

@@ -32,10 +32,10 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..exactkernel import (
+    ORDER_CAP,
     CyclotomicNumber,
     PhaseMod1,
     as_fraction,
-    order_cap,
     reduce_int_counts,
 )
 from ..exactkernel.cyclotomic import _power_index
@@ -150,7 +150,7 @@ class ModularData:
         if self.exponents is not None:
             order, exps, _ = self.exponents
             coeffs = reduce_int_counts(order, np.bincount(2 * exps[0] % order,
-                                                          minlength=order))
+                                                          minlength=order)).tolist()
             val = None if any(coeffs[1:]) else coeffs[0]
         else:
             d = CyclotomicNumber.zero()
@@ -181,11 +181,13 @@ class ModularData:
 def _exponent(x: CyclotomicNumber, order: int) -> int | None:
     """e with x = zeta_order^e, read off the power basis of x's own field:
     the roots of unity there are +-zeta^j, each one row of `_power_index`."""
+    if x.den != 1:
+        return None
     power = _power_index(x.order)
-    e = power.get(x.coeffs)
+    e = power.get(x.num)
     if e is not None:
         return e * (order // x.order)
-    e = power.get(tuple(-c for c in x.coeffs))
+    e = power.get(tuple(-c for c in x.num))
     if e is None or order % 2:
         return None
     return (e * (order // x.order) + order // 2) % order
@@ -199,7 +201,7 @@ def _exponents_of(mat, twists) -> Exponents | None:
         return None
     order = lcm(*(x.order for row in mat for x in row),
                 *(t.value.denominator for t in twists))
-    if order > order_cap():
+    if order > ORDER_CAP:
         return None
     exps = [[_exponent(x, order) for x in row] for row in mat]
     if any(None in row for row in exps):
@@ -284,10 +286,12 @@ def _cyclo_from_json(doc) -> CyclotomicNumber:
     if isinstance(doc, (int, str)):
         return CyclotomicNumber.from_rational(as_fraction(doc))
     if isinstance(doc, dict) and "order" in doc and "coeffs" in doc:
-        order = doc["order"]
-        if not isinstance(order, int):
+        order, coeffs = doc["order"], doc["coeffs"]
+        if isinstance(order, bool) or not isinstance(order, int):
             raise ValidationError("cyclotomic order must be an integer")
-        return CyclotomicNumber(order, [as_fraction(c) for c in doc["coeffs"]])
+        if not isinstance(coeffs, list):
+            raise ValidationError("cyclotomic coeffs must be a list")
+        return CyclotomicNumber(order, coeffs)
     raise ValidationError(f"cannot parse cyclotomic value {doc!r}")
 
 

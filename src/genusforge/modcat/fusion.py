@@ -127,7 +127,7 @@ def _block_sum_exponents(m: ModularData, power: int, labels) -> Fraction:
     e = (power * exps[0]) % order
     for i in labels:
         e = (e + exps[i]) % order
-    coeffs = reduce_int_counts(order, np.bincount(e, minlength=order))
+    coeffs = reduce_int_counts(order, np.bincount(e, minlength=order)).tolist()
     if any(coeffs[1:]):
         raise NonIntegralError("genus dimension is not rational")
     return Fraction(coeffs[0])
@@ -137,11 +137,7 @@ def _block_sum_cyclotomic(m: ModularData, power: int, labels) -> Fraction:
     """sum_j dims_j^power prod_s s_tilde[i_s][j], in cyclotomic arithmetic."""
     acc = CyclotomicNumber.zero()
     for j in range(m.n):
-        dim = m.dims[j]
-        base = dim.inverse() if power < 0 else dim
-        term = CyclotomicNumber.one()
-        for _ in range(abs(power)):
-            term = term * base
+        term = m.dims[j] ** power
         for i in labels:
             term = term * m.s_tilde[i][j]
         acc = acc + term

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exactkernel import CyclotomicNumber, euler_phi, root_of_unity
-from ..exactkernel.cyclotomic import _reduce_counts
+from ..exactkernel import CyclotomicNumber, euler_phi, reduce_int_counts, root_of_unity
 from .data import ModularData
 
 
@@ -91,7 +90,7 @@ def _verify_exponents(m: ModularData) -> RelationReport:
     labels = np.arange(n)
     dual = np.asarray(m.dual)
 
-    s2 = _reduce_counts(order, _pair_counts(exps, exps, order))
+    s2 = reduce_int_counts(order, _pair_counts(exps, exps, order))
     target = np.zeros((n, n, phi), dtype=np.int64)
     target[labels, dual, 0] = d
     if not np.array_equal(s2, target):
@@ -110,12 +109,12 @@ def _verify_exponents(m: ModularData) -> RelationReport:
                 "iii", f"theta differs on the dual pair ({i},{m.dual[i]})")
 
     a = (exps + tau[None, :]) % order  # s_tilde * T, columns scaled
-    lhs = _reduce_counts(order, _triple_counts(a, order))
+    lhs = reduce_int_counts(order, _triple_counts(a, order))
 
     # Gauss part: sum theta_i dim_i^2 = sum zeta^(tau_i + 2 E[0,i]).
     gauss = np.bincount((tau + 2 * exps[0]) % order, minlength=order)
     rhs = np.zeros((n, n, phi), dtype=np.int64)
-    rhs[labels, dual] = d * _reduce_counts(order, gauss)
+    rhs[labels, dual] = d * reduce_int_counts(order, gauss)
     if not np.array_equal(lhs, rhs):
         bad = next((i, k) for i in range(n) for k in range(n)
                    if not np.array_equal(lhs[i, k], rhs[i, k]))

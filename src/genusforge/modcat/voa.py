@@ -17,7 +17,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
@@ -45,8 +44,7 @@ def _twisted_dimension_counts(m: ModularData) -> tuple[int, list[int], int]:
     for j in range(m.n):
         d = m.dims[j]
         acc = acc + root_of_unity(m.twists[j]) * d * d
-    scale = lcm(*(c.denominator for c in acc.coeffs))
-    return acc.order, [int(c * scale) for c in acc.coeffs], scale
+    return acc.order, list(acc.num), acc.den
 
 
 def voa_milgram_check(m: ModularData, c: RationalLike, bits: int = 128) -> bool:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -37,8 +36,7 @@ def _phase_counts(s: FiniteQuadraticSpace) -> tuple[int, np.ndarray]:
 def gauss_sum(s: FiniteQuadraticSpace) -> CyclotomicNumber:
     """Exact sum of exp(pi i q(x)) over all x."""
     m, counts = _phase_counts(s)
-    coeffs = reduce_int_counts(m, counts)
-    return CyclotomicNumber(m, [Fraction(c) for c in coeffs])
+    return CyclotomicNumber(m, reduce_int_counts(m, counts).tolist())
 
 
 def signature_mod8(s: FiniteQuadraticSpace, bits: int = 128) -> int:

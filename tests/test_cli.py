@@ -176,6 +176,20 @@ class TestStatusAndFlags:
         result = invoke("lattice", "disc-form", f)
         assert result.status == "validation-error" and result.exit_code == 1
 
+    @pytest.mark.parametrize("entry", ["x/2", "1/0"])
+    def test_malformed_rational_in_a_space(self, tmp_path, entry):
+        f = write(tmp_path, "q.json", {"orders": [2], "q": [entry]})
+        result = invoke("qs", "validate", f)
+        assert result.status == "validation-error" and result.exit_code == 1
+
+    @pytest.mark.parametrize("entry", ["abc", "1/0", {"order": 4, "coeffs": "12"}])
+    def test_malformed_entry_in_modular_data(self, tmp_path, capsys, entry):
+        doc = payload("modcat", "ising")
+        doc["s_tilde"][0][0] = entry
+        f = write(tmp_path, "md.json", doc)
+        assert main(["modcat", "verlinde", f]) == 1
+        assert json.loads(capsys.readouterr().out)["status"] == "validation-error"
+
     def test_mass_wrong_length(self):
         result = invoke("codes", "mass", "--length", "8")
         assert result.status == "validation-error"

@@ -27,16 +27,16 @@ from genusforge.exactkernel import (
     rational_signature,
     root_of_unity,
     smith_normal_form,
-    sum_of_phases,
     transpose,
 )
 from genusforge.exactkernel.cyclotomic import (
     _enclose,
     _pi_fixed,
-    _reduce_counts,
     _unit_circle,
     reduce_int_counts,
 )
+from cyclotomic_oracle import FractionCyclotomic
+from cyclotomic_oracle import cyclotomic_polynomial as oracle_polynomial
 from interval_oracle import (
     mp_pi_scaled,
     mp_unit_circle,
@@ -211,25 +211,72 @@ class TestCyclotomic:
         assert iv.re_lo >= 0 or n.is_zero()
 
     def test_order_cap(self):
-        from genusforge.exactkernel import order_cap, set_order_cap
-        cap = order_cap()
-        try:
-            set_order_cap(100)
-            with pytest.raises(LimitError):
-                root_of_unity(Fraction(1, 101))
-            z = root_of_unity(Fraction(1, 9))
-            w = root_of_unity(Fraction(1, 25))
-            with pytest.raises(LimitError):
-                _ = z * w  # lcm 225 over the lowered cap
-        finally:
-            set_order_cap(cap)
+        with pytest.raises(LimitError):
+            root_of_unity(Fraction(1, 10081))
+        z = root_of_unity(Fraction(1, 101))
+        w = root_of_unity(Fraction(1, 103))
+        with pytest.raises(LimitError):
+            _ = z * w  # lcm 10403 over the cap of 10080
 
     def test_sum_of_phases_matches_loop(self):
         phases = [Fraction(k, 12) for k in range(12)] + [Fraction(1, 3)]
         acc = CyclotomicNumber.zero()
         for t in phases:
             acc = acc + root_of_unity(t)
-        assert sum_of_phases(phases) == acc
+        terms = {}
+        for t in phases:
+            e = int(t * 12)
+            terms[e] = terms.get(e, 0) + 1
+        assert CyclotomicNumber.from_exponents(12, terms) == acc
+
+
+# Coefficients for the oracle comparison: small fractions, and integers
+# past 2^63, which take the Python-integer path of the reduction.
+ORACLE_COEFFS = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=6),
+    st.integers(min_value=-2 ** 70, max_value=2 ** 70))
+
+
+class TestFractionOracle:
+    """`CyclotomicNumber` against the `Fraction`-coefficient arithmetic with
+    a polynomial xgcd inverse that it replaced."""
+
+    def test_polynomials(self):
+        for n in list(range(1, 301)) + [1155, 2310]:
+            assert cyclotomic_polynomial(n) == oracle_polynomial(n), n
+
+    @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=6),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_operations_match(self, n, k, data):
+        phi = euler_phi(n)
+        a, b = (data.draw(st.lists(ORACLE_COEFFS, min_size=phi, max_size=phi))
+                for _ in range(2))
+        x, y = CyclotomicNumber(n, a), CyclotomicNumber(n, b)
+        ox, oy = FractionCyclotomic(n, a), FractionCyclotomic(n, b)
+        assert x.coeffs == ox.coeffs
+        assert (x + y).coeffs == (ox + oy).coeffs
+        assert (x - y).coeffs == (ox - oy).coeffs
+        assert (x * y).coeffs == (ox * oy).coeffs
+        assert x.conjugate().coeffs == ox.conjugate().coeffs
+        assert x.embed(k * n).coeffs == ox.embed(k * n).coeffs
+        if not x.is_zero():
+            # an inverse is unique, so the oracle's product of x with it is a
+            # full check; the oracle's own xgcd is compared where it is fast
+            inv = x.inverse()
+            one = FractionCyclotomic(n, [1])
+            assert (ox * FractionCyclotomic(n, inv.coeffs)).coeffs == one.coeffs
+            if phi <= 20:
+                assert inv.coeffs == ox.inverse().coeffs
+
+    @given(st.sampled_from((240, 420)), st.data())
+    @settings(max_examples=4, deadline=None)
+    def test_inverse_at_large_orders(self, n, data):
+        coeff = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+        x = CyclotomicNumber(n, data.draw(st.lists(coeff, min_size=euler_phi(n),
+                                                   max_size=euler_phi(n))))
+        if not x.is_zero():
+            assert x * x.inverse() == 1
 
 
 class TestInterval:
@@ -342,15 +389,26 @@ class TestCountReduction:
         want = CyclotomicNumber.zero()
         for e, c in enumerate(counts):
             want = want + CyclotomicNumber.from_exponents(n, {e: c})
-        got = reduce_int_counts(n, counts)
+        got = reduce_int_counts(n, counts).tolist()
         assert all(isinstance(x, int) for x in got)
         assert CyclotomicNumber(n, got) == want
 
     def test_overflow_switches_to_python_integers(self):
         counts = np.array([2 ** 61, 0, 2 ** 61, 2 ** 61], dtype=np.int64)
-        out = _reduce_counts(12, np.stack([counts, -counts]))
+        out = reduce_int_counts(12, np.stack([counts, -counts]))
         assert out.dtype == object
         z = CyclotomicNumber.from_exponents(12, {0: 2 ** 61, 2: 2 ** 61, 3: 2 ** 61})
         want = [int(c) for c in z.coeffs]
         assert out.tolist() == [want, [-x for x in want]]
-        assert reduce_int_counts(12, counts) == want
+        assert reduce_int_counts(12, counts).tolist() == want
+
+    def test_list_entries_past_int64_stay_exact(self):
+        out = reduce_int_counts(4, [1, 2 ** 63 + 5, 0, 0]).tolist()
+        assert out == [1, 2 ** 63 + 5]
+        assert all(type(x) is int for x in out)
+
+    @pytest.mark.parametrize("counts", [np.array([1.0, 2.0, 0.0, 0.0]),
+                                        np.array([1j, 0, 0, 0]), [1, 0.5, 0, 0]])
+    def test_rejects_counts_that_are_not_integers(self, counts):
+        with pytest.raises(ValidationError):
+            reduce_int_counts(4, counts)

@@ -456,6 +456,19 @@ class TestJson:
                    for i in range(3) for j in range(3))
         assert verify_relations(back).ok
 
+    @pytest.mark.parametrize("entry", [
+        {"order": 4, "coeffs": "12"},
+        {"order": 4, "coeffs": {"1": 0, "2": 0}},
+        {"order": True, "coeffs": ["1"]},
+        {"order": "4", "coeffs": ["1", "2"]},
+        {"order": 4, "coeffs": ["1", 0.5]},
+    ])
+    def test_cyclotomic_entry_must_be_an_order_and_a_list(self, entry):
+        doc = modular_data_to_json(ising_data())
+        doc["s_tilde"][0][0] = entry
+        with pytest.raises(ValidationError):
+            modular_data_from_json(doc)
+
     def test_round_trip_pointed(self):
         m = from_quadratic_space(build_space((4,), [F(1, 4)]))
         back = modular_data_from_json(modular_data_to_json(m))
