@@ -7,7 +7,10 @@ The JSON form uses bitstrings whose first character is coordinate 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
+
+import numpy as np
 
 from ..errors import LimitError, ValidationError
 
@@ -38,6 +41,8 @@ class BinaryCode:
     basis: tuple[int, ...]
 
     def __post_init__(self):
+        if isinstance(self.length, bool) or not isinstance(self.length, int):
+            raise ValidationError("code length must be an integer")
         if not 0 <= self.length <= 64:
             raise ValidationError("code length must be between 0 and 64")
         if self.basis != _rref_rows(self.basis, self.length):
@@ -59,15 +64,20 @@ class BinaryCode:
 
     def words(self):
         """All 2^dim codewords; guarded against huge codes."""
-        if self.dim > 22:
-            raise LimitError(f"enumerating 2^{self.dim} codewords refused")
-        out = [0]
-        for b in self.basis:
-            out += [w ^ b for w in out]
-        return out
+        return _word_array(self).tolist()
 
     def __repr__(self) -> str:
         return f"BinaryCode(length={self.length}, dim={self.dim})"
+
+
+def _word_array(code: BinaryCode) -> np.ndarray:
+    """The codewords as uint64, the span of the first i rows first."""
+    if code.dim > 22:
+        raise LimitError(f"enumerating 2^{code.dim} codewords refused")
+    out = np.zeros(1 << code.dim, dtype=np.uint64)
+    for i, b in enumerate(code.basis):
+        out[1 << i: 2 << i] = out[: 1 << i] ^ np.uint64(b)
+    return out
 
 
 def build_code(length: int, rows) -> BinaryCode:
@@ -129,33 +139,37 @@ def weights_divisible_by_8(code: BinaryCode) -> bool:
 
 
 def _direct_enumerator(code: BinaryCode) -> list[int]:
-    w = [0] * (code.length + 1)
-    for word in code.words():
-        w[word.bit_count()] += 1
-    return w
+    return np.bincount(np.bitwise_count(_word_array(code)), minlength=code.length + 1).tolist()
+
+
+@lru_cache(maxsize=None)
+def _krawtchouk(r: int) -> tuple[tuple[int, ...], ...]:
+    """K[j][i] = coefficient of x^j in (1 - x)^i (1 + x)^(r - i)."""
+    cols = [[comb(r, j) for j in range(r + 1)]]
+    for _ in range(r):
+        # times (1 - x) / (1 + x): new[j] + new[j - 1] = old[j] - old[j - 1]
+        old, new = cols[-1], [1]
+        for j in range(1, r + 1):
+            new.append(old[j] - old[j - 1] - new[j - 1])
+        cols.append(new)
+    return tuple(zip(*cols))
 
 
 def weight_enumerator(code: BinaryCode) -> list[int]:
     """W[j] = number of codewords of weight j; sum is 2^dim.
 
     Large codes are handled through the dual side and the MacWilliams
-    transform, which stays exact in integers.
+    transform, W[j] = sum_i K[j][i] W_dual[i] / 2^(r - k), which stays
+    exact in integers.
     """
     r = code.length
     k = code.dim
     if k <= r - k or r - k > 22:
         return _direct_enumerator(code)
-    wd = _direct_enumerator(dual_code(code))
+    wd = [(i, w) for i, w in enumerate(_direct_enumerator(dual_code(code))) if w]
     out = []
-    for j in range(r + 1):
-        acc = 0
-        for i in range(r + 1):
-            if wd[i] == 0:
-                continue
-            kraw = sum((-1) ** l * comb(i, l) * comb(r - i, j - l)
-                       for l in range(max(0, j - (r - i)), min(i, j) + 1))
-            acc += wd[i] * kraw
-        q, rem = divmod(acc, 1 << (r - k))
+    for row in _krawtchouk(r):
+        q, rem = divmod(sum(row[i] * w for i, w in wd), 1 << (r - k))
         if rem:
             raise ValidationError("MacWilliams transform came out fractional")
         out.append(q)
@@ -174,8 +188,10 @@ def code_from_json(doc) -> BinaryCode:
     if not isinstance(doc, dict) or "length" not in doc or "basis" not in doc:
         raise ValidationError("code document needs 'length' and 'basis'")
     length = doc["length"]
-    if not isinstance(length, int):
+    if isinstance(length, bool) or not isinstance(length, int):
         raise ValidationError("code length must be an integer")
+    if not isinstance(doc["basis"], list):
+        raise ValidationError("code basis must be a list of bitstrings")
     rows = []
     for s in doc["basis"]:
         if not isinstance(s, str) or len(s) != length or set(s) - {"0", "1"}:

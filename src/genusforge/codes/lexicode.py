@@ -7,17 +7,35 @@ span of the admitted vectors is at least d.  The admitted set is linear,
 so the scan is equivalent to tracking cosets: within the block
 [2^t, 2^(t+1)) at most one vector joins, namely 2^t + u for the
 smallest u whose coset of the current code has minimum weight >= d - 1
-(the leading bit contributes the remaining 1).  Keeping one
-(leader, min weight) record per coset reproduces the scan without
-touching all 2^n vectors.
+(the leading bit contributes the remaining 1).
+
+The cosets of the current code inside [0, 2^t) are three arrays sorted
+by res, the canonical residue (every pivot bit of the basis clear):
+res, leader (the least element) and weight (the least weight).  Step t
+doubles them to res | 2^t, leader | 2^t, weight + 1; every new residue
+is at least 2^t, so appending keeps the order.  When a vector best
+joins, each new coset x | 2^t merges into an old one: reduction modulo
+the basis is linear and x has every old pivot bit clear, so x | 2^t
+reduces to x ^ shift with shift = reduce_old(best) ^ 2^t.  The old
+leader is below 2^t and so the smaller one, and the merge is one
+gather: each old coset y keeps its leader and takes the weight
+min(weight[y], weight[y ^ shift] + 1), with y ^ shift found by binary
+search in res.  The table is capped at _TABLE_CAP cosets.
 """
 
 from __future__ import annotations
 
-from ..errors import LimitError, ValidationError
+import logging
+import time
+
+import numpy as np
+
+from ..errors import InternalError, LimitError, ValidationError
 from .binary import BinaryCode, build_code
 
 _TABLE_CAP = 1 << 22
+
+_log = logging.getLogger(__name__)
 
 
 def _reduce(word, basis):
@@ -30,40 +48,37 @@ def _reduce(word, basis):
 
 def lexicode(n: int, d: int) -> BinaryCode:
     """Greedy lexicographic code of length n and design distance d."""
-    if not isinstance(n, int) or not isinstance(d, int):
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (n, d)):
         raise ValidationError("length and distance must be integers")
     if not 1 <= n <= 64:
         raise ValidationError("length must be between 1 and 64")
     if d < 1:
         raise ValidationError("distance must be at least 1")
+    start = time.perf_counter()
     basis: list[tuple[int, int]] = []  # (top bit, row), highest top first
-    # cosets of the current code inside [0, 2^t): canonical residue ->
-    # (lexicographically first element, minimum weight)
-    table = {0: (0, 0)}
+    res = np.zeros(1, dtype=np.uint64)
+    leader = np.zeros(1, dtype=np.uint64)
+    weight = np.zeros(1, dtype=np.int64)
     for t in range(n):
-        doubled = {}
-        for res, (leader, mw) in table.items():
-            doubled[res] = (leader, mw)
-            doubled[res | (1 << t)] = (leader | (1 << t), mw + 1)
-        if len(doubled) > _TABLE_CAP:
+        if 2 * len(res) > _TABLE_CAP:
             raise LimitError("coset table exceeds the supported size")
-        table = doubled
-        best = None
-        for res, (leader, mw) in table.items():
-            if res >> t & 1 and mw >= d and (best is None or leader < best):
-                best = leader
-        if best is None:
+        bit = np.uint64(1 << t)
+        joins = leader[weight >= d - 1]
+        if not len(joins):
+            res = np.concatenate([res, res | bit])
+            leader = np.concatenate([leader, leader | bit])
+            weight = np.concatenate([weight, weight + 1])
             continue
+        best = int(joins.min()) | 1 << t
+        shift = np.uint64(_reduce(best, basis) ^ 1 << t)
+        partner = np.searchsorted(res, res ^ shift).clip(max=len(res) - 1)
+        if not (res[partner] == res ^ shift).all():
+            raise InternalError("a merged coset is missing from the lexicode table")
+        weight = np.minimum(weight, weight[partner] + 1)
         basis.insert(0, (t, best))
-        merged = {}
-        for res, rec in table.items():
-            key = _reduce(res, basis)
-            old = merged.get(key)
-            if old is None:
-                merged[key] = rec
-            else:
-                merged[key] = (min(old[0], rec[0]), min(old[1], rec[1]))
-        table = merged
     code = build_code(n, [b for _, b in basis])
     assert code.dim == len(basis), "greedy output failed the linearity check"
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("lexicode(%d, %d): %d rows admitted, largest coset table %d, %.3f s",
+                   n, d, len(basis), len(res), time.perf_counter() - start)
     return code

@@ -268,7 +268,7 @@ class SigmaProfile:
 
 
 def _validated_length(r, cap):
-    if not isinstance(r, int) or r < 1:
+    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
         raise ValidationError("length must be a positive integer")
     if cap is not None and r > cap:
         raise LimitError(f"length {r} exceeds the enumeration cap {cap}")
@@ -283,7 +283,7 @@ def sigma_profile(r: int, *, max_k: int | None = None, cap: int | None = DEFAULT
     counts are deterministic.  threads (and GENUSFORGE_THREADS) have no effect.
     """
     _validated_length(r, cap)
-    if max_k is not None and (not isinstance(max_k, int) or max_k < 1):
+    if max_k is not None and (isinstance(max_k, bool) or not isinstance(max_k, int) or max_k < 1):
         raise ValidationError("max_k must be a positive integer")
     if r % 8:
         return SigmaProfile(r, ((1, 0),), True)
@@ -315,7 +315,7 @@ def sigma_profile(r: int, *, max_k: int | None = None, cap: int | None = DEFAULT
 def sigma_k(r: int, k: int, *, cap: int | None = DEFAULT_LENGTH_CAP,
             threads: int | None = None) -> int:
     """Number of k-dimensional 8-divisible codes of length r through 1."""
-    if not isinstance(k, int) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValidationError("dimension must be a positive integer")
     return sigma_profile(r, max_k=k, cap=cap, threads=threads).sigma(k)
 
@@ -323,7 +323,7 @@ def sigma_k(r: int, k: int, *, cap: int | None = DEFAULT_LENGTH_CAP,
 def relative_mass_rhs(r: int, *, cap: int | None = DEFAULT_LENGTH_CAP,
                       threads: int | None = None) -> Fraction:
     """Exact value of (1/(2^r r!)) sum_k 2^(k(k-1)/2 + 1) sigma_k(r)."""
-    if not isinstance(r, int) or r < 1 or r % 16:
+    if isinstance(r, bool) or not isinstance(r, int) or r < 1 or r % 16:
         raise ValidationError("length must be a positive multiple of 16")
     profile = sigma_profile(r, cap=cap, threads=threads)
     total = sum(Fraction(2 ** (k * (k - 1) // 2 + 1) * v) for k, v in profile.counts)

@@ -6,9 +6,19 @@ counted by orbits: it walks every subspace of F_2^(r-1) inside the
 8-divisible candidate set through its greedy-minimal basis, and counts the
 deepest two levels in bulk as compatible pairs and triples.  It shares no
 code with the orbit count, so agreement between the two is meaningful.
+
+dict_lexicode, list_words and loop_weight_enumerator are the lexicode,
+codeword list and weight enumerator the library used before it kept the
+coset table and the codewords in arrays: one dict entry per coset, reduced
+word by word, and Python loops over words and Krawtchouk sums.
 """
 
+from math import comb
+
 import numpy as np
+
+from genusforge.codes.binary import build_code, dual_code
+from genusforge.errors import LimitError, ValidationError
 
 # largest candidate set the pair stage will hold as a dense matrix
 _BATCH_SIDE = 2048
@@ -242,3 +252,99 @@ def greedy_scan(n, d):
         if min((v ^ w).bit_count() for w in code) >= d:
             code = code + [v ^ w for w in code]
     return sorted(code)
+
+
+_TABLE_CAP = 1 << 22
+
+
+def _reduce(word, basis):
+    # basis rows keyed by distinct top bits, highest first
+    for top, b in basis:
+        if word >> top & 1:
+            word ^= b
+    return word
+
+
+def dict_lexicode(n, d):
+    """Greedy lexicographic code of length n and design distance d."""
+    if not isinstance(n, int) or not isinstance(d, int):
+        raise ValidationError("length and distance must be integers")
+    if not 1 <= n <= 64:
+        raise ValidationError("length must be between 1 and 64")
+    if d < 1:
+        raise ValidationError("distance must be at least 1")
+    basis = []  # (top bit, row), highest top first
+    # cosets of the current code inside [0, 2^t): canonical residue ->
+    # (lexicographically first element, minimum weight)
+    table = {0: (0, 0)}
+    for t in range(n):
+        doubled = {}
+        for res, (leader, mw) in table.items():
+            doubled[res] = (leader, mw)
+            doubled[res | (1 << t)] = (leader | (1 << t), mw + 1)
+        if len(doubled) > _TABLE_CAP:
+            raise LimitError("coset table exceeds the supported size")
+        table = doubled
+        best = None
+        for res, (leader, mw) in table.items():
+            if res >> t & 1 and mw >= d and (best is None or leader < best):
+                best = leader
+        if best is None:
+            continue
+        basis.insert(0, (t, best))
+        merged = {}
+        for res, rec in table.items():
+            key = _reduce(res, basis)
+            old = merged.get(key)
+            if old is None:
+                merged[key] = rec
+            else:
+                merged[key] = (min(old[0], rec[0]), min(old[1], rec[1]))
+        table = merged
+    code = build_code(n, [b for _, b in basis])
+    assert code.dim == len(basis), "greedy output failed the linearity check"
+    return code
+
+
+def list_words(code):
+    """All 2^dim codewords; guarded against huge codes."""
+    if code.dim > 22:
+        raise LimitError(f"enumerating 2^{code.dim} codewords refused")
+    out = [0]
+    for b in code.basis:
+        out += [w ^ b for w in out]
+    return out
+
+
+def _direct_enumerator(code):
+    w = [0] * (code.length + 1)
+    for word in list_words(code):
+        w[word.bit_count()] += 1
+    return w
+
+
+def loop_weight_enumerator(code):
+    """W[j] = number of codewords of weight j; sum is 2^dim.
+
+    Large codes are handled through the dual side and the MacWilliams
+    transform, which stays exact in integers.
+    """
+    r = code.length
+    k = code.dim
+    if k <= r - k or r - k > 22:
+        return _direct_enumerator(code)
+    wd = _direct_enumerator(dual_code(code))
+    out = []
+    for j in range(r + 1):
+        acc = 0
+        for i in range(r + 1):
+            if wd[i] == 0:
+                continue
+            kraw = sum((-1) ** l * comb(i, l) * comb(r - i, j - l)
+                       for l in range(max(0, j - (r - i)), min(i, j) + 1))
+            acc += wd[i] * kraw
+        q, rem = divmod(acc, 1 << (r - k))
+        if rem:
+            raise ValidationError("MacWilliams transform came out fractional")
+        out.append(q)
+    return out

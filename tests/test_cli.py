@@ -190,6 +190,11 @@ class TestStatusAndFlags:
         assert main(["modcat", "verlinde", f]) == 1
         assert json.loads(capsys.readouterr().out)["status"] == "validation-error"
 
+    def test_code_basis_must_be_a_list(self, tmp_path, capsys):
+        f = write(tmp_path, "c.json", {"length": 1, "basis": "10"})
+        assert main(["codes", "check-framed", f, f]) == 1
+        assert json.loads(capsys.readouterr().out)["status"] == "validation-error"
+
     def test_mass_wrong_length(self):
         result = invoke("codes", "mass", "--length", "8")
         assert result.status == "validation-error"

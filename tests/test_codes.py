@@ -8,7 +8,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genusforge.codes import (
@@ -33,9 +33,12 @@ from importlib import import_module
 
 from code_oracles import (
     _tables,
+    dict_lexicode,
     extension_count,
     gl_stabilizer_order,
     greedy_scan,
+    list_words,
+    loop_weight_enumerator,
     naive_sigma,
     support_stabilizer_order,
     sweep_sigma,
@@ -93,6 +96,26 @@ class TestBinaryCode:
                 brute[word.bit_count()] += 1
             assert w == brute
 
+    @settings(deadline=None)
+    @given(st.integers(1, 48), st.integers(0, 12), st.booleans(), st.integers(0, 2**32))
+    @example(48, 6, True, 0)
+    def test_weight_enumerator_matches_the_loop_oracle(self, r, side, big, seed):
+        # min(k, r - k) <= 12 keeps the oracle fast; big puts k above r - k,
+        # where the enumerator goes through the dual and MacWilliams
+        rng = random.Random(seed)
+        k = r - min(side, r) if big else min(side, r)
+        c = random_code(rng, r, k)
+        assert weight_enumerator(c) == loop_weight_enumerator(c)
+        small = dual_code(c) if big else c
+        assert small.words() == list_words(small)
+
+    def test_enumerating_a_huge_code_is_refused(self):
+        c = build_code(64, [1 << i for i in range(32)])
+        with pytest.raises(LimitError):
+            weight_enumerator(c)
+        with pytest.raises(LimitError):
+            c.words()
+
     def test_allones_and_evenness(self):
         assert contains_allones(build_code(3, [0b111]))
         assert not contains_allones(build_code(3, [0b011]))
@@ -126,6 +149,11 @@ class TestBinaryCode:
         with pytest.raises(ValidationError):
             code_from_json({"length": 4, "basis": ["012x"]})
 
+    @pytest.mark.parametrize("basis", ["10", {"1": 0, "0": 1}, None])
+    def test_json_basis_must_be_a_list(self, basis):
+        with pytest.raises(ValidationError):
+            code_from_json({"length": 1, "basis": basis})
+
     def test_row_exceeding_length_rejected(self):
         with pytest.raises(ValidationError):
             build_code(3, [0b1000])
@@ -133,6 +161,22 @@ class TestBinaryCode:
     def test_rref_idempotent(self):
         c = build_code(7, [0b1010101, 0b0110011])
         assert rref(c) == c
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lexicode(True, 1),
+    lambda: lexicode(4, True),
+    lambda: BinaryCode(True, ()),
+    lambda: code_from_json({"length": True, "basis": ["1"]}),
+    lambda: sigma_profile(True),
+    lambda: sigma_profile(16, max_k=True),
+    lambda: sigma_k(16, True),
+    lambda: relative_mass_rhs(True),
+], ids=["lexicode-n", "lexicode-d", "code-length", "json-length", "sigma-length",
+        "max-k", "sigma-k", "mass-length"])
+def test_bool_is_not_an_integer(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 class TestFramed:
@@ -400,6 +444,24 @@ class TestLexicode:
             lexicode(65, 4)
         with pytest.raises(ValidationError):
             lexicode(8, 0)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_the_dict_coset_table_for_every_distance(self, n):
+        for d in range(1, n + 1):
+            assert lexicode(n, d) == dict_lexicode(n, d)
+
+    @pytest.mark.parametrize("n,d", [(24, 8), (30, 7), (32, 4), (40, 6), (48, 4),
+                                     (64, 1), (64, 2), (64, 4)])
+    def test_matches_the_dict_coset_table(self, n, d):
+        assert lexicode(n, d) == dict_lexicode(n, d)
+
+    def test_debug_log_has_one_line_per_call(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="genusforge.codes.lexicode"):
+            lexicode(8, 4)
+        lines = [rec.getMessage() for rec in caplog.records
+                 if rec.name == "genusforge.codes.lexicode"]
+        assert len(lines) == 1
+        assert "lexicode(8, 4): 4 rows admitted, largest coset table 16" in lines[0]
 
     def test_coset_table_cap(self, monkeypatch):
         monkeypatch.setattr(lexicode_module, "_TABLE_CAP", 1 << 8)
