@@ -112,7 +112,8 @@ def _cmd_qs(args) -> dict:
             raise ValidationError(f"--subgroup: malformed JSON: {e.msg}") from e
         if (not isinstance(gens, list)
                 or not all(isinstance(g, list)
-                           and all(isinstance(x, int) for x in g) for g in gens)):
+                           and all(isinstance(x, int) and not isinstance(x, bool) for x in g)
+                           for g in gens)):
             raise ValidationError(
                 "--subgroup must be a JSON list of integer coordinate vectors")
         sub = quadspace.subgroup_from_generators(s, [tuple(g) for g in gens])

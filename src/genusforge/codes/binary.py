@@ -45,8 +45,20 @@ class BinaryCode:
             raise ValidationError("code length must be an integer")
         if not 0 <= self.length <= 64:
             raise ValidationError("code length must be between 0 and 64")
-        if self.basis != _rref_rows(self.basis, self.length):
+        # RREF in one pass from the last row up: nonzero rows, pivots (lowest
+        # set bits) strictly increasing, and no pivot bit set in another row.
+        # Only earlier rows can hold a later pivot, since every row lies on
+        # and above its own pivot.
+        if not isinstance(self.basis, tuple):
             raise ValidationError("basis rows are not in reduced echelon form")
+        later, above = 0, 1 << self.length
+        for row in reversed(self.basis):
+            if row >> self.length:
+                raise ValidationError(f"word {row:#x} exceeds length {self.length}")
+            pivot = row & -row
+            if not row or pivot >= above or row & later:
+                raise ValidationError("basis rows are not in reduced echelon form")
+            later, above = later | pivot, pivot
 
     @property
     def dim(self) -> int:

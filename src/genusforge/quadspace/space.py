@@ -61,6 +61,8 @@ class FiniteAbelianGroup:
     def reduce(self, coords: Sequence[int]) -> tuple[int, ...]:
         if len(coords) != self.rank:
             raise ValidationError(f"expected {self.rank} coordinates, got {len(coords)}")
+        if any(isinstance(c, bool) for c in coords):
+            raise ValidationError(f"coordinates must be integers, not booleans: {coords}")
         return tuple(int(c) % d for c, d in zip(coords, self.invariant_factors))
 
     def add(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
@@ -141,6 +143,12 @@ class FiniteQuadraticSpace:
         q = ((coords @ self.gram_array) % two_n * coords).sum(axis=1) % two_n
         order = np.lcm.reduce(orders // np.gcd(coords, orders), axis=1, initial=1)
         return ElementTable(coords, q, order)
+
+    @cached_property
+    def radix(self) -> np.ndarray:
+        """Weights of the element index: x is row x @ radix of `table`."""
+        return np.array([math.prod(self.orders[i + 1:]) for i in range(self.rank)],
+                        dtype=np.int64)
 
     def elements(self) -> Iterator[tuple[int, ...]]:
         return self.group.elements()

@@ -6,12 +6,20 @@ expands, element by element in rational arithmetic,
 
     q(x) = sum_i x_i^2 q_i + 2 sum_{i<j} x_i x_j b_ij  mod 2,
     b(x, y) = sum_ij x_i y_j b_ij  mod 1.
+
+Below it, the Python-set subgroup search (`closure`, `minimal_chain`,
+`isotropic_subgroups`, `is_isometric`) that the element-index spans of
+`genusforge.quadspace` replaced, kept verbatim as their oracle.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Iterable, Optional
 
-from genusforge.quadspace import build_space
+import numpy as np
+
+from genusforge.errors import LimitError
+from genusforge.quadspace import FiniteQuadraticSpace, Subgroup, build_space
 
 
 def oracle_q(s, x):
@@ -72,3 +80,121 @@ def basis_change(s, rng):
 def image(s, w, x):
     """sum_j x_j w_j, reduced in s."""
     return s.group.reduce([sum(xj * r[i] for xj, r in zip(x, w)) for i in range(s.rank)])
+
+
+Coords = tuple[int, ...]
+
+
+def closure(s: FiniteQuadraticSpace, gens: Iterable[Coords]) -> set[Coords]:
+    group = s.group
+    zero = tuple([0] * s.rank)
+    out = {zero}
+    frontier = [zero]
+    gen_list = [group.reduce(g) for g in gens]
+    while frontier:
+        x = frontier.pop()
+        for g in gen_list:
+            y = group.add(x, g)
+            if y not in out:
+                out.add(y)
+                frontier.append(y)
+    return out
+
+
+def minimal_chain(s: FiniteQuadraticSpace, elements: set[Coords]) -> tuple[Coords, ...]:
+    """The canonical generating chain: repeatedly the smallest missing element."""
+    chain: list[Coords] = []
+    span = {tuple([0] * s.rank)}
+    universe = sorted(elements)
+    while len(span) < len(elements):
+        nxt = next(x for x in universe if x not in span)
+        chain.append(nxt)
+        span = closure(s, chain)
+    return tuple(chain)
+
+
+def isotropic_subgroups(s: FiniteQuadraticSpace, cap: int = 4096) -> list[Subgroup]:
+    """All subgroups C with q vanishing on C, trivial subgroup included.
+
+    The cap bounds the work: LimitError when |A| exceeds it, and as soon as
+    the search has found more than cap subgroups.
+
+    Isotropy of every element forces b to vanish on C x C, so extensions only
+    need the new generator to be isotropic and b-orthogonal to the chain.
+    """
+    if s.order > cap:
+        raise LimitError(f"group order {s.order} exceeds isotropic cap {cap}")
+    zero = tuple([0] * s.rank)
+    t = s.table
+    iso_elements = list(map(tuple, t.coords[t.q == 0].tolist()))
+    results: list[Subgroup] = []
+    # (element set, canonical chain)
+    stack: list[tuple[set[Coords], tuple[Coords, ...]]] = [({zero}, ())]
+    while stack:
+        elts, chain = stack.pop()
+        results.append(Subgroup(elements=tuple(sorted(elts)), generators=chain))
+        if len(results) > cap:
+            raise LimitError(f"more than {cap} isotropic subgroups; the cap stops the search")
+        for v in iso_elements:
+            if v in elts or (chain and v <= chain[-1]):
+                continue
+            if any(s.pair(v, g) % s.level for g in chain):
+                continue
+            child = closure(s, list(chain) + [v])
+            # Canonical chains increase, so the child is new exactly when its
+            # own chain would extend ours by v.
+            if min(x for x in child if x not in elts) == v:
+                stack.append((child, chain + (v,)))
+    results.sort(key=lambda sub: (sub.order, sub.elements))
+    return results
+
+
+def is_isometric(s1: FiniteQuadraticSpace, s2: FiniteQuadraticSpace,
+                 cap: int = 3000) -> Optional[tuple[Coords, ...]]:
+    """A generator-image witness if the spaces are isometric, else None."""
+    if s1.order != s2.order:
+        return None
+    if s1.orders != s2.orders:
+        return None
+    if s1.order > cap:
+        raise LimitError(f"group order {s1.order} exceeds isometry cap {cap}")
+    if s1.order == 1:
+        return ()
+    # Isometric spaces share the level, the least common denominator of all
+    # their values, so q numerators compare directly.
+    if s1.level != s2.level or not np.array_equal(np.sort(s1.table.q), np.sort(s2.table.q)):
+        return None
+
+    level = s1.level
+    gens = s1.generators()
+    n = s1.rank
+    # Subgroup sizes along s1's generator chain; images must track them.
+    sizes = [len(closure(s1, gens[: i + 1])) for i in range(n)]
+    t2 = s2.table
+    by_profile: dict[tuple[int, int], list[Coords]] = {}
+    for y, order, q in zip(map(tuple, t2.coords.tolist()), t2.order.tolist(), t2.q.tolist()):
+        by_profile.setdefault((order, q), []).append(y)
+
+    images: list[Coords] = []
+
+    def extend(i: int) -> bool:
+        if i == n:
+            return True
+        g = gens[i]
+        want = s1.gram[i]
+        pool = by_profile.get((s1.orders[i], want[i]), [])
+        # Stable order, but try the literal generator first so that a space
+        # compared with itself reports the identity.
+        ordered = sorted(pool, key=lambda y: (y != g, y))
+        for y in ordered:
+            if any(s2.pair(y, images[j]) % level != want[j] for j in range(i)):
+                continue
+            images.append(y)
+            if len(closure(s2, images)) == sizes[i] and extend(i + 1):
+                return True
+            images.pop()
+        return False
+
+    if extend(0):
+        return tuple(images)
+    return None

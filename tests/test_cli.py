@@ -195,6 +195,16 @@ class TestStatusAndFlags:
         assert main(["codes", "check-framed", f, f]) == 1
         assert json.loads(capsys.readouterr().out)["status"] == "validation-error"
 
+    def test_quotient_subgroup_coordinate_must_not_be_bool(self, tmp_path, capsys):
+        # [[0, 1]] spans an isotropic subgroup of the hyperbolic plane, so
+        # reading true as 1 would succeed
+        f = write(tmp_path, "u.json", {"orders": [2, 2], "q": ["0", "0"],
+                                       "b": [["0", "1/2"], ["1/2", "0"]]})
+        assert main(["qs", "quotient", f, "--subgroup", "[[0, 1]]"]) == 0
+        capsys.readouterr()
+        assert main(["qs", "quotient", f, "--subgroup", "[[0, true]]"]) == 1
+        assert json.loads(capsys.readouterr().out)["status"] == "validation-error"
+
     def test_mass_wrong_length(self):
         result = invoke("codes", "mass", "--length", "8")
         assert result.status == "validation-error"

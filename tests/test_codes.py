@@ -1,5 +1,6 @@
 """Binary code operations, sigma counts, and lexicodes."""
 
+import itertools
 import json
 import logging
 import random
@@ -161,6 +162,34 @@ class TestBinaryCode:
     def test_rref_idempotent(self):
         c = build_code(7, [0b1010101, 0b0110011])
         assert rref(c) == c
+
+    @pytest.mark.parametrize("basis", [
+        (0b0110, 0b0001),          # pivots decrease
+        (0b0011, 0b0110),          # pivot 0b0010 set in the first row
+        (0b0101, 0b0100),          # pivot 0b0100 set in the first row
+        (0b0011, 0b0001),          # repeated pivot
+        (0b0001, 0),               # zero row
+        (0b10000,),                # word beyond the length
+        (-1,),                     # negative word
+        [0b0001],                  # rows not a tuple
+    ], ids=["order", "pivot-above", "pivot-later", "repeat", "zero", "length",
+            "negative", "list"])
+    def test_non_rref_basis_rejected(self, basis):
+        with pytest.raises(ValidationError):
+            BinaryCode(4, basis)
+
+    def test_rref_check_agrees_with_elimination(self):
+        # every basis of up to three words of length <= 4 is accepted exactly
+        # when elimination leaves it unchanged
+        for length in range(5):
+            for k in range(4):
+                for basis in itertools.product(range(1 << length), repeat=k):
+                    try:
+                        BinaryCode(length, basis)
+                        ok = True
+                    except ValidationError:
+                        ok = False
+                    assert ok == (basis == build_code(length, basis).basis), basis
 
 
 @pytest.mark.parametrize("call", [

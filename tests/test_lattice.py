@@ -205,6 +205,11 @@ class TestOverlattices:
                 w = is_isometric(discriminant_form(k), quotient_space(disc, c))
                 assert w is not None
 
+    @pytest.mark.parametrize("cap", [True, -1])
+    def test_cap_must_be_a_nonnegative_integer(self, cap):
+        with pytest.raises(ValidationError):
+            overlattices(lattice_d(8), cap=cap)
+
     def test_a1_a7_reaches_e8(self):
         a7 = lattice_a(7).gram
         gram = [[2] + [0] * 7] + [[0] + list(row) for row in a7]

@@ -400,6 +400,11 @@ class TestExtensions:
         assert len(reps) == 1
         assert reps[0].subgroup.order == 1
 
+    @pytest.mark.parametrize("cap", [True, -1])
+    def test_cap_must_be_a_nonnegative_integer(self, cap):
+        with pytest.raises(ValidationError):
+            simple_current_extensions(hyperbolic_plane(), cap=cap)
+
     def test_quotient_order_invariant(self):
         s = direct_sum(hyperbolic_plane(), build_space((3,), [F(2, 3)]))
         for r in simple_current_extensions(s):

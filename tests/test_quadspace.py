@@ -5,6 +5,7 @@ isotropic subgroups by filtering all subsets closed under addition,
 Gauss sums by summing floats, and decompositions by re-summing parts.
 """
 
+import logging
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from genusforge.errors import (
 from genusforge.quadspace import (
     FiniteAbelianGroup,
     build_space,
+    closure,
     direct_sum,
     gauss_sum,
     is_isometric,
@@ -39,6 +41,8 @@ from genusforge.quadspace import (
     verify_isometry,
 )
 from genusforge.quadspace.gauss import _phase_counts
+import space_oracle as oracle
+from space_library import space_library
 from space_oracle import (
     basis_change,
     image,
@@ -46,6 +50,8 @@ from space_oracle import (
     oracle_phase_counts,
     oracle_q,
 )
+
+LIBRARY = space_library(32)
 
 
 def hyperbolic_plane():
@@ -446,3 +452,104 @@ class TestProperties:
         w = is_isometric(s, u)
         assert w is not None
         assert verify_isometry(s, u, w)
+
+
+def _listed(subs):
+    return [(c.elements, c.generators) for c in subs]
+
+
+def disc_a1_power(n):
+    return build_space([2] * n, ["1/2"] * n)
+
+
+class TestIndexSpansAgainstOracle:
+    """The element-index spans against the Python-set search they replaced:
+    the same elements, generator chains, list order and witnesses."""
+
+    def test_isometry_witnesses_on_the_library(self):
+        for a in LIBRARY:
+            for b in LIBRARY:
+                if a.order == b.order:
+                    assert is_isometric(a, b) == oracle.is_isometric(a, b), (a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.sampled_from(LIBRARY),
+                     st.sampled_from([disc_a1_power(4), disc_a1_power(6)]),
+                     random_space().map(_sum_of)),
+           st.randoms(use_true_random=False))
+    def test_isometry_witnesses_on_basis_changes(self, s, rng):
+        u, _ = basis_change(s, rng)
+        assert is_isometric(s, u) == oracle.is_isometric(s, u)
+        assert is_isometric(u, s) == oracle.is_isometric(u, s)
+
+    def test_isotropic_lists_on_the_library(self):
+        for s in LIBRARY:
+            assert _listed(isotropic_subgroups(s)) == _listed(oracle.isotropic_subgroups(s)), s
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_isotropic_lists_of_a1_powers(self, n):
+        s = disc_a1_power(n)
+        assert _listed(isotropic_subgroups(s)) == _listed(oracle.isotropic_subgroups(s))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_closure_and_generated_subgroups(self, data):
+        s = data.draw(st.sampled_from(LIBRARY))
+        coords = st.tuples(*(st.integers(-d, 2 * d) for d in s.orders))
+        gens = data.draw(st.lists(coords, max_size=3))
+        want = oracle.closure(s, gens)
+        assert closure(s, gens) == want
+        c = subgroup_from_generators(s, gens)
+        assert c.elements == tuple(sorted(want))
+        assert c.generators == oracle.minimal_chain(s, want)
+
+    def test_a1_power_9(self):
+        # The doubly-even codes of length 9.  The oracle takes several
+        # seconds on this space, so it is left out; the search is not timed.
+        s = disc_a1_power(9)
+        subs = isotropic_subgroups(s)
+        assert len(subs) == 4006
+        assert len({c.elements for c in subs}) == 4006
+        assert all(s.pair(x, x) % (2 * s.level) == 0 for c in subs for x in c.elements)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: subgroup_from_generators(disc_A1(), [(True,)]),
+    lambda: verify_isometry(disc_A1(), disc_A1(), ((True,),)),
+    lambda: is_isometric(disc_A1(), disc_A1(), cap=True),
+    lambda: is_isometric(disc_A1(), disc_A1(), cap=-1),
+    lambda: isotropic_subgroups(disc_A1(), cap=True),
+    lambda: isotropic_subgroups(disc_A1(), cap=-1),
+], ids=["generator", "image", "isometry-cap", "isometry-cap-negative", "isotropic-cap",
+        "isotropic-cap-negative"])
+def test_bool_is_not_an_integer(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+class TestDebugLog:
+    def _lines(self, caplog, name):
+        return [rec.getMessage() for rec in caplog.records if rec.name == name]
+
+    def test_one_line_per_isotropic_search(self, caplog):
+        name = "genusforge.quadspace.subgroups"
+        with caplog.at_level(logging.DEBUG, logger=name):
+            isotropic_subgroups(hyperbolic_plane())
+        lines = self._lines(caplog, name)
+        assert len(lines) == 1
+        assert "isotropic subgroups of |A| = 4: 1 nodes expanded, 3 subgroups" in lines[0]
+
+    def test_one_line_per_isometry_search(self, caplog):
+        name = "genusforge.quadspace.isometry"
+        with caplog.at_level(logging.DEBUG, logger=name):
+            is_isometric(hyperbolic_plane(), hyperbolic_plane())
+            is_isometric(hyperbolic_plane(), build_space([2, 2], ["1/2", "1/2"]))
+        lines = self._lines(caplog, name)
+        assert len(lines) == 1
+        assert "isometry search on |A| = 4: 2 nodes, witness found" in lines[0]
+
+    def test_silent_above_debug(self, caplog):
+        with caplog.at_level(logging.INFO, logger="genusforge.quadspace"):
+            isotropic_subgroups(hyperbolic_plane())
+            is_isometric(hyperbolic_plane(), hyperbolic_plane())
+        assert not [rec for rec in caplog.records if rec.name.startswith("genusforge")]
