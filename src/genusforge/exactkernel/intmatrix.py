@@ -1,14 +1,19 @@
 """Exact integer and rational matrix routines.
 
 Matrices are plain tuples of tuples (immutable at API boundaries); internal
-routines work on lists of lists.  Everything here is exact: integer rows
-stay integers, rational elimination uses Fraction.  No floating point.
+routines work on lists of lists.  Everything here is exact and, apart from
+`rat_inv`, fraction-free: determinants by Bareiss elimination, row lattice
+bases and unimodular inverses read off the Smith transforms (no inverse is
+formed), and signatures by symmetric integer elimination.  No floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from numbers import Rational
 from typing import Sequence
 
 from ..errors import ValidationError
@@ -22,7 +27,10 @@ def freeze(rows: Sequence[Sequence]) -> tuple:
 
 
 def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        out[i][i] = 1
+    return out
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
@@ -45,6 +53,13 @@ def transpose(a: Sequence[Sequence]) -> tuple:
     return tuple(tuple(col) for col in zip(*a))
 
 
+def _require_ints(matrix: Sequence[Sequence], what: str) -> None:
+    # bool is an int subclass; a True entry is a mistake, not the number 1.
+    kinds = set(map(type, chain.from_iterable(matrix)))
+    if kinds - {int} and any(issubclass(k, bool) or not issubclass(k, int) for k in kinds):
+        raise ValidationError(f"{what} needs integer entries")
+
+
 def det_int(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant by fraction-free Bareiss elimination."""
     n = len(matrix)
@@ -52,6 +67,7 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
         return 1
     if any(len(row) != n for row in matrix):
         raise ValidationError("determinant needs a square matrix")
+    _require_ints(matrix, "determinant")
     m = [list(row) for row in matrix]
     sign = 1
     prev = 1
@@ -97,43 +113,39 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SnfResult:
     """Smith normal form with both unimodular transforms.
 
     Row operations act on U from the left, column operations on V from the
-    right, keeping U @ A @ V equal to the working matrix throughout.
+    right, keeping U @ A @ V equal to the working matrix throughout.  V is
+    built transposed, so a column operation on V is a row operation on the
+    list of its columns.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     if any(len(row) != cols for row in matrix):
         raise ValidationError("ragged matrix")
-    if any(not isinstance(x, int) for row in matrix for x in row):
-        raise ValidationError("Smith normal form needs integer entries")
+    _require_ints(matrix, "Smith normal form")
     m = [list(row) for row in matrix]
     u = identity(rows)
-    v = identity(cols)
+    vt = identity(cols)
 
     def row_op(i: int, j: int, q: int) -> None:
         # row_i -= q * row_j
         m[i] = [a - q * b for a, b in zip(m[i], m[j])]
         u[i] = [a - q * b for a, b in zip(u[i], u[j])]
 
-    def col_op(i: int, j: int, q: int) -> None:
-        # col_i -= q * col_j
-        for row in m:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
     def swap_rows(i: int, j: int) -> None:
         m[i], m[j] = m[j], m[i]
         u[i], u[j] = u[j], u[i]
 
     def swap_cols(i: int, j: int) -> None:
-        for row in m:
+        # Rows above t are zero outside the diagonal.
+        for r in range(t, rows):
+            row = m[r]
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        vt[i], vt[j] = vt[j], vt[i]
 
     t = 0
     while t < min(rows, cols):
-        # Smallest nonzero pivot keeps intermediate entries from exploding.
+        # Smallest nonzero pivot keeps intermediate entries from exploding;
+        # ties go to the first in row-major order, so a 1 ends the search.
         pivot = None
         best = None
         for i in range(t, rows):
@@ -141,6 +153,10 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SnfResult:
                 a = abs(m[i][j])
                 if a and (best is None or a < best):
                     best, pivot = a, (i, j)
+                    if a == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         swap_rows(t, pivot[0])
@@ -159,9 +175,13 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SnfResult:
                     break
             if moved:
                 continue
+            # col_j -= q * col_t; column t is zero off the diagonal here, so
+            # in the working matrix only row t changes.
             for j in range(t + 1, cols):
                 if m[t][j] != 0:
-                    col_op(j, t, m[t][j] // p)
+                    q = m[t][j] // p
+                    m[t][j] -= q * p
+                    vt[j] = [a - q * b for a, b in zip(vt[j], vt[t])]
             for j in range(t + 1, cols):
                 if m[t][j] != 0:
                     swap_cols(t, j)
@@ -172,24 +192,20 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SnfResult:
             # The pivot must divide the whole remaining block or later
             # diagonal entries break the chain; folding an offending row
             # into row t shrinks the pivot and the loop retries.
-            bad = next(((i, j) for i in range(t + 1, rows)
-                        for j in range(t + 1, cols) if m[i][j] % p != 0), None)
+            bad = None if abs(p) == 1 else next(
+                (i for i in range(t + 1, rows) if any(x % p for x in m[i][t + 1:])), None)
             if bad is not None:
-                row_op(t, bad[0], -1)
+                row_op(t, bad, -1)
                 continue
             break
         t += 1
 
     # Normalize signs.
-    r = min(rows, cols)
-    for k in range(r):
+    for k in range(min(rows, cols)):
         if m[k][k] < 0:
-            for row_idx in range(rows):
-                m[row_idx][k] = -m[row_idx][k]
-            for row in v:
-                row[k] = -row[k]
-
-    return SnfResult(d=freeze(m), u=freeze(u), v=freeze(v))
+            m[k][k] = -m[k][k]
+            vt[k] = [-x for x in vt[k]]
+    return SnfResult(d=freeze(m), u=freeze(u), v=transpose(vt))
 
 
 def integer_kernel(matrix: Sequence[Sequence[int]]) -> tuple:
@@ -201,22 +217,18 @@ def integer_kernel(matrix: Sequence[Sequence[int]]) -> tuple:
     if rows == 0:
         return freeze(identity(cols))
     res = smith_normal_form(matrix)
-    rank = res.rank
     # x = V y with y_k free exactly for k >= rank.
-    return tuple(tuple(res.v[i][k] for i in range(cols))
-                 for k in range(rank, cols))
+    return transpose(res.v)[res.rank:]
 
 
 def row_lattice_basis(matrix: Sequence[Sequence[int]]) -> tuple:
     """Basis (as rows) of the lattice spanned by the rows over Z.
 
     With U A V = D, row operations preserve the row lattice, so the nonzero
-    rows of U A = D V^(-1) are a basis: d_k times row k of V^(-1).
+    rows of U A = D V^(-1) are a basis: the first rank rows of U A.
     """
     res = smith_normal_form(matrix)
-    vinv = int_inv_unimodular(res.v)
-    return tuple(tuple(d * x for x in vinv[k])
-                 for k, d in enumerate(res.diagonal) if d != 0)
+    return mat_mul(res.u[:res.rank], matrix)
 
 
 def rat_inv(matrix: Sequence[Sequence]) -> tuple:
@@ -241,58 +253,70 @@ def rat_inv(matrix: Sequence[Sequence]) -> tuple:
 
 
 def int_inv_unimodular(matrix: Sequence[Sequence[int]]) -> tuple:
-    """Inverse of a unimodular integer matrix, returned with int entries."""
-    inv = rat_inv(matrix)
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise ValidationError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+    """Inverse of a unimodular integer matrix, returned with int entries.
+
+    U A V = D; A is unimodular exactly when D = I, and then A^(-1) = V U.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValidationError("inverse needs a square matrix")
+    res = smith_normal_form(matrix)
+    if res.rank < n:
+        raise ValidationError("matrix is singular")
+    if any(x != 1 for x in res.diagonal):
+        raise ValidationError("matrix is not unimodular")
+    return mat_mul(res.v, res.u)
 
 
 def rational_signature(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
     """(n_plus, n_minus, n_zero) of a symmetric rational matrix.
 
-    Exact symmetric congruence diagonalization; when the whole remaining
-    diagonal vanishes but the block is nonzero, the basis change
-    e_i <- e_i + e_j manufactures a nonzero diagonal entry (valid away from
-    characteristic 2).
+    Exact symmetric congruence diagonalization in integers.  The matrix is
+    scaled integral by one positive factor.  With pivot p, the column c
+    below it and the block B after it, the next block is sign(p) (p B - c c^T),
+    |p| times the Schur complement, with its content divided out.  When the
+    whole remaining diagonal vanishes but the block is nonzero, the basis
+    change e_i <- e_i + e_j manufactures a nonzero diagonal entry (valid
+    away from characteristic 2).
     """
     n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    if any(len(row) != n for row in m):
+    if any(len(row) != n for row in matrix):
         raise ValidationError("signature needs a square matrix")
+    if any(isinstance(x, bool) or not isinstance(x, Rational) for row in matrix for x in row):
+        raise ValidationError("signature needs rational entries")
     for i in range(n):
         for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
+            if matrix[i][j] != matrix[j][i]:
                 raise ValidationError("signature needs a symmetric matrix")
+    scale = lcm(1, *(int(x.denominator) for row in matrix for x in row))
+    m = [[int(x.numerator) * (scale // int(x.denominator)) for x in row] for row in matrix]
     pos = neg = zero = 0
-    for i in range(n):
-        if m[i][i] == 0:
-            swap = next((j for j in range(i + 1, n) if m[j][j] != 0), None)
+    while m:
+        if m[0][0] == 0:
+            swap = next((j for j in range(1, len(m)) if m[j][j] != 0), None)
             if swap is not None:
-                m[i], m[swap] = m[swap], m[i]
+                m[0], m[swap] = m[swap], m[0]
                 for row in m:
-                    row[i], row[swap] = row[swap], row[i]
+                    row[0], row[swap] = row[swap], row[0]
             else:
-                off = next((j for j in range(i + 1, n) if m[i][j] != 0), None)
+                off = next((j for j in range(1, len(m)) if m[0][j] != 0), None)
                 if off is None:
                     zero += 1
+                    m = [row[1:] for row in m[1:]]
                     continue
-                # e_i <- e_i + e_off gives diagonal entry 2*m[i][off].
-                m[i] = [a + b for a, b in zip(m[i], m[off])]
+                # e_0 <- e_0 + e_off gives diagonal entry 2*m[0][off].
+                m[0] = [a + b for a, b in zip(m[0], m[off])]
                 for row in m:
-                    row[i] += row[off]
-        d = m[i][i]
-        if d > 0:
+                    row[0] += row[off]
+        p = m[0][0]
+        head = m[0][1:]
+        if p > 0:
             pos += 1
+            m = [[p * a - row[0] * b for a, b in zip(row[1:], head)] for row in m[1:]]
         else:
             neg += 1
-        for j in range(i + 1, n):
-            if m[j][i] != 0:
-                f = m[j][i] / d
-                m[j] = [a - f * b for a, b in zip(m[j], m[i])]
-                for row in m:
-                    row[j] -= f * row[i]
+            m = [[row[0] * b - p * a for a, b in zip(row[1:], head)] for row in m[1:]]
+        g = gcd(*(x for row in m for x in row))
+        if g > 1:
+            m = [[x // g for x in row] for row in m]
     return pos, neg, zero

@@ -5,16 +5,16 @@ Gram matrix G.  Since G^(-1) = V D^(-1) U, column i of V divided by d_i is
 a vector of L* (in the basis of L), and these classes generate L*/L with
 orders d_1 | d_2 | ... .  The form on two of them is
 (V^T G V)_ij / (d_i d_j), so the discriminant form comes out as integer
-data at level d_n, with no rational inverse of G.
+data at level d_n, with no rational inverse of G.  The signature comes
+from fraction-free symmetric elimination of G.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ..errors import InternalError, ValidationError
-from ..exactkernel import rational_signature, smith_normal_form
+from ..exactkernel import mat_mul, rational_signature, smith_normal_form, transpose
 from ..quadspace import (
     FiniteQuadraticSpace,
     is_isometric,
@@ -26,34 +26,34 @@ from .lattice import EvenLattice
 
 
 def _disc_with_lifts(l: EvenLattice):
-    """Discriminant form plus rational lift vectors, one per generator.
+    """Discriminant form plus integer lifts, one per generator.
 
-    Returns (space, lifts) where lifts[i] is a vector in Q^n, written in
-    the basis of L, representing generator i of the space inside L*.
+    Returns (space, columns, orders): generator i of the space is the class
+    of columns[i] / orders[i] in L*/L, where columns[i] is an integer vector
+    in the basis of L (a column of V).  The form is computed from these
+    columns, so returning them builds nothing extra.
     """
     g = l.gram
-    n = l.rank
     snf = smith_normal_form(g)
     d = snf.diagonal
-    v = snf.v
-    kept = [i for i in range(n) if d[i] != 1]
+    kept = [i for i in range(l.rank) if d[i] != 1]
     if not kept:
-        return trivial_space(), []
+        return trivial_space(), [], []
     orders = [d[i] for i in kept]
     level = orders[-1]
-    gv = [[sum(g[r][c] * v[c][j] for c in range(n)) for j in kept] for r in range(n)]
-    gram = [[sum(v[r][i] * gv[r][k] for r in range(n)) * level // (d[i] * d[j])
-             for k, j in enumerate(kept)] for i in kept]
+    vt = transpose(snf.v)
+    cols = [vt[i] for i in kept]
+    gram = [[x * level // (di * dj) for x, dj in zip(row, orders)]
+            for row, di in zip(mat_mul(mat_mul(cols, g), transpose(cols)), orders)]
     space = space_from_gram(orders, level, gram)
     if space.orders != tuple(orders):
         raise InternalError("SNF orders should survive canonicalization")
-    lifts = [tuple(Fraction(v[r][i], d[i]) for r in range(n)) for i in kept]
-    return space, lifts
+    return space, cols, orders
 
 
 def discriminant_form(l: EvenLattice) -> FiniteQuadraticSpace:
     """The finite quadratic space (L*/L, q) with q(x) = (x, x) mod 2Z."""
-    space, _ = _disc_with_lifts(l)
+    space, _, _ = _disc_with_lifts(l)
     return space
 
 

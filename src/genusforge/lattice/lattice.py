@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from ..errors import InternalError, ValidationError
@@ -137,10 +136,10 @@ def lattice_d16_plus() -> EvenLattice:
     gram = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            v = Fraction(sum(a * b for a, b in zip(basis[i], basis[j])), 4)
-            if v.denominator != 1:
+            v = sum(a * b for a, b in zip(basis[i], basis[j]))
+            if v % 4:
                 raise InternalError("D16+ basis does not pair integrally")
-            gram[i][j] = int(v)
+            gram[i][j] = v // 4
     lat = build_lattice(gram, "D16+")
     if lat.det != 1:
         raise InternalError("D16+ must be unimodular")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..errors import InternalError
-from ..exactkernel import int_inv_unimodular, integer_kernel, smith_normal_form
+from ..exactkernel import integer_kernel, mat_mul, smith_normal_form, transpose
 
 
 def present_subquotient(orders: Sequence[int], gram: Sequence[Sequence[int]],
@@ -47,21 +47,14 @@ def present_subquotient(orders: Sequence[int], gram: Sequence[Sequence[int]],
     rank = res.rank
     if rank < m:
         raise InternalError("subgroup presentation is not finite")
-    v_inv = int_inv_unimodular(res.v)
-    new_orders: list[int] = []
-    w: list[list[int]] = []
-    for k in range(m):
-        d = res.d[k][k]
-        if d == 1:
-            continue
-        combo = v_inv[k]
-        vec = [0] * n
-        for j in range(m):
-            if combo[j]:
-                for t in range(n):
-                    vec[t] += combo[j] * gen_vectors[j][t]
-        new_orders.append(d)
-        w.append([vec[t] % orders[t] for t in range(n)])
-    wg = [[sum(a * row[t] for a, row in zip(x, gram)) for t in range(n)] for x in w]
-    return (tuple(new_orders),
-            tuple(tuple(sum(a * b for a, b in zip(x, y)) for y in w) for x in wg))
+    # U R V = D, so row k of U R is d_k times row k of V^(-1): new generator
+    # k is that row of V^(-1) applied to the old generators.
+    diag = res.diagonal
+    kept = [k for k in range(m) if diag[k] != 1]
+    new_orders = tuple(diag[k] for k in kept)
+    scaled = mat_mul([res.u[k] for k in kept], relations)
+    if any(x % d for row, d in zip(scaled, new_orders) for x in row):
+        raise InternalError("row of U R is not divisible by its invariant factor")
+    combos = [[x // d for x in row] for row, d in zip(scaled, new_orders)]
+    w = [[x % o for x, o in zip(row, orders)] for row in mat_mul(combos, gen_vectors)]
+    return new_orders, mat_mul(mat_mul(w, gram), transpose(w))

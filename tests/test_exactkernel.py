@@ -26,6 +26,7 @@ from genusforge.exactkernel import (
     rat_inv,
     rational_signature,
     root_of_unity,
+    row_lattice_basis,
     smith_normal_form,
     transpose,
 )
@@ -35,6 +36,7 @@ from genusforge.exactkernel.cyclotomic import (
     _unit_circle,
     reduce_int_counts,
 )
+import kernel_oracle
 from cyclotomic_oracle import FractionCyclotomic
 from cyclotomic_oracle import cyclotomic_polynomial as oracle_polynomial
 from interval_oracle import (
@@ -153,6 +155,106 @@ class TestRationalSignature:
         conj = mat_mul(mat_mul(shear, sym), transpose(shear))
         assert rational_signature(conj) == sig
         assert sum(sig) == n
+
+
+@pytest.mark.parametrize("call", [
+    lambda: smith_normal_form(((True, False), (False, True))),
+    lambda: smith_normal_form(((1, 0), (0, False))),
+    lambda: det_int(((True,),)),
+    lambda: det_int(((1, 2), (3, Fraction(1, 2)))),
+    lambda: integer_kernel(((True, 1),)),
+    lambda: row_lattice_basis(((1, True),)),
+    lambda: int_inv_unimodular(((True,),)),
+    lambda: rational_signature(((True,),)),
+    lambda: rational_signature(((2, False), (False, 2))),
+    lambda: rational_signature((("1/2",),)),
+])
+def test_kernel_rejects_entries_that_are_not_numbers(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+def symmetric_rational(max_dim=6):
+    """Symmetric matrices with Fraction entries; a drawn share of the
+    diagonal is zero, and some draws are sums of hyperbolic blocks."""
+    entry = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+    def build(n):
+        lower = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+        zeros = st.lists(st.booleans(), min_size=n, max_size=n)
+        return st.tuples(lower, zeros).map(lambda lz: tuple(
+            tuple(Fraction(0) if i == j and lz[1][i]
+                  else lz[0][max(i, j)][min(i, j)] for j in range(n))
+            for i in range(n)))
+
+    def hyperbolic_sum(xs):
+        m = [[Fraction(0)] * (2 * len(xs)) for _ in range(2 * len(xs))]
+        for k, x in enumerate(xs):
+            m[2 * k][2 * k + 1] = m[2 * k + 1][2 * k] = x
+        return freeze(m)
+
+    hyperbolic = st.lists(entry.filter(lambda x: x != 0), min_size=1, max_size=3)
+    return st.one_of(st.integers(min_value=0, max_value=max_dim).flatmap(build),
+                     hyperbolic.map(hyperbolic_sum))
+
+
+def signed_shear_product(max_dim=6):
+    """Products of random elementary shears and signed permutations."""
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(min_value=1, max_value=max_dim))
+        m = freeze(identity(n))
+        for _ in range(draw(st.integers(min_value=0, max_value=8))):
+            if draw(st.booleans()):
+                perm = draw(st.permutations(range(n)))
+                signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+                step = [[signs[i] * int(perm[i] == j) for j in range(n)] for i in range(n)]
+            else:
+                i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+                step = identity(n)
+                if i != j:
+                    step[i][j] = draw(st.integers(min_value=-5, max_value=5))
+            m = mat_mul(step, m)
+        return m
+    return build()
+
+
+class TestFractionFreeAgainstOracle:
+    """The integer kernel against the Fraction routines it replaced."""
+
+    @given(symmetric_rational())
+    @example(((0, 0, 1), (0, 0, 0), (1, 0, 0)))
+    @example(((0, 2, 0), (2, 0, 3), (0, 3, 0)))
+    @example(((Fraction(1, 2), 1), (1, 0)))
+    @example(((-3,),))
+    @example(())
+    @settings(max_examples=200, deadline=None)
+    def test_signature(self, m):
+        assert rational_signature(m) == kernel_oracle.rational_signature(m)
+
+    @given(int_matrix(8).map(freeze), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=150, deadline=None)
+    def test_row_lattice_basis(self, a, repeats):
+        # Appending sums of rows makes the matrix rank-deficient.
+        a = a + tuple(tuple(x + y for x, y in zip(a[k % len(a)], a[-1]))
+                      for k in range(repeats))
+        assert row_lattice_basis(a) == kernel_oracle.row_lattice_basis(a)
+
+    @given(signed_shear_product())
+    @settings(max_examples=150, deadline=None)
+    def test_unimodular_inverse(self, m):
+        inv = int_inv_unimodular(m)
+        assert inv == kernel_oracle.int_inv_unimodular(m)
+        assert mat_mul(inv, m) == freeze(identity(len(m)))
+
+    @pytest.mark.parametrize("m", [((1, 2),), ((1, 2), (2, 4)), ((2, 0), (0, 1)),
+                                   ((0,),), ((1, 0), (0,))])
+    def test_inverse_errors_match(self, m):
+        with pytest.raises(ValidationError) as new:
+            int_inv_unimodular(m)
+        with pytest.raises(ValidationError) as old:
+            kernel_oracle.int_inv_unimodular(m)
+        assert str(new.value) == str(old.value)
 
 
 class TestCyclotomic:

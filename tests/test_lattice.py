@@ -5,6 +5,7 @@ enumeration in `theta_oracle.py`; the overlattice and genus checks lean
 on the quadspace layer, which is tested independently.
 """
 
+import importlib
 import logging
 import random
 import re
@@ -40,14 +41,17 @@ from genusforge.lattice import (
     theta_coefficients,
 )
 from genusforge.lattice import theta
+from genusforge.lattice.discform import _disc_with_lifts
 from genusforge.lattice.roots import _simple_roots
 from genusforge.quadspace import (
     build_space,
     is_isometric,
+    isotropic_subgroups,
     quotient_space,
     signature_mod8,
     trivial_space,
 )
+import kernel_oracle
 from theta_oracle import (
     fraction_ldl,
     lattice_basis_change,
@@ -217,6 +221,43 @@ class TestOverlattices:
         tops = [k for c, k in res if c.order == 4]
         assert len(tops) == 1
         assert root_system(tops[0]).components == (("E", 8),)
+
+
+OVERLATTICE_NAMES = ("D8", "D4^2", "A1^6", "A3", "A7", "A1+A7")
+OVERLATTICE_LATTICES = (
+    lattice_d(8), orthogonal_sum([lattice_d(4)] * 2), orthogonal_sum([lattice_a(1)] * 6),
+    lattice_a(3), lattice_a(7), orthogonal_sum([lattice_a(1), lattice_a(7)]))
+
+
+class TestIntegerLifts:
+    """Integer lifts over the level against the Fraction lifts they replaced."""
+
+    @pytest.mark.parametrize("index", range(len(OVERLATTICE_LATTICES)), ids=OVERLATTICE_NAMES)
+    def test_overlattice_grams_match_fraction_lifts(self, index):
+        base = OVERLATTICE_LATTICES[index]
+        for l in (base, lattice_basis_change(base, random.Random(200 + index))):
+            _, columns, orders = _disc_with_lifts(l)
+            found = overlattices(l)
+            want = kernel_oracle.overlattice_grams(
+                l, kernel_oracle.rational_lifts(columns, orders), [c for c, _ in found])
+            assert [k.gram for _, k in found] == want
+
+    def test_lattice_path_builds_no_fraction(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Fraction was built on the lattice path")
+
+        e8e8, d16p = lattice_e8e8(), lattice_d16_plus()
+        d8, d4d4 = lattice_d(8), orthogonal_sum([lattice_d(4)] * 2)
+        for name in ("genusforge.exactkernel.intmatrix", "genusforge.lattice.discform",
+                     "genusforge.lattice.overlattice", "genusforge.quadspace.present"):
+            monkeypatch.setattr(importlib.import_module(name), "Fraction", refuse,
+                                raising=False)
+        disc = discriminant_form(d4d4)
+        assert disc.orders == (2, 2, 2, 2)
+        assert same_genus(e8e8, d16p)
+        assert [c.order for c, _ in overlattices(d8)] == [1, 2, 2]
+        for c in isotropic_subgroups(disc):
+            assert quotient_space(disc, c).order == disc.order // c.order ** 2
 
 
 class TestTheta:

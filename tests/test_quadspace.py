@@ -41,6 +41,8 @@ from genusforge.quadspace import (
     verify_isometry,
 )
 from genusforge.quadspace.gauss import _phase_counts
+from genusforge.quadspace.present import present_subquotient
+import kernel_oracle
 import space_oracle as oracle
 from space_library import space_library
 from space_oracle import (
@@ -502,6 +504,14 @@ class TestIndexSpansAgainstOracle:
         c = subgroup_from_generators(s, gens)
         assert c.elements == tuple(sorted(want))
         assert c.generators == oracle.minimal_chain(s, want)
+
+    def test_present_subquotient_on_every_isotropic_quotient(self):
+        # The rows of V^(-1) read off U R against the rat_inv inverse.
+        for s in LIBRARY:
+            for c in isotropic_subgroups(s):
+                args = (s.orders, s.gram, orthogonal_complement(s, c).generators,
+                        c.generators)
+                assert present_subquotient(*args) == kernel_oracle.present_subquotient(*args)
 
     def test_a1_power_9(self):
         # The doubly-even codes of length 9.  The oracle takes several
