@@ -1,25 +1,25 @@
-"""Exact integer and rational matrix routines.
+"""Exact integer matrix routines.
 
 Matrices are plain tuples of tuples (immutable at API boundaries); internal
-routines work on lists of lists.  Everything here is exact and, apart from
-`rat_inv`, fraction-free: determinants by Bareiss elimination, row lattice
-bases and unimodular inverses read off the Smith transforms (no inverse is
-formed), and signatures by symmetric integer elimination.  No floating point.
+routines work on lists of lists.  Everything here is exact and
+fraction-free: determinants by Bareiss elimination, Smith normal forms that
+record only the transform their caller reads, row lattice bases read off
+the row transform (no inverse is formed), and signatures by symmetric
+integer elimination.  No floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from numbers import Rational
+from operator import mul
 from typing import Sequence
 
 from ..errors import ValidationError
 
 IntMatrix = tuple[tuple[int, ...], ...]
-RatMatrix = tuple[tuple[Fraction, ...], ...]
 
 
 def freeze(rows: Sequence[Sequence]) -> tuple:
@@ -38,9 +38,8 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
         raise ValidationError("matrix shape mismatch in multiplication")
     if not b:
         return tuple(() for _ in a)
-    cols = range(len(b[0]))
-    return tuple(tuple(sum(ra[k] * b[k][j] for k in range(len(b))) for j in cols)
-                 for ra in a)
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_vec(a: Sequence[Sequence], x: Sequence) -> tuple:
@@ -92,55 +91,60 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
 class SnfResult:
     """U @ A @ V = D with U, V unimodular and D in Smith normal form.
 
-    `d` holds the full (rows x cols) diagonal matrix; `diagonal` just the
-    min(rows, cols) diagonal entries, nonnegative with d1 | d2 | ... .
+    `diagonal` holds the min(rows, cols) diagonal entries of D, nonnegative
+    with d1 | d2 | ... .  Only the transform that was asked for is
+    recorded; the other field is None.
     """
 
-    d: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.d[i][i] for i in range(min(len(self.d), len(self.d[0]) if self.d else 0)))
+    diagonal: tuple[int, ...]
+    u: IntMatrix | None = None
+    v: IntMatrix | None = None
 
     @property
     def rank(self) -> int:
         return sum(1 for x in self.diagonal if x != 0)
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SnfResult:
-    """Smith normal form with both unimodular transforms.
+def smith_normal_form(matrix: Sequence[Sequence[int]],
+                      transform: str | None = None) -> SnfResult:
+    """Smith normal form, recording the row transform U (transform="u"),
+    the column transform V ("v") or neither (None).
 
     Row operations act on U from the left, column operations on V from the
-    right, keeping U @ A @ V equal to the working matrix throughout.  V is
-    built transposed, so a column operation on V is a row operation on the
-    list of its columns.
+    right, keeping U @ A @ V equal to the working matrix throughout.  The
+    elimination never reads the transforms, so D, U and V do not depend on
+    which one is recorded.  V is built transposed, so a column operation on
+    V is a row operation on the list of its columns.
     """
+    if transform not in (None, "u", "v"):
+        raise ValidationError(f"transform must be 'u', 'v' or None, not {transform!r}")
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     if any(len(row) != cols for row in matrix):
         raise ValidationError("ragged matrix")
     _require_ints(matrix, "Smith normal form")
     m = [list(row) for row in matrix]
-    u = identity(rows)
-    vt = identity(cols)
+    u = identity(rows) if transform == "u" else None
+    vt = identity(cols) if transform == "v" else None
 
     def row_op(i: int, j: int, q: int) -> None:
         # row_i -= q * row_j
         m[i] = [a - q * b for a, b in zip(m[i], m[j])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+        if u is not None:
+            u[i] = [a - q * b for a, b in zip(u[i], u[j])]
 
     def swap_rows(i: int, j: int) -> None:
         m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i: int, j: int) -> None:
         # Rows above t are zero outside the diagonal.
         for r in range(t, rows):
             row = m[r]
             row[i], row[j] = row[j], row[i]
-        vt[i], vt[j] = vt[j], vt[i]
+        if vt is not None:
+            vt[i], vt[j] = vt[j], vt[i]
 
     t = 0
     while t < min(rows, cols):
@@ -181,7 +185,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SnfResult:
                 if m[t][j] != 0:
                     q = m[t][j] // p
                     m[t][j] -= q * p
-                    vt[j] = [a - q * b for a, b in zip(vt[j], vt[t])]
+                    if vt is not None:
+                        vt[j] = [a - q * b for a, b in zip(vt[j], vt[t])]
             for j in range(t + 1, cols):
                 if m[t][j] != 0:
                     swap_cols(t, j)
@@ -200,12 +205,14 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SnfResult:
             break
         t += 1
 
-    # Normalize signs.
+    # Normalize signs: negating column k of D negates column k of V.
+    diagonal = []
     for k in range(min(rows, cols)):
-        if m[k][k] < 0:
-            m[k][k] = -m[k][k]
+        if m[k][k] < 0 and vt is not None:
             vt[k] = [-x for x in vt[k]]
-    return SnfResult(d=freeze(m), u=freeze(u), v=transpose(vt))
+        diagonal.append(abs(m[k][k]))
+    return SnfResult(tuple(diagonal), None if u is None else freeze(u),
+                     None if vt is None else transpose(vt))
 
 
 def integer_kernel(matrix: Sequence[Sequence[int]]) -> tuple:
@@ -216,7 +223,7 @@ def integer_kernel(matrix: Sequence[Sequence[int]]) -> tuple:
         return ()
     if rows == 0:
         return freeze(identity(cols))
-    res = smith_normal_form(matrix)
+    res = smith_normal_form(matrix, "v")
     # x = V y with y_k free exactly for k >= rank.
     return transpose(res.v)[res.rank:]
 
@@ -227,45 +234,8 @@ def row_lattice_basis(matrix: Sequence[Sequence[int]]) -> tuple:
     With U A V = D, row operations preserve the row lattice, so the nonzero
     rows of U A = D V^(-1) are a basis: the first rank rows of U A.
     """
-    res = smith_normal_form(matrix)
+    res = smith_normal_form(matrix, "u")
     return mat_mul(res.u[:res.rank], matrix)
-
-
-def rat_inv(matrix: Sequence[Sequence]) -> tuple:
-    """Exact inverse of a square rational matrix by Gauss-Jordan."""
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(matrix)]
-    if any(len(row) != 2 * n for row in m):
-        raise ValidationError("inverse needs a square matrix")
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if pivot is None:
-            raise ValidationError("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
-
-
-def int_inv_unimodular(matrix: Sequence[Sequence[int]]) -> tuple:
-    """Inverse of a unimodular integer matrix, returned with int entries.
-
-    U A V = D; A is unimodular exactly when D = I, and then A^(-1) = V U.
-    """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValidationError("inverse needs a square matrix")
-    res = smith_normal_form(matrix)
-    if res.rank < n:
-        raise ValidationError("matrix is singular")
-    if any(x != 1 for x in res.diagonal):
-        raise ValidationError("matrix is not unimodular")
-    return mat_mul(res.v, res.u)
 
 
 def rational_signature(matrix: Sequence[Sequence]) -> tuple[int, int, int]:

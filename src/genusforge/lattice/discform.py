@@ -1,12 +1,16 @@
 """Discriminant forms, signatures, and genus symbols of even lattices.
 
 The dual quotient L*/L is read off the Smith normal form U G V = D of the
-Gram matrix G.  Since G^(-1) = V D^(-1) U, column i of V divided by d_i is
-a vector of L* (in the basis of L), and these classes generate L*/L with
-orders d_1 | d_2 | ... .  The form on two of them is
+Gram matrix G, recording V only.  Since G^(-1) = V D^(-1) U, column i of V
+divided by d_i is a vector of L* (in the basis of L), and these classes
+generate L*/L with orders d_1 | d_2 | ... .  The form on two of them is
 (V^T G V)_ij / (d_i d_j), so the discriminant form comes out as integer
-data at level d_n, with no rational inverse of G.  The signature comes
-from fraction-free symmetric elimination of G.
+data at level d_n, with no rational inverse of G.  A unimodular lattice
+(|det| = 1, which the lattice keeps) has the trivial form and needs no
+Smith normal form.  L*/L is nondegenerate by construction: an x in L*
+that pairs integrally with all of L* lies in (L*)* = L.  So its encoding
+skips the nondegeneracy test that `space_from_gram` runs on outside data.
+The signature comes from fraction-free symmetric elimination of G.
 """
 
 from __future__ import annotations
@@ -15,13 +19,8 @@ from dataclasses import dataclass
 
 from ..errors import InternalError, ValidationError
 from ..exactkernel import mat_mul, rational_signature, smith_normal_form, transpose
-from ..quadspace import (
-    FiniteQuadraticSpace,
-    is_isometric,
-    signature_mod8,
-    space_from_gram,
-    trivial_space,
-)
+from ..quadspace import FiniteQuadraticSpace, is_isometric, signature_mod8, trivial_space
+from ..quadspace.space import _canonical_space
 from .lattice import EvenLattice
 
 
@@ -33,19 +32,19 @@ def _disc_with_lifts(l: EvenLattice):
     in the basis of L (a column of V).  The form is computed from these
     columns, so returning them builds nothing extra.
     """
+    if abs(l.det) == 1:
+        return trivial_space(), [], []
     g = l.gram
-    snf = smith_normal_form(g)
+    snf = smith_normal_form(g, "v")
     d = snf.diagonal
     kept = [i for i in range(l.rank) if d[i] != 1]
-    if not kept:
-        return trivial_space(), [], []
     orders = [d[i] for i in kept]
     level = orders[-1]
     vt = transpose(snf.v)
     cols = [vt[i] for i in kept]
     gram = [[x * level // (di * dj) for x, dj in zip(row, orders)]
             for row, di in zip(mat_mul(mat_mul(cols, g), transpose(cols)), orders)]
-    space = space_from_gram(orders, level, gram)
+    space = _canonical_space(orders, level, gram)
     if space.orders != tuple(orders):
         raise InternalError("SNF orders should survive canonicalization")
     return space, cols, orders

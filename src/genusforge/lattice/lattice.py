@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from ..errors import InternalError, ValidationError
@@ -42,14 +43,14 @@ class EvenLattice:
         for i in range(n):
             if g[i][i] % 2:
                 raise ValidationError(f"diagonal entry ({i},{i}) = {g[i][i]} is odd")
-        if det_int(g) == 0:
+        if self.det == 0:
             raise ValidationError("Gram matrix is singular")
 
     @property
     def rank(self) -> int:
         return len(self.gram)
 
-    @property
+    @cached_property
     def det(self) -> int:
         return det_int(self.gram)
 

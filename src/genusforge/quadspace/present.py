@@ -43,7 +43,7 @@ def present_subquotient(orders: Sequence[int], gram: Sequence[Sequence[int]],
     relations = [vec[:m] for vec in kernel]
     if not relations:
         relations = [[0] * m]
-    res = smith_normal_form(tuple(tuple(r) for r in relations))
+    res = smith_normal_form(tuple(tuple(r) for r in relations), "u")
     rank = res.rank
     if rank < m:
         raise InternalError("subgroup presentation is not finite")

@@ -12,7 +12,10 @@ q numerators, element orders) come from one numpy pass over the elements
 in `elements()` order and are cached on the space.  `build_space` checks
 rational generator data and encodes it; `space_from_gram` takes integer
 data, re-presents generator orders that do not form a divisibility chain,
-and rejects degenerate forms.
+and rejects degenerate forms.  Subquotients that are nondegenerate by
+construction (C-perp/C, primary parts) and discriminant forms go through
+the same encoding without the nondegeneracy test, which costs a Smith
+normal form.
 """
 
 from __future__ import annotations
@@ -199,14 +202,10 @@ def _invariant_factors(orders, gram):
                                [[gram[i][j] for j in keep] for i in keep], gens)
 
 
-def space_from_gram(orders: Sequence[int], level: int,
-                    gram: Sequence[Sequence[int]]) -> FiniteQuadraticSpace:
-    """Validated canonical space with q(x) = x^T G x / level mod 2 and
-    b(x, y) = x^T G y / level mod 1 on generators of the given orders.
-
-    The generators are re-presented in invariant-factor form when the
-    orders do not already form a divisibility chain.
-    """
+def _canonical_space(orders: Sequence[int], level: int,
+                     gram: Sequence[Sequence[int]]) -> FiniteQuadraticSpace:
+    """The consistency checks and the canonical encoding of `space_from_gram`,
+    without its nondegeneracy test: for forms nondegenerate by construction."""
     n = len(orders)
     for i, d in enumerate(orders):
         if (d * d * gram[i][i]) % (2 * level):
@@ -224,11 +223,23 @@ def space_from_gram(orders: Sequence[int], level: int,
     level //= g
     gram = tuple(tuple(x // g % (2 * level if i == j else level) for j, x in enumerate(row))
                  for i, row in enumerate(gram))
-    witness = _nondegenerate(orders, level, gram)
+    return FiniteQuadraticSpace(FiniteAbelianGroup(tuple(orders)), level, gram)
+
+
+def space_from_gram(orders: Sequence[int], level: int,
+                    gram: Sequence[Sequence[int]]) -> FiniteQuadraticSpace:
+    """Validated canonical space with q(x) = x^T G x / level mod 2 and
+    b(x, y) = x^T G y / level mod 1 on generators of the given orders.
+
+    The generators are re-presented in invariant-factor form when the
+    orders do not already form a divisibility chain.
+    """
+    s = _canonical_space(orders, level, gram)
+    witness = _nondegenerate(s.orders, s.level, s.gram)
     if witness is not None:
         raise DegenerateFormError(
             f"form is degenerate: {witness} pairs to zero with every generator")
-    return FiniteQuadraticSpace(FiniteAbelianGroup(tuple(orders)), level, gram)
+    return s
 
 
 def build_space(group: FiniteAbelianGroup | Sequence[int],
@@ -274,9 +285,11 @@ def build_space(group: FiniteAbelianGroup | Sequence[int],
 def subquotient(s: FiniteQuadraticSpace, gens: Sequence[Sequence[int]],
                 rels: Sequence[Sequence[int]] = ()) -> FiniteQuadraticSpace:
     """The space span(gens)/span(rels) with the form of s; the caller makes
-    sure rels is isotropic and orthogonal to gens."""
+    sure rels is isotropic and orthogonal to gens, and that the result is
+    nondegenerate (C-perp/C, primary parts, orthogonal complements), so it
+    is not tested again."""
     orders, gram = present_subquotient(s.orders, s.gram, gens, rels)
-    return space_from_gram(orders, s.level, gram)
+    return _canonical_space(orders, s.level, gram)
 
 
 def trivial_space() -> FiniteQuadraticSpace:

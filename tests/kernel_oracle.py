@@ -1,6 +1,9 @@
 """The `Fraction` routines the lattice path used before it ran on integers,
 kept as the oracle for the fraction-free kernel.
 
+`smith_normal_form` is the Smith normal form that always records both
+transforms and the full diagonal matrix, the reference for the one-sided
+transforms of `genusforge.exactkernel.smith_normal_form`.
 `rational_signature` is the symmetric congruence diagonalization over Q,
 `int_inv_unimodular` and `row_lattice_basis` invert through the Gauss-Jordan
 `rat_inv`, `present_subquotient` reads the rows of V^(-1) it needs off that
@@ -10,12 +13,155 @@ integer columns that `genusforge.lattice.discform._disc_with_lifts` returns
 now, and `overlattice_grams` is the old overlattice construction on them.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
 from genusforge.errors import InternalError, ValidationError
-from genusforge.exactkernel import integer_kernel, rat_inv, smith_normal_form
+from genusforge.exactkernel import IntMatrix, freeze, identity, integer_kernel, transpose
+from genusforge.exactkernel.intmatrix import _require_ints
+
+
+@dataclass(frozen=True)
+class SnfResult:
+    """U @ A @ V = D with U, V unimodular and D in Smith normal form.
+
+    `d` holds the full (rows x cols) diagonal matrix; `diagonal` just the
+    min(rows, cols) diagonal entries, nonnegative with d1 | d2 | ... .
+    """
+
+    d: IntMatrix
+    u: IntMatrix
+    v: IntMatrix
+
+    @property
+    def diagonal(self) -> tuple[int, ...]:
+        return tuple(self.d[i][i] for i in range(min(len(self.d), len(self.d[0]) if self.d else 0)))
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for x in self.diagonal if x != 0)
+
+
+def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SnfResult:
+    """Smith normal form with both unimodular transforms.
+
+    Row operations act on U from the left, column operations on V from the
+    right, keeping U @ A @ V equal to the working matrix throughout.  V is
+    built transposed, so a column operation on V is a row operation on the
+    list of its columns.
+    """
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    if any(len(row) != cols for row in matrix):
+        raise ValidationError("ragged matrix")
+    _require_ints(matrix, "Smith normal form")
+    m = [list(row) for row in matrix]
+    u = identity(rows)
+    vt = identity(cols)
+
+    def row_op(i: int, j: int, q: int) -> None:
+        # row_i -= q * row_j
+        m[i] = [a - q * b for a, b in zip(m[i], m[j])]
+        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+
+    def swap_rows(i: int, j: int) -> None:
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i: int, j: int) -> None:
+        # Rows above t are zero outside the diagonal.
+        for r in range(t, rows):
+            row = m[r]
+            row[i], row[j] = row[j], row[i]
+        vt[i], vt[j] = vt[j], vt[i]
+
+    t = 0
+    while t < min(rows, cols):
+        # Smallest nonzero pivot keeps intermediate entries from exploding;
+        # ties go to the first in row-major order, so a 1 ends the search.
+        pivot = None
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                a = abs(m[i][j])
+                if a and (best is None or a < best):
+                    best, pivot = a, (i, j)
+                    if a == 1:
+                        break
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            p = m[t][t]
+            # Reduce column t; any leftover remainder is a smaller pivot.
+            for i in range(t + 1, rows):
+                if m[i][t] != 0:
+                    row_op(i, t, m[i][t] // p)
+            moved = False
+            for i in range(t + 1, rows):
+                if m[i][t] != 0:
+                    swap_rows(t, i)
+                    moved = True
+                    break
+            if moved:
+                continue
+            # col_j -= q * col_t; column t is zero off the diagonal here, so
+            # in the working matrix only row t changes.
+            for j in range(t + 1, cols):
+                if m[t][j] != 0:
+                    q = m[t][j] // p
+                    m[t][j] -= q * p
+                    vt[j] = [a - q * b for a, b in zip(vt[j], vt[t])]
+            for j in range(t + 1, cols):
+                if m[t][j] != 0:
+                    swap_cols(t, j)
+                    moved = True
+                    break
+            if moved:
+                continue
+            # The pivot must divide the whole remaining block or later
+            # diagonal entries break the chain; folding an offending row
+            # into row t shrinks the pivot and the loop retries.
+            bad = None if abs(p) == 1 else next(
+                (i for i in range(t + 1, rows) if any(x % p for x in m[i][t + 1:])), None)
+            if bad is not None:
+                row_op(t, bad, -1)
+                continue
+            break
+        t += 1
+
+    # Normalize signs.
+    for k in range(min(rows, cols)):
+        if m[k][k] < 0:
+            m[k][k] = -m[k][k]
+            vt[k] = [-x for x in vt[k]]
+    return SnfResult(d=freeze(m), u=freeze(u), v=transpose(vt))
+
+
+def rat_inv(matrix: Sequence[Sequence]) -> tuple:
+    """Exact inverse of a square rational matrix by Gauss-Jordan."""
+    n = len(matrix)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(matrix)]
+    if any(len(row) != 2 * n for row in m):
+        raise ValidationError("inverse needs a square matrix")
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
+        if pivot is None:
+            raise ValidationError("matrix is singular")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for i in range(n):
+            if i != col and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return tuple(tuple(row[n:]) for row in m)
 
 
 def int_inv_unimodular(matrix: Sequence[Sequence[int]]) -> tuple:

@@ -236,6 +236,47 @@ class TestFramed:
         with pytest.raises(ValidationError):
             FramedPair(build_code(4, []), build_code(5, []))
 
+    @staticmethod
+    def dual_verdicts(c, d):
+        """The two duality conditions decided on the dual code itself."""
+        c_perp = dual_code(c)
+        return {"d_subset_c_dual": all(row in c_perp for row in d.basis),
+                "d_equals_c_dual": d == c_perp}
+
+    def assert_dual_verdicts(self, c, d):
+        report = check_framed_conditions(FramedPair(c, d), self_dual=True).as_dict()
+        got = {key: report[key] for key in ("d_subset_c_dual", "d_equals_c_dual")}
+        assert got == self.dual_verdicts(c, d), (c, d)
+
+    def test_duality_verdicts_match_the_dual_code_on_small_codes(self):
+        # Every code spanned by at most 3 words, at lengths 1 to 6.  Up to
+        # length 5 every pair; at length 6 each code against every code
+        # spanned by at most 3 words of its dual's basis (so D = C-perp is
+        # met whenever dim C >= 3) and against a fixed sample.
+        rng = random.Random(28)
+        for r in range(1, 7):
+            codes = {build_code(r, rows)
+                     for k in range(4)
+                     for rows in itertools.combinations(range(1, 1 << r), k)}
+            codes = sorted(codes, key=lambda code: code.basis)
+            sample = codes if r <= 5 else rng.sample(codes, 30)
+            for c in codes:
+                partners = sample
+                if r == 6:
+                    perp = dual_code(c).basis
+                    partners = sample + [build_code(r, rows)
+                                         for k in range(4)
+                                         for rows in itertools.combinations(perp, k)]
+                for d in partners:
+                    self.assert_dual_verdicts(c, d)
+
+    @pytest.mark.parametrize("n, dist", [(8, 4), (16, 4), (24, 8), (32, 4), (48, 4)])
+    def test_duality_verdicts_match_the_dual_code_on_lexicodes(self, n, dist):
+        c = lexicode(n, dist)
+        perp = dual_code(c)
+        for pair in ((c, perp), (perp, c), (c, c), (perp, perp)):
+            self.assert_dual_verdicts(*pair)
+
 
 class TestSigma:
     def test_known_values(self):

@@ -19,11 +19,9 @@ from genusforge.exactkernel import (
     euler_phi,
     freeze,
     identity,
-    int_inv_unimodular,
     integer_kernel,
     mat_mul,
     mat_vec,
-    rat_inv,
     rational_signature,
     root_of_unity,
     row_lattice_basis,
@@ -80,24 +78,58 @@ class TestPhases:
         assert x + (-x) == 0
 
 
+def one_sided(a):
+    """(diagonal, U, V) from the two one-sided calls, after checking that
+    both give the diagonal of the call that records neither transform."""
+    diagonal = smith_normal_form(a).diagonal
+    with_u, with_v = smith_normal_form(a, "u"), smith_normal_form(a, "v")
+    assert with_u.diagonal == with_v.diagonal == diagonal
+    assert with_u.v is None and with_v.u is None
+    return diagonal, with_u.u, with_v.v
+
+
+def rank_deficient_matrix(max_dim=8):
+    """Rectangular matrices with appended sums of rows, and zero matrices."""
+    zero = st.tuples(st.integers(1, max_dim), st.integers(1, max_dim)).map(
+        lambda rc: freeze([[0] * rc[1] for _ in range(rc[0])]))
+    sums = st.tuples(int_matrix(max_dim).map(freeze), st.integers(0, 3)).map(
+        lambda ar: ar[0] + tuple(tuple(x + y for x, y in zip(ar[0][k % len(ar[0])], ar[0][-1]))
+                                 for k in range(ar[1])))
+    return st.one_of(int_matrix(max_dim).map(freeze), sums, zero)
+
+
 class TestSmithNormalForm:
     @given(int_matrix())
     @settings(max_examples=120, deadline=None)
     def test_reconstruction_and_chain(self, rows):
         a = freeze(rows)
-        res = smith_normal_form(a)
-        assert mat_mul(mat_mul(res.u, a), res.v) == res.d
-        assert abs(det_int(res.u)) == 1
-        assert abs(det_int(res.v)) == 1
-        diag = [res.d[i][i] for i in range(min(len(res.d), len(res.d[0]) if res.d else 0))]
-        nz = [x for x in diag if x != 0]
+        diagonal, u, v = one_sided(a)
+        d = tuple(tuple(diagonal[i] if i == j else 0 for j in range(len(a[0])))
+                  for i in range(len(a)))
+        assert mat_mul(mat_mul(u, a), v) == d
+        assert abs(det_int(u)) == 1
+        assert abs(det_int(v)) == 1
+        nz = [x for x in diagonal if x != 0]
         assert all(x > 0 for x in nz)
         assert all(nz[i + 1] % nz[i] == 0 for i in range(len(nz) - 1))
-        # off-diagonal clean
-        for i, row in enumerate(res.d):
-            for j, x in enumerate(row):
-                if i != j:
-                    assert x == 0
+        assert all(x == 0 for x in diagonal[len(nz):])
+
+    @given(rank_deficient_matrix())
+    @example(((0, 0, 0),))
+    @example(((0,), (0,), (0,)))
+    @example(((2, 4), (1, 2), (3, 6)))
+    @settings(max_examples=200, deadline=None)
+    def test_each_transform_matches_the_two_sided_oracle(self, a):
+        want = kernel_oracle.smith_normal_form(a)
+        diagonal, u, v = one_sided(a)
+        assert diagonal == want.diagonal
+        assert u == want.u
+        assert v == want.v
+
+    def test_rejects_unknown_transform(self):
+        for transform in ("uv", "U", 1, True):
+            with pytest.raises(ValidationError):
+                smith_normal_form(((1, 0), (0, 2)), transform)
 
     def test_known_diagonal(self):
         res = smith_normal_form(((2, 4, 4), (-6, 6, 12), (10, 4, 16)))
@@ -125,12 +157,10 @@ class TestKernelAndInverse:
             assert all(x == 0 for x in mat_vec(a, v))
 
     def test_unimodular_inverse(self):
+        # U A V = I for unimodular A, so V U is its inverse.
         u = ((1, 2), (1, 3))
-        assert mat_mul(int_inv_unimodular(u), u) == freeze(identity(2))
-
-    def test_rat_inv_rejects_singular(self):
-        with pytest.raises(ValidationError):
-            rat_inv(((1, 2), (2, 4)))
+        _, left, right = one_sided(u)
+        assert mat_mul(mat_mul(right, left), u) == freeze(identity(2))
 
 
 class TestRationalSignature:
@@ -164,7 +194,7 @@ class TestRationalSignature:
     lambda: det_int(((1, 2), (3, Fraction(1, 2)))),
     lambda: integer_kernel(((True, 1),)),
     lambda: row_lattice_basis(((1, True),)),
-    lambda: int_inv_unimodular(((True,),)),
+    lambda: smith_normal_form(((True,),), "v"),
     lambda: rational_signature(((True,),)),
     lambda: rational_signature(((2, False), (False, 2))),
     lambda: rational_signature((("1/2",),)),
@@ -243,18 +273,13 @@ class TestFractionFreeAgainstOracle:
     @given(signed_shear_product())
     @settings(max_examples=150, deadline=None)
     def test_unimodular_inverse(self, m):
-        inv = int_inv_unimodular(m)
+        # The one-sided transforms of a unimodular matrix give its inverse
+        # V U, equal to the Gauss-Jordan inverse.
+        diagonal, u, v = one_sided(m)
+        assert diagonal == (1,) * len(m)
+        inv = mat_mul(v, u)
         assert inv == kernel_oracle.int_inv_unimodular(m)
         assert mat_mul(inv, m) == freeze(identity(len(m)))
-
-    @pytest.mark.parametrize("m", [((1, 2),), ((1, 2), (2, 4)), ((2, 0), (0, 1)),
-                                   ((0,),), ((1, 0), (0,))])
-    def test_inverse_errors_match(self, m):
-        with pytest.raises(ValidationError) as new:
-            int_inv_unimodular(m)
-        with pytest.raises(ValidationError) as old:
-            kernel_oracle.int_inv_unimodular(m)
-        assert str(new.value) == str(old.value)
 
 
 class TestCyclotomic:

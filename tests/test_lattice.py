@@ -9,12 +9,14 @@ import importlib
 import logging
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genusforge.exactkernel as exactkernel
 from genusforge.errors import (
     LimitError,
     NotPositiveDefiniteError,
@@ -40,7 +42,7 @@ from genusforge.lattice import (
     signature,
     theta_coefficients,
 )
-from genusforge.lattice import theta
+from genusforge.lattice import discform, theta
 from genusforge.lattice.discform import _disc_with_lifts
 from genusforge.lattice.roots import _simple_roots
 from genusforge.quadspace import (
@@ -51,6 +53,7 @@ from genusforge.quadspace import (
     signature_mod8,
     trivial_space,
 )
+from genusforge.quadspace import space as space_module
 import kernel_oracle
 from theta_oracle import (
     fraction_ldl,
@@ -438,3 +441,62 @@ class TestEnumerationOracle:
         [record] = [r for r in caplog.records if r.name == theta.__name__]
         leaves = int(re.search(r"(\d+) leaf candidates", record.getMessage())[1])
         assert leaves >= 120  # the positive half of the 240 roots
+
+
+def count_smith_forms(monkeypatch):
+    """Count smith_normal_form calls made through every genusforge module
+    that binds it; returns the list that grows by one per call."""
+    original = exactkernel.smith_normal_form
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("genusforge") and vars(module).get("smith_normal_form") is original:
+            monkeypatch.setattr(module, "smith_normal_form", counted)
+    return calls
+
+
+SMITH_FORM_TRAFFIC = {"E8": 0, "E8E8": 0, "D16+": 0, "A1^4": 1, "D4": 1}
+
+
+class TestLatticePathWork:
+    """Discriminant forms and their quotients are nondegenerate by
+    construction, so they skip the Smith-form nondegeneracy test, and a
+    unimodular lattice needs no Smith form at all."""
+
+    @pytest.mark.parametrize("name", SMITH_FORM_TRAFFIC)
+    def test_smith_forms_per_discriminant_form(self, monkeypatch, name):
+        base = (orthogonal_sum([lattice_a(1)] * 4) if name == "A1^4"
+                else builtin_lattice(name))
+        lattices = [base] + [lattice_basis_change(base, random.Random(k)) for k in range(3)]
+        calls = count_smith_forms(monkeypatch)
+        for l in lattices:
+            before = len(calls)
+            disc = discriminant_form(l)
+            assert len(calls) - before == SMITH_FORM_TRAFFIC[name]
+            assert disc.order == abs(l.det)
+
+    def test_discriminant_forms_and_quotients_pass_the_nondegeneracy_test(self, monkeypatch):
+        encode = space_module._canonical_space
+        built = []
+
+        def recorded(*args):
+            built.append(encode(*args))
+            return built[-1]
+
+        monkeypatch.setattr(space_module, "_canonical_space", recorded)
+        monkeypatch.setattr(discform, "_canonical_space", recorded)
+        library = ORACLE_LATTICES + list(OVERLATTICE_LATTICES)
+        for index, base in enumerate(library):
+            for l in (base, lattice_basis_change(base, random.Random(300 + index))):
+                disc = discriminant_form(l)
+                if disc.order <= 64:
+                    for c, k in overlattices(l):
+                        discriminant_form(k)
+                        quotient_space(disc, c)
+        assert len(built) > 2 * len(library)
+        for t in built:
+            assert space_module._nondegenerate(t.orders, t.level, t.gram) is None

@@ -40,6 +40,7 @@ from genusforge.quadspace import (
     trivial_space,
     verify_isometry,
 )
+from genusforge.quadspace import space as space_module
 from genusforge.quadspace.gauss import _phase_counts
 from genusforge.quadspace.present import present_subquotient
 import kernel_oracle
@@ -512,6 +513,28 @@ class TestIndexSpansAgainstOracle:
                 args = (s.orders, s.gram, orthogonal_complement(s, c).generators,
                         c.generators)
                 assert present_subquotient(*args) == kernel_oracle.present_subquotient(*args)
+
+    def test_spaces_encoded_without_the_nondegeneracy_test_pass_it(self, monkeypatch):
+        # C-perp/C, primary parts and the odd Jordan steps are nondegenerate
+        # by construction, so subquotient skips the Smith-form test of
+        # space_from_gram; every one built from the library passes it.
+        encode = space_module._canonical_space
+        built = []
+
+        def recorded(*args):
+            built.append(encode(*args))
+            return built[-1]
+
+        monkeypatch.setattr(space_module, "_canonical_space", recorded)
+        for s in LIBRARY:
+            for c in isotropic_subgroups(s):
+                quotient_space(s, c)
+            for p, part in primary_decomposition(s).items():
+                if p > 2:
+                    jordan_blocks_odd(part, p)
+        assert len(built) > len(LIBRARY)
+        for t in built:
+            assert space_module._nondegenerate(t.orders, t.level, t.gram) is None
 
     def test_a1_power_9(self):
         # The doubly-even codes of length 9.  The oracle takes several
