@@ -7,7 +7,7 @@ The JSON form uses bitstrings whose first character is coordinate 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -78,6 +78,16 @@ class BinaryCode:
         """All 2^dim codewords; guarded against huge codes."""
         return _word_array(self).tolist()
 
+    @cached_property
+    def _dual(self) -> BinaryCode:
+        """All words orthogonal to the code, built once; it keeps this code as its dual."""
+        pivots = [b & -b for b in self.basis]
+        rows = [1 << f | sum(p for b, p in zip(self.basis, pivots) if b >> f & 1)
+                for f in range(self.length) if not sum(pivots) >> f & 1]
+        out = build_code(self.length, rows)
+        out.__dict__["_dual"] = self
+        return out
+
     def __repr__(self) -> str:
         return f"BinaryCode(length={self.length}, dim={self.dim})"
 
@@ -102,21 +112,7 @@ def rref(code: BinaryCode) -> BinaryCode:
 
 def dual_code(code: BinaryCode) -> BinaryCode:
     """All words orthogonal to the code; dim is length - dim."""
-    r = code.length
-    pivots = [b & -b for b in code.basis]
-    pivot_mask = 0
-    for p in pivots:
-        pivot_mask |= p
-    rows = []
-    for f in range(r):
-        if (1 << f) & pivot_mask:
-            continue
-        word = 1 << f
-        for b, p in zip(code.basis, pivots):
-            if b & (1 << f):
-                word |= p
-        rows.append(word)
-    return build_code(r, rows)
+    return code._dual
 
 
 def contains_allones(code: BinaryCode) -> bool:

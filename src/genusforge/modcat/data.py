@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -237,8 +237,7 @@ def from_quadratic_space(s: FiniteQuadraticSpace) -> ModularData:
                 2 * level // gcd(2 * level, int(np.gcd.reduce(q))))
     exps = (-b) % level * order // level
     tau = q * order // (2 * level)
-    strides = np.array([prod(s.orders[i + 1:]) for i in range(s.rank)], dtype=np.int64)
-    dual = tuple(((-coords) % np.array(s.orders, dtype=np.int64) @ strides).tolist())
+    dual = tuple(((-coords) % s.orders_array @ s.radix).tolist())
     twists = tuple(PhaseMod1(Fraction(v, 2 * level)) for v in q.tolist())
     return ModularData(dual, None, twists, twists, Exponents(order, exps, tau))
 

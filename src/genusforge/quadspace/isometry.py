@@ -1,13 +1,14 @@
 """Brute-force isometry testing between finite quadratic spaces.
 
 The generators e_1, ..., e_n of s1 (invariant factors d_1 | ... | d_n) map
-in order.  The image y of e_i is picked from one mask over the element
-table of s2: y has order d_i, q(y) = q(e_i), and b(y, y_j) = b(e_i, e_j)
-for every earlier image y_j.  The images so far span a subgroup H of s2,
-held as element indices; y is kept only if <y> meets H trivially, so that
-|H + <y>| = |H| * d_i = |<e_1, ..., e_i>|.  At full depth the induced
-homomorphism is therefore bijective, and any complete assignment is a
-genuine isometry witness.
+in order, depth first.  A boolean matrix holds, for each e_j, the elements
+of s2 with its order and q; choosing the image y_i narrows every later row
+to the x with b(x, y_i) = b(e_j, e_i) in one comparison, and a choice that
+empties a row is cut (forward checking).  y is kept only if <y> meets the
+span H of the earlier images trivially: no (d_i / p) * y, p a prime
+dividing d_i, lies in H.  Then H + <y> is the d_i cosets H + k*y, of order
+|H| * d_i = |<e_1, ..., e_i>|, so at full depth the induced homomorphism is
+bijective and any complete assignment is a genuine isometry witness.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from ..errors import LimitError
 from .decompose import _factorize
 from .space import FiniteQuadraticSpace
-from .subgroups import _check_cap, _grow, _index, _indices, _rows, _span, _trivial_span
+from .subgroups import _check_cap, _indices, _rows, _span
 
 Coords = tuple[int, ...]
 
@@ -38,12 +39,10 @@ def verify_isometry(s1: FiniteQuadraticSpace, s2: FiniteQuadraticSpace,
         return False
     t2 = s2.table
     y = t2.coords[ys]
-    pairs = y @ s2.gram_array @ y.T
-    gram = s1.gram_array
-    off = ~np.eye(s1.rank, dtype=bool)
+    # G is reduced mod 2N on the diagonal (q) and mod N off it (b).
+    moduli = np.where(np.eye(s1.rank, dtype=bool), 2 * s1.level, s1.level)
     return (np.array_equal(t2.order[ys], s1.orders)
-            and np.array_equal(t2.q[ys], gram.diagonal())
-            and np.array_equal(pairs[off] % s1.level, gram[off])
+            and np.array_equal(y @ s2.gram_array @ y.T % moduli, s1.gram_array)
             and len(_span(s2, images)[0]) == s1.order)
 
 
@@ -53,11 +52,9 @@ def is_isometric(s1: FiniteQuadraticSpace, s2: FiniteQuadraticSpace,
 
     Candidates for each image are tried literal generator first, then in
     ascending element order, so a space compared with itself reports the
-    identity.
+    identity.  Forward checking cuts only choices with no completion.
     """
     _check_cap(cap)
-    if s1.order != s2.order:
-        return None
     if s1.orders != s2.orders:
         return None
     if s1.order > cap:
@@ -70,42 +67,44 @@ def is_isometric(s1: FiniteQuadraticSpace, s2: FiniteQuadraticSpace,
         return None
 
     start = time.perf_counter()
-    level, n = s1.level, s1.rank
-    t2 = s2.table
-    products = t2.coords @ s2.gram_array
-    # profile[i]: elements with the order and q of e_i.  <y> meets H
-    # exactly when some (d_i / p) * y, p a prime dividing d_i, lies in H;
-    # multiples[c] holds the index of c * y for every y.
-    profile = [(t2.order == d) & (t2.q == s1.gram[i][i]) for i, d in enumerate(s1.orders)]
-    cofactors = [[d // p for p in _factorize(d)] for d in s1.orders]
-    multiples = {c: _index(s2, c * t2.coords) for cs in cofactors for c in cs}
-    generators = _index(s2, np.eye(n, dtype=np.int64))
-    pairings: list[np.ndarray] = []
+    level, n, gram = s1.level, s1.rank, s1.gram_array
+    coords, q, order = s2.table
+    moduli, radix = s2.orders_array, s2.radix
+    products = coords @ s2.gram_array
+    # d_i / p for the primes p < d_i dividing d_i; p = d_i is the free test.
+    cofactors = [[d // p for p in _factorize(d) if p < d] for d in s1.orders]
+    steps = {d: np.arange(1, d)[:, None, None] for d in set(s1.orders)}
     images: list[int] = []
-    nodes = 0
+    nodes = cuts = 0
 
-    def extend(i: int, idx: np.ndarray, mask: np.ndarray) -> bool:
-        nonlocal nodes
-        fits = profile[i].copy()
-        for j, pj in enumerate(pairings):
-            fits &= pj == s1.gram[i][j]
+    def extend(i: int, rows: np.ndarray, span: np.ndarray, free: np.ndarray) -> bool:
+        # rows[j]: candidates left for e_{i+j}; span: H's coordinates; free: ~H.
+        nonlocal nodes, cuts
+        cand = (rows[0] & free).nonzero()[0]
         for c in cofactors[i]:
-            fits &= ~mask[multiples[c]]
-        cand = np.flatnonzero(fits)
-        e = generators[i]
-        for x in np.concatenate([cand[cand == e], cand[cand != e]]).tolist():
+            cand = cand[free[c * coords[cand] % moduli @ radix]]
+        for x in sorted(cand.tolist(), key=int(radix[i]).__ne__):
             nodes += 1
             images.append(x)
-            pairings.append(products @ t2.coords[x] % level)
-            if i + 1 == n or extend(i + 1, *_grow(s2, idx, mask, x)):
+            if i + 1 == n:
                 return True
+            y = coords[x]
+            later = rows[1:] & (products @ y % level == gram[i + 1:, i, None])
+            if not later.any(axis=1).all():
+                cuts += 1
+            else:
+                grown = (span + steps[s1.orders[i]] * y) % moduli
+                nxt = free.copy()
+                nxt[grown @ radix] = False
+                if extend(i + 1, later, np.concatenate([span, grown.reshape(-1, n)]), nxt):
+                    return True
             images.pop()
-            pairings.pop()
         return False
 
-    found = extend(0, *_trivial_span(s2))
+    rows = (order == moduli[:, None]) & (q == gram.diagonal()[:, None])
+    found = extend(0, rows, np.zeros((1, n), dtype=np.int64), np.arange(s2.order) != 0)
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("isometry search on |A| = %d: %d nodes, witness %s, %.3f s",
-                   s1.order, nodes, "found" if found else "not found",
-                   time.perf_counter() - start)
+        _log.debug("isometry search on |A| = %d: %d nodes, witness %s, %d cut by forward "
+                   "checking, %.3f s", s1.order, nodes, "found" if found else "not found",
+                   cuts, time.perf_counter() - start)
     return _rows(s2, images) if found else None

@@ -120,9 +120,14 @@ class FiniteQuadraticSpace:
         return tuple(tuple(PhaseMod1(Fraction(x, self.level)) for x in row)
                      for row in self.gram)
 
-    @property
+    @cached_property
     def gram_array(self) -> np.ndarray:
-        return np.array(self.gram, dtype=np.int64).reshape(self.rank, self.rank)
+        return _frozen(np.array(self.gram, dtype=np.int64).reshape(self.rank, self.rank))
+
+    @cached_property
+    def orders_array(self) -> np.ndarray:
+        """The invariant factors; this array and `gram_array` are read-only."""
+        return _frozen(np.array(self.orders, dtype=np.int64))
 
     def pair(self, x: Sequence[int], y: Sequence[int]) -> int:
         """x^T G y; b(x, y) is this over the level mod 1, q(x) = pair(x, x)
@@ -140,7 +145,7 @@ class FiniteQuadraticSpace:
 
     @cached_property
     def table(self) -> ElementTable:
-        orders = np.array(self.orders, dtype=np.int64)
+        orders = self.orders_array
         coords = np.indices(self.orders, dtype=np.int64).reshape(self.rank, self.order).T
         two_n = 2 * self.level
         q = ((coords @ self.gram_array) % two_n * coords).sum(axis=1) % two_n
@@ -160,13 +165,14 @@ class FiniteQuadraticSpace:
         n = self.rank
         return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
-    def q_values(self) -> dict[tuple[int, ...], PhaseMod2]:
-        return {x: PhaseMod2(Fraction(v, self.level))
-                for x, v in zip(self.elements(), self.table.q.tolist())}
-
     def __repr__(self) -> str:
         qs = ", ".join(str(p.value) for p in self.q_gen)
         return f"FiniteQuadraticSpace(orders={list(self.orders)}, q=[{qs}])"
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _nondegenerate(orders, level, gram) -> tuple[int, ...] | None:

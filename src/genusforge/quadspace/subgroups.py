@@ -57,7 +57,7 @@ def _check_cap(cap) -> None:
 def _index(s: FiniteQuadraticSpace, rows: np.ndarray) -> np.ndarray:
     """Table indices of integer coordinate rows (last axis), reduced mod
     the orders."""
-    return rows % np.array(s.orders, dtype=np.int64) @ s.radix
+    return rows % s.orders_array @ s.radix
 
 
 def _indices(s: FiniteQuadraticSpace, elements: Iterable[Coords]) -> np.ndarray:

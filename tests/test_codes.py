@@ -45,6 +45,7 @@ from code_oracles import (
     sweep_sigma,
 )
 
+binary_module = import_module("genusforge.codes.binary")
 lexicode_module = import_module("genusforge.codes.lexicode")
 sigma_module = import_module("genusforge.codes.sigma")
 from genusforge.errors import LimitError, ValidationError
@@ -77,6 +78,26 @@ class TestBinaryCode:
                     for y in d.basis:
                         assert (x & y).bit_count() % 2 == 0
                 assert dual_code(d) == c
+
+    def test_one_analysis_builds_the_dual_once(self, monkeypatch):
+        # The dual, both weight enumerators and the self-dual framing check,
+        # as one code-count benchmark query makes them.  The large code and
+        # the small code's dual take the MacWilliams branch, which reads the
+        # dual already kept on them.
+        large, small = lexicode(32, 4), random_code(random.Random(5), 20, 4)
+        build = binary_module.build_code
+        calls = []
+        monkeypatch.setattr(binary_module, "build_code",
+                            lambda *args: calls.append(args) or build(*args))
+        for c in (large, small):
+            calls.clear()
+            d = dual_code(c)
+            weight_enumerator(c)
+            weight_enumerator(d)
+            check_framed_conditions(FramedPair(c, d), self_dual=True)
+            assert len(calls) == 1
+            assert dual_code(c) is d and dual_code(d) is c
+            assert dual_code(BinaryCode(d.length, d.basis)) == c
 
     def test_dual_of_even_weight_code_is_repetition(self):
         even = build_code(16, [0b11 << i for i in range(15)])

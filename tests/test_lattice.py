@@ -133,7 +133,7 @@ class TestDiscriminantForm:
     def test_d8_values(self):
         s = discriminant_form(lattice_d(8))
         assert s.orders == (2, 2)
-        qs = sorted(v.value for v in s.q_values().values())
+        qs = sorted(s.eval_q(x).value for x in s.elements())
         assert qs == [0, 0, 0, 1]
 
     def test_an_cyclic(self):
@@ -141,7 +141,7 @@ class TestDiscriminantForm:
         for n in (1, 2, 3, 4, 6):
             s = discriminant_form(lattice_a(n))
             assert s.orders == (n + 1,)
-            vals = {v.value for v in s.q_values().values()}
+            vals = {s.eval_q(x).value for x in s.elements()}
             assert Fraction(n, n + 1) in vals
 
 

@@ -124,13 +124,22 @@ class TestBuild:
         with pytest.raises(DegenerateFormError):
             build_space([4], ["3/2"])
 
+    def test_gram_and_orders_arrays_are_kept_read_only(self):
+        s = build_space([2, 4], ["1/2", "1/4"])
+        assert s.gram_array is s.gram_array and s.orders_array is s.orders_array
+        assert s.gram_array.tolist() == [list(row) for row in s.gram]
+        assert s.orders_array.tolist() == list(s.orders)
+        for a in (s.gram_array, s.orders_array):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
     def test_non_chain_orders_canonicalized(self):
         s = build_space([3, 2], ["2/3", "1/2"])
         assert s.orders == (6,)
         # The new generator must combine both cyclic parts.
-        vals = sorted(p.value for p in s.q_values().values())
+        vals = sorted(s.eval_q(x).value for x in s.elements())
         t = direct_sum(build_space([2], ["1/2"]), build_space([3], ["2/3"]))
-        assert vals == sorted(p.value for p in t.q_values().values())
+        assert vals == sorted(t.eval_q(x).value for x in t.elements())
 
     def test_unit_orders_dropped(self):
         s = build_space([1, 2], ["0", "1/2"])
@@ -477,7 +486,8 @@ class TestIndexSpansAgainstOracle:
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(st.sampled_from(LIBRARY),
-                     st.sampled_from([disc_a1_power(4), disc_a1_power(6)]),
+                     st.sampled_from([disc_a1_power(4), disc_a1_power(6), disc_a1_power(7),
+                                      build_space([6, 12], ["1/6", "1/12"])]),
                      random_space().map(_sum_of)),
            st.randoms(use_true_random=False))
     def test_isometry_witnesses_on_basis_changes(self, s, rng):
@@ -580,6 +590,29 @@ class TestDebugLog:
         lines = self._lines(caplog, name)
         assert len(lines) == 1
         assert "isometry search on |A| = 4: 2 nodes, witness found" in lines[0]
+
+    def test_isometry_line_counts_forward_cuts(self, caplog):
+        # [2, 8]: e_1 -> (1, 0) leaves no image for e_2, which needs q = 1/8
+        # on some (0, odd), and those have q = 5/8 or 13/8; the next choice,
+        # (1, 4), completes.  [2, 2, 2, 4]: one choice empties one of the
+        # later rows but not all of them.
+        name = "genusforge.quadspace.isometry"
+        pairs = [
+            (build_space([2, 8], ["1/2", "1/8"]), build_space([2, 8], ["1/2", "5/8"]),
+             "|A| = 16: 3 nodes, witness found, 1 cut by forward checking"),
+            (build_space([2, 2, 2, 4], ["1/2", "1/2", "3/2", "1/4"]),
+             build_space([2, 2, 2, 4], ["1/2", "0", "0", "1/4"],
+                         [["1/2", 0, 0, 0], [0, 0, "1/2", 0], [0, "1/2", 0, 0],
+                          [0, 0, 0, "1/4"]]),
+             "|A| = 32: 5 nodes, witness found, 1 cut by forward checking"),
+        ]
+        for a, b, want in pairs:
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger=name):
+                assert is_isometric(a, b) == oracle.is_isometric(a, b) is not None
+            lines = self._lines(caplog, name)
+            assert len(lines) == 1
+            assert want in lines[0]
 
     def test_silent_above_debug(self, caplog):
         with caplog.at_level(logging.INFO, logger="genusforge.quadspace"):
