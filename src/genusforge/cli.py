@@ -158,9 +158,7 @@ def _cmd_modcat(args) -> dict:
                                                    cap=_caps(args, 4096))
         return {"count": len(reports),
                 "extensions": [{"subgroup": _subgroup_json(r.subgroup),
-                                "quotient": quadspace.space_to_json(r.quotient),
-                                "multiplicity": r.multiplicity,
-                                "exists_and_unique": r.exists_and_unique}
+                                "quotient": quadspace.space_to_json(r.quotient)}
                                for r in reports]}
     raise InternalError(f"unhandled modcat command {args.cmd}")
 

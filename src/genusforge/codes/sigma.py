@@ -21,7 +21,7 @@ once; the orbits of each classified level must add up to its double count,
 or InternalError.  node_budget bounds the extension half-vectors examined
 plus the inner nodes of the canonical-form searches; when it runs out
 every level keeps the lower bound of the traversed prefix.  The count runs in one process:
-threads and GENUSFORGE_THREADS are accepted and have no effect.
+the threads argument is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -280,7 +280,7 @@ def sigma_profile(r: int, *, max_k: int | None = None, cap: int | None = DEFAULT
 
     node_budget caps the extension half-vectors examined plus the inner
     nodes of the canonical-form searches; the order is fixed, so partial
-    counts are deterministic.  threads (and GENUSFORGE_THREADS) have no effect.
+    counts are deterministic.  threads has no effect.
     """
     _validated_length(r, cap)
     if max_k is not None and (isinstance(max_k, bool) or not isinstance(max_k, int) or max_k < 1):

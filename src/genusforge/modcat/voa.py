@@ -65,8 +65,6 @@ class ExtensionReport:
 
     subgroup: Subgroup
     quotient: FiniteQuadraticSpace
-    multiplicity: int = 1
-    exists_and_unique: bool = True
 
 
 def simple_current_extensions(s: FiniteQuadraticSpace,

@@ -24,9 +24,7 @@ from .subgroups import (
     isotropic_subgroups,
     orthogonal_complement,
     quotient_space,
-    subgroup_from_elements,
     subgroup_from_generators,
-    trivial_subgroup,
 )
 from .isometry import is_isometric, verify_isometry
 
@@ -50,9 +48,7 @@ __all__ = [
     "space_from_gram",
     "space_from_json",
     "space_to_json",
-    "subgroup_from_elements",
     "subgroup_from_generators",
     "trivial_space",
-    "trivial_subgroup",
     "verify_isometry",
 ]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ..errors import InternalError, NotPrimaryError, ValidationError
 from .space import FiniteQuadraticSpace, subquotient
@@ -81,23 +80,6 @@ def _jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _p_scale(value: Fraction, p: int) -> tuple[int, int]:
-    """(k, c) with value = 2c/p^k mod 2, p odd, gcd(c, p) = 1; k = 0 if value = 0."""
-    if value == 0:
-        return 0, 1
-    den = value.denominator
-    k = 0
-    while den % p == 0:
-        den //= p
-        k += 1
-    if den != 1:
-        raise InternalError(f"q-value {value} is not p-adic for p = {p}")
-    pk = p ** k
-    inv2 = (pk + 1) // 2
-    c = (value.numerator * (pk // value.denominator) * inv2) % pk
-    return k, c
-
-
 def jordan_blocks_odd(s: FiniteQuadraticSpace, p: int) -> list[JordanBlockSummary]:
     """Per-scale (rank, theta product) of the p-primary space s, p odd."""
     if p < 3 or p % 2 == 0 or any(p % f == 0 for f in range(3, int(math.isqrt(p)) + 1, 2)):
@@ -107,33 +89,25 @@ def jordan_blocks_odd(s: FiniteQuadraticSpace, p: int) -> list[JordanBlockSummar
     scales: dict[int, list[int]] = {}
     current = s
     while current.order > 1:
-        orders = current.orders
-        n = current.rank
-        top = max(orders)
-        k_top = _factorize(top)[p]
-        top_idx = [i for i, d in enumerate(orders) if d == top]
-        basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        x = None
+        # The level of a p-primary space, p odd, is its exponent p^k, and
+        # pair(x, x) = 2c mod 2p^k when q(x) = 2c/p^k: x has the top scale
+        # exactly when c is a unit mod p.
+        orders, n, pk = current.orders, current.rank, current.level
+        basis = current.generators()
+        top_idx = [i for i, d in enumerate(orders) if d == pk]
         candidates = [basis[i] for i in top_idx]
         candidates += [tuple(basis[i][t] + basis[j][t] for t in range(n))
                        for ai, i in enumerate(top_idx) for j in top_idx[ai + 1:]]
-        for cand in candidates:
-            k, c = _p_scale(current.eval_q(cand).value, p)
-            if k == k_top:
-                x = cand
-                break
+        x = next((x for x in candidates if current.pair(x, x) // 2 % p), None)
         if x is None:
             raise InternalError("no top-scale element; degenerate form slipped through")
-        scales.setdefault(k_top, []).append(_jacobi(c, p))
+        c = current.pair(x, x) // 2 % pk
+        scales.setdefault(_factorize(pk)[p], []).append(_jacobi(c, p))
         # Project every generator along x; b(x,x) = 2c/p^k is a unit there.
-        pk = p ** k_top
-        bxx_num = (2 * c) % pk
-        inv = pow(bxx_num, -1, pk)
+        inv = pow(2 * c, -1, pk)
         gens = []
         for i in range(n):
-            bi = current.eval_b(basis[i], x).value
-            u = (bi.numerator * (pk // bi.denominator)) % pk
-            lam = (u * inv) % pk
+            lam = current.pair(basis[i], x) * inv % pk
             gens.append(tuple((basis[i][t] - lam * x[t]) % orders[t] for t in range(n)))
         current = subquotient(current, gens)
     return [JordanBlockSummary(p=p, k=k, rank=len(thetas), theta=math.prod(thetas))

@@ -4,11 +4,14 @@ The generators e_1, ..., e_n of s1 (invariant factors d_1 | ... | d_n) map
 in order, depth first.  A boolean matrix holds, for each e_j, the elements
 of s2 with its order and q; choosing the image y_i narrows every later row
 to the x with b(x, y_i) = b(e_j, e_i) in one comparison, and a choice that
-empties a row is cut (forward checking).  y is kept only if <y> meets the
-span H of the earlier images trivially: no (d_i / p) * y, p a prime
-dividing d_i, lies in H.  Then H + <y> is the d_i cosets H + k*y, of order
-|H| * d_i = |<e_1, ..., e_i>|, so at full depth the induced homomorphism is
-bijective and any complete assignment is a genuine isometry witness.
+empties a row is cut (forward checking).
+
+A complete assignment is an isometry with no further test.  Each y_i has
+order d_i, so e_i -> y_i extends to a homomorphism f: s1 -> s2; it keeps b
+on generator pairs, hence b everywhere, and q on generators, hence q
+everywhere (q(x + y) = q(x) + q(y) + 2 b(x, y)).  An x in the kernel of f
+has b(x, z) = b(f(x), f(z)) = 0 for every z, so x = 0 because s1 is
+nondegenerate: f is injective, and |s1| = |s2| makes it bijective.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from typing import Optional
 import numpy as np
 
 from ..errors import LimitError
-from .decompose import _factorize
 from .space import FiniteQuadraticSpace
 from .subgroups import _check_cap, _indices, _rows, _span
 
@@ -69,40 +71,28 @@ def is_isometric(s1: FiniteQuadraticSpace, s2: FiniteQuadraticSpace,
     start = time.perf_counter()
     level, n, gram = s1.level, s1.rank, s1.gram_array
     coords, q, order = s2.table
-    moduli, radix = s2.orders_array, s2.radix
+    radix = s2.radix
     products = coords @ s2.gram_array
-    # d_i / p for the primes p < d_i dividing d_i; p = d_i is the free test.
-    cofactors = [[d // p for p in _factorize(d) if p < d] for d in s1.orders]
-    steps = {d: np.arange(1, d)[:, None, None] for d in set(s1.orders)}
     images: list[int] = []
     nodes = cuts = 0
 
-    def extend(i: int, rows: np.ndarray, span: np.ndarray, free: np.ndarray) -> bool:
-        # rows[j]: candidates left for e_{i+j}; span: H's coordinates; free: ~H.
+    def extend(i: int, rows: np.ndarray) -> bool:
+        # rows[j]: the candidates left for e_{i+j}.
         nonlocal nodes, cuts
-        cand = (rows[0] & free).nonzero()[0]
-        for c in cofactors[i]:
-            cand = cand[free[c * coords[cand] % moduli @ radix]]
-        for x in sorted(cand.tolist(), key=int(radix[i]).__ne__):
+        for x in sorted(rows[0].nonzero()[0].tolist(), key=int(radix[i]).__ne__):
             nodes += 1
             images.append(x)
             if i + 1 == n:
                 return True
-            y = coords[x]
-            later = rows[1:] & (products @ y % level == gram[i + 1:, i, None])
+            later = rows[1:] & (products @ coords[x] % level == gram[i + 1:, i, None])
             if not later.any(axis=1).all():
                 cuts += 1
-            else:
-                grown = (span + steps[s1.orders[i]] * y) % moduli
-                nxt = free.copy()
-                nxt[grown @ radix] = False
-                if extend(i + 1, later, np.concatenate([span, grown.reshape(-1, n)]), nxt):
-                    return True
+            elif extend(i + 1, later):
+                return True
             images.pop()
         return False
 
-    rows = (order == moduli[:, None]) & (q == gram.diagonal()[:, None])
-    found = extend(0, rows, np.zeros((1, n), dtype=np.int64), np.arange(s2.order) != 0)
+    found = extend(0, (order == s2.orders_array[:, None]) & (q == gram.diagonal()[:, None]))
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("isometry search on |A| = %d: %d nodes, witness %s, %d cut by forward "
                    "checking, %.3f s", s1.order, nodes, "found" if found else "not found",

@@ -42,9 +42,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, x) -> bool:
-        return tuple(x) in set(self.elements)
-
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, generators={list(self.generators)})"
 
@@ -122,29 +119,9 @@ def _subgroup(s: FiniteQuadraticSpace, members: np.ndarray) -> Subgroup:
                     generators=_rows(s, _chain(s, members)))
 
 
-def _members(s: FiniteQuadraticSpace, elements: Iterable[Coords]) -> np.ndarray:
-    members = np.zeros(s.order, dtype=bool)
-    members[_indices(s, elements)] = True
-    return members
-
-
-def minimal_chain(s: FiniteQuadraticSpace, elements: set[Coords]) -> tuple[Coords, ...]:
-    """The canonical generating chain: repeatedly the smallest missing element."""
-    return _rows(s, _chain(s, _members(s, elements)))
-
-
-def subgroup_from_elements(s: FiniteQuadraticSpace,
-                           elements: Iterable[Coords]) -> Subgroup:
-    return _subgroup(s, _members(s, elements))
-
-
 def subgroup_from_generators(s: FiniteQuadraticSpace,
                              gens: Iterable[Coords]) -> Subgroup:
     return _subgroup(s, _span(s, gens)[1])
-
-
-def trivial_subgroup(s: FiniteQuadraticSpace) -> Subgroup:
-    return Subgroup(elements=(tuple([0] * s.rank),), generators=())
 
 
 def isotropic_subgroups(s: FiniteQuadraticSpace, cap: int = 4096) -> list[Subgroup]:

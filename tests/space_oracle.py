@@ -9,17 +9,21 @@ expands, element by element in rational arithmetic,
 
 Below it, the Python-set subgroup search (`closure`, `minimal_chain`,
 `isotropic_subgroups`, `is_isometric`) that the element-index spans of
-`genusforge.quadspace` replaced, kept verbatim as their oracle.
+`genusforge.quadspace` replaced, kept verbatim as their oracle, and the
+`Fraction` route of `jordan_blocks_odd`.
 """
 
+import math
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional
 
 import numpy as np
 
-from genusforge.errors import LimitError
-from genusforge.quadspace import FiniteQuadraticSpace, Subgroup, build_space
+from genusforge.errors import InternalError, LimitError, NotPrimaryError, ValidationError
+from genusforge.quadspace import FiniteQuadraticSpace, JordanBlockSummary, Subgroup, build_space
+from genusforge.quadspace.decompose import _factorize, _jacobi
+from genusforge.quadspace.space import subquotient
 
 
 def oracle_q(s, x):
@@ -198,3 +202,66 @@ def is_isometric(s1: FiniteQuadraticSpace, s2: FiniteQuadraticSpace,
     if extend(0):
         return tuple(images)
     return None
+
+
+# The Fraction route of `jordan_blocks_odd`: q and b evaluated as
+# `PhaseMod` values and rescaled to p^k, kept as the oracle for the integer
+# numerators the library reads.
+
+def _p_scale(value: Fraction, p: int) -> tuple[int, int]:
+    """(k, c) with value = 2c/p^k mod 2, p odd, gcd(c, p) = 1; k = 0 if value = 0."""
+    if value == 0:
+        return 0, 1
+    den = value.denominator
+    k = 0
+    while den % p == 0:
+        den //= p
+        k += 1
+    if den != 1:
+        raise InternalError(f"q-value {value} is not p-adic for p = {p}")
+    pk = p ** k
+    inv2 = (pk + 1) // 2
+    c = (value.numerator * (pk // value.denominator) * inv2) % pk
+    return k, c
+
+
+def jordan_blocks_odd(s: FiniteQuadraticSpace, p: int) -> list[JordanBlockSummary]:
+    """Per-scale (rank, theta product) of the p-primary space s, p odd."""
+    if p < 3 or p % 2 == 0 or any(p % f == 0 for f in range(3, int(math.isqrt(p)) + 1, 2)):
+        raise ValidationError(f"{p} is not an odd prime")
+    if any(d != p ** _factorize(d).get(p, 0) for d in s.orders):
+        raise NotPrimaryError(f"space with orders {s.orders} is not {p}-primary")
+    scales: dict[int, list[int]] = {}
+    current = s
+    while current.order > 1:
+        orders = current.orders
+        n = current.rank
+        top = max(orders)
+        k_top = _factorize(top)[p]
+        top_idx = [i for i, d in enumerate(orders) if d == top]
+        basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+        x = None
+        candidates = [basis[i] for i in top_idx]
+        candidates += [tuple(basis[i][t] + basis[j][t] for t in range(n))
+                       for ai, i in enumerate(top_idx) for j in top_idx[ai + 1:]]
+        for cand in candidates:
+            k, c = _p_scale(current.eval_q(cand).value, p)
+            if k == k_top:
+                x = cand
+                break
+        if x is None:
+            raise InternalError("no top-scale element; degenerate form slipped through")
+        scales.setdefault(k_top, []).append(_jacobi(c, p))
+        # Project every generator along x; b(x,x) = 2c/p^k is a unit there.
+        pk = p ** k_top
+        bxx_num = (2 * c) % pk
+        inv = pow(bxx_num, -1, pk)
+        gens = []
+        for i in range(n):
+            bi = current.eval_b(basis[i], x).value
+            u = (bi.numerator * (pk // bi.denominator)) % pk
+            lam = (u * inv) % pk
+            gens.append(tuple((basis[i][t] - lam * x[t]) % orders[t] for t in range(n)))
+        current = subquotient(current, gens)
+    return [JordanBlockSummary(p=p, k=k, rank=len(thetas), theta=math.prod(thetas))
+            for k, thetas in sorted(scales.items())]

@@ -110,7 +110,6 @@ class TestRoundTrips:
         out = payload("modcat", "extensions", f)
         assert out["count"] == 3
         for rep in out["extensions"]:
-            assert rep["exists_and_unique"]
             g = write(tmp_path, "quot.json", rep["quotient"])
             assert payload("qs", "validate", g)["valid"]
 

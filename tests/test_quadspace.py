@@ -6,6 +6,7 @@ Gauss sums by summing floats, and decompositions by re-summing parts.
 """
 
 import logging
+import random
 from fractions import Fraction
 
 import pytest
@@ -353,6 +354,17 @@ class TestDecompose:
         # The 2-part comes back as a space, not as blocks.
         assert jd[2].order == 4
 
+    def test_jordan_blocks_match_the_fraction_oracle(self):
+        # Every odd primary part of the library, and one basis change of
+        # each, against the Fraction route the integer numerators replaced.
+        rng = random.Random(64)
+        parts = [(p, part) for s in space_library(64)
+                 for p, part in primary_decomposition(s).items() if p > 2]
+        assert len({part for _, part in parts}) > 10
+        for p, part in parts:
+            for t in (part, basis_change(part, rng)[0]):
+                assert jordan_blocks_odd(t, p) == oracle.jordan_blocks_odd(t, p), t
+
     def test_theta_detects_nonisometry(self):
         a = build_space([3], ["2/3"])
         b = build_space([3], ["4/3"])
@@ -386,6 +398,45 @@ class TestIsometry:
 
     def test_different_groups(self):
         assert is_isometric(build_space([3], ["2/3"]), build_space([9], ["2/9"])) is None
+
+
+def _assignments(s, t):
+    """Every map e_i -> y_i into t that keeps the order and q of each
+    generator of s and b on every pair of them, in the search's candidate
+    order: the literal generator first, then ascending."""
+    coords, q, order = t.table
+    elements = list(zip(map(tuple, coords.tolist()), q.tolist(), order.tolist()))
+    found = []
+
+    def extend(images):
+        i = len(images)
+        if i == s.rank:
+            found.append(tuple(images))
+            return
+        e = s.generators()[i]
+        for y, qy, oy in sorted(elements, key=lambda row: (row[0] != e, row[0])):
+            if oy == s.orders[i] and qy == s.gram[i][i] and all(
+                    (t.pair(y, z) - s.gram[i][j]) % s.level == 0 for j, z in enumerate(images)):
+                extend(images + [y])
+
+    extend([])
+    return found
+
+
+class TestCompleteAssignments:
+    """The search checks no span: a generator map that keeps orders, q and
+    every pairing is an isometry, and the witness is the first such map."""
+
+    def test_every_complete_assignment_is_an_isometry(self):
+        rng = random.Random(16)
+        for s in space_library(16):
+            t, _ = basis_change(s, rng)
+            assert s.level == t.level
+            for a, b in ((s, s), (s, t)):
+                maps = _assignments(a, b)
+                assert maps, (a, b)
+                assert all(verify_isometry(a, b, w) for w in maps), (a, b)
+                assert is_isometric(a, b) == maps[0], (a, b)
 
 
 @st.composite
