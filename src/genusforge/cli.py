@@ -1,6 +1,10 @@
 """Command-line frontend; every invocation prints one JSON document.
 
 Exit codes: 0 ok, 1 validation error, 2 enumeration or precision limit.
+
+Each command group imports only the layer packages it calls, inside its
+handler: a fresh process compiles and runs every module it imports, and
+for a short command that start-up is most of its time.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ import json
 import sys
 from dataclasses import dataclass
 
-from . import codes, lattice, modcat, quadspace
 from .errors import GenusForgeError, InternalError, LimitError, ValidationError
 
 _EXIT = {"ok": 0, "validation-error": 1, "limit-exceeded": 2}
@@ -20,6 +23,7 @@ _EXIT = {"ok": 0, "validation-error": 1, "limit-exceeded": 2}
 class CommandResult:
     status: str
     payload: dict
+    pretty: bool = False
 
     @property
     def exit_code(self) -> int:
@@ -38,14 +42,17 @@ def _load_json(path: str):
 
 
 def _load_lattice(path: str):
+    from . import lattice
     return lattice.lattice_from_json(_load_json(path))
 
 
 def _load_space(path: str):
+    from . import quadspace
     return quadspace.space_from_json(_load_json(path))
 
 
 def _load_modular_data(path: str):
+    from . import modcat
     doc = _load_json(path)
     if isinstance(doc, dict) and "modular_data" in doc:
         doc = doc["modular_data"]
@@ -53,6 +60,7 @@ def _load_modular_data(path: str):
 
 
 def _load_code(path: str):
+    from . import codes
     return codes.code_from_json(_load_json(path))
 
 
@@ -66,6 +74,7 @@ def _caps(args, default: int) -> int:
 
 
 def _cmd_lattice(args) -> dict:
+    from . import lattice, quadspace
     if args.cmd == "disc-form":
         return quadspace.space_to_json(
             lattice.discriminant_form(_load_lattice(args.file)))
@@ -93,6 +102,7 @@ def _cmd_lattice(args) -> dict:
 
 
 def _cmd_qs(args) -> dict:
+    from . import quadspace
     if args.cmd == "validate":
         s = _load_space(args.file)
         return {"valid": True, "order": s.order, "orders": list(s.orders)}
@@ -130,6 +140,7 @@ def _cmd_qs(args) -> dict:
 
 
 def _cmd_modcat(args) -> dict:
+    from . import modcat, quadspace
     if args.cmd == "from-qs":
         m = modcat.from_quadratic_space(_load_space(args.file))
         if args.check:
@@ -164,6 +175,7 @@ def _cmd_modcat(args) -> dict:
 
 
 def _cmd_codes(args) -> dict:
+    from . import codes
     if args.cmd == "sigma":
         value = codes.sigma_k(args.length, args.dim,
                               cap=_caps(args, codes.DEFAULT_LENGTH_CAP))
@@ -260,35 +272,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv) -> CommandResult:
     parser = _build_parser()
+    args = argparse.Namespace()
     try:
-        args = parser.parse_args(argv)
+        parser.parse_args(argv, args)
     except SystemExit as e:
-        # argparse already printed its message; translate the exit
+        # argparse already printed its message; translate the exit. A
+        # top-level --pretty read before the rejected argument still holds.
         if e.code == 0:
             return CommandResult("ok", {})
         return CommandResult("validation-error",
-                             {"error": "unknown or incomplete command"})
+                             {"error": "unknown or incomplete command"},
+                             getattr(args, "pretty", False))
     try:
-        payload = _GROUPS[args.group](args)
-        return CommandResult("ok", payload)
+        return CommandResult("ok", _GROUPS[args.group](args), args.pretty)
     except ValidationError as e:
-        return CommandResult("validation-error", {"error": str(e)})
+        return CommandResult("validation-error", {"error": str(e)}, args.pretty)
     except (LimitError, InternalError) as e:
-        return CommandResult("limit-exceeded", {"error": str(e)})
+        return CommandResult("limit-exceeded", {"error": str(e)}, args.pretty)
     except GenusForgeError as e:
-        return CommandResult("validation-error", {"error": str(e)})
+        return CommandResult("validation-error", {"error": str(e)}, args.pretty)
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    result = run(argv)
+    result = run(sys.argv[1:] if argv is None else argv)
     if result.status == "ok" and not result.payload:
         return 0  # argparse already printed help
     doc = dict(result.payload)
     if result.status != "ok":
         doc["status"] = result.status
-    indent = 2 if "--pretty" in argv else None
-    print(json.dumps(doc, indent=indent))
+    print(json.dumps(doc, indent=2 if result.pretty else None))
     return result.exit_code
 
 

@@ -154,7 +154,9 @@ def reduce_int_counts(order: int, counts) -> np.ndarray:
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> np.ndarray:
     """The exact product of two integer polynomials, ascending degree."""
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    # the factors of 1 keep the bound above each coefficient when the other
+    # polynomial is zero
+    bound = max(1, *map(abs, a)) * max(1, *map(abs, b)) * min(len(a), len(b))
     dtype = np.int64 if bound < 2 ** 63 else object
     return np.convolve(np.array(a, dtype=dtype), np.array(b, dtype=dtype))
 

@@ -221,14 +221,65 @@ class TestStatusAndFlags:
         assert "\n" in out.strip()
         assert json.loads(out) == {"sigma": 1}
 
+    def test_pretty_accepts_an_abbreviation(self, capsys):
+        # argparse takes a unique prefix of a long option
+        assert main(["--pret", "codes", "sigma", "--length", "16", "--dim", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "\n" in out.strip()
+        assert json.loads(out) == {"sigma": 1}
+
+    def test_leading_pretty_indents_a_rejected_command(self, capsys):
+        # the top-level flag is read before argparse rejects the missing --dim
+        assert main(["--pretty", "codes", "sigma", "--length", "16"]) == 1
+        out = capsys.readouterr().out
+        assert "\n" in out.strip()
+        assert json.loads(out)["status"] == "validation-error"
+
+    def test_rejected_command_prints_compact_json(self, capsys):
+        # --pretty after the subcommand is not parsed, so it does not apply
+        assert main(["codes", "sigma", "--length", "16", "--dim", "1", "--pretty"]) == 1
+        out = capsys.readouterr().out
+        assert "\n" not in out.strip()
+        assert json.loads(out)["status"] == "validation-error"
+
 
 def test_import_loads_no_mpmath_and_no_process_pool():
-    # numpy is the one runtime dependency, and nothing starts a worker pool
+    # numpy is the one runtime dependency, and nothing starts a worker pool;
+    # the CLI imports its layers per command, so import them here
     src = os.path.dirname(os.path.dirname(os.path.abspath(genusforge.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, genusforge.cli; "
+    code = ("import sys, genusforge.cli, genusforge.codes, genusforge.lattice, "
+            "genusforge.modcat, genusforge.quadspace; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
             "('mpmath', 'multiprocessing') or m == 'concurrent.futures.process'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+LAYERS = {"codes", "exactkernel", "lattice", "modcat", "quadspace"}
+CLI = ["-m", "genusforge.cli"]
+
+
+@pytest.mark.parametrize("args, own, absent", [
+    (CLI + ["codes", "sigma", "--length", "16", "--dim", "1"], {"codes"},
+     {"quadspace", "lattice", "modcat", "exactkernel"}),
+    (CLI + ["qs", "milgram", "a1.json"], {"quadspace"}, {"lattice", "modcat", "codes"}),
+    (CLI + ["lattice", "builtin", "A1"], {"lattice", "quadspace"}, {"codes", "modcat"}),
+    (CLI + ["modcat", "ising"], {"modcat", "quadspace"}, {"codes", "lattice"}),
+    (["-c", "import genusforge.cli"], set(), LAYERS),
+], ids=["codes", "qs", "lattice", "modcat", "import"])
+def test_each_command_group_imports_only_its_layers(tmp_path, args, own, absent):
+    # -X importtime names every module as a fresh interpreter first loads
+    # it into sys.modules
+    write(tmp_path, "a1.json", {"orders": [2], "q": ["1/2"]})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(genusforge.__file__)))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+                          check=True, capture_output=True, text=True, timeout=120)
+    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    loaded = {n.split(".")[1] for n in names if n.startswith("genusforge.")} & LAYERS
+    assert own <= loaded and not loaded & absent, loaded
+    assert not {n for n in names if n.split(".")[0] in ("mpmath", "multiprocessing")
+                or n == "concurrent.futures.process"}

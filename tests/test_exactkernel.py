@@ -396,6 +396,10 @@ class TestFractionOracle:
             if phi <= 20:
                 assert inv.coeffs == ox.inverse().coeffs
 
+    def test_product_of_zero_and_a_coefficient_past_int64(self):
+        zero, big = CyclotomicNumber(1, [0]), CyclotomicNumber(1, [2 ** 63])
+        assert (zero * big).is_zero() and (big * zero).is_zero()
+
     @given(st.sampled_from((240, 420)), st.data())
     @settings(max_examples=4, deadline=None)
     def test_inverse_at_large_orders(self, n, data):
