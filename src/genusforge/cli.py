@@ -3,8 +3,11 @@
 Exit codes: 0 ok, 1 validation error, 2 enumeration or precision limit.
 
 Each command group imports only the layer packages it calls, inside its
-handler: a fresh process compiles and runs every module it imports, and
-for a short command that start-up is most of its time.
+handler, and a layer package loads a submodule only when one of its names
+is first read: a fresh process compiles and runs every module it imports,
+and for a short command that start-up is most of its time.  `lattice
+builtin`, `lattice disc-form`, `qs validate`, `qs decompose` and `codes
+check-framed` run in integers and never import numpy.
 """
 
 from __future__ import annotations
@@ -74,10 +77,10 @@ def _caps(args, default: int) -> int:
 
 
 def _cmd_lattice(args) -> dict:
-    from . import lattice, quadspace
+    from . import lattice
     if args.cmd == "disc-form":
-        return quadspace.space_to_json(
-            lattice.discriminant_form(_load_lattice(args.file)))
+        from .quadspace import space_to_json
+        return space_to_json(lattice.discriminant_form(_load_lattice(args.file)))
     if args.cmd == "genus-compare":
         a, b = _load_lattice(args.file_a), _load_lattice(args.file_b)
         return {"same_genus": lattice.same_genus(a, b)}

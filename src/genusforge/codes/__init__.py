@@ -1,46 +1,18 @@
 """Binary codes: duals, weight enumerators, framing checks, greedy
-lexicographic construction, and counts of 8-divisible codes."""
+lexicographic construction, and counts of 8-divisible codes.
 
-from .binary import (
-    BinaryCode,
-    build_code,
-    code_from_json,
-    code_to_json,
-    contains_allones,
-    dual_code,
-    is_even,
-    rref,
-    weight_enumerator,
-    weights_divisible_by_8,
-)
-from .framed import FramedPair, FramedReport, check_framed_conditions
-from .lexicode import lexicode
-from .sigma import (
-    DEFAULT_LENGTH_CAP,
-    SigmaProfile,
-    relative_mass_rhs,
-    sigma_k,
-    sigma_profile,
-)
+Names resolve on first use: importing the package loads no submodule,
+and reading a name loads the one that defines it.
+"""
 
-__all__ = [
-    "BinaryCode",
-    "FramedPair",
-    "FramedReport",
-    "SigmaProfile",
-    "DEFAULT_LENGTH_CAP",
-    "build_code",
-    "check_framed_conditions",
-    "code_from_json",
-    "code_to_json",
-    "contains_allones",
-    "dual_code",
-    "is_even",
-    "lexicode",
-    "relative_mass_rhs",
-    "rref",
-    "sigma_k",
-    "sigma_profile",
-    "weight_enumerator",
-    "weights_divisible_by_8",
-]
+from .._lazy import lazy_names
+
+__all__, __getattr__, __dir__ = lazy_names(__name__, {
+    "binary": ("BinaryCode", "build_code", "code_from_json", "code_to_json",
+               "contains_allones", "dual_code", "is_even", "rref", "weight_enumerator",
+               "weights_divisible_by_8"),
+    "framed": ("FramedPair", "FramedReport", "check_framed_conditions"),
+    "greedy": ("lexicode",),
+    "sigma": ("DEFAULT_LENGTH_CAP", "SigmaProfile", "relative_mass_rhs", "sigma_k",
+              "sigma_profile"),
+})

@@ -9,10 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..errors import LimitError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _rref_rows(rows, length):
@@ -94,6 +96,7 @@ class BinaryCode:
 
 def _word_array(code: BinaryCode) -> np.ndarray:
     """The codewords as uint64, the span of the first i rows first."""
+    import numpy as np
     if code.dim > 22:
         raise LimitError(f"enumerating 2^{code.dim} codewords refused")
     out = np.zeros(1 << code.dim, dtype=np.uint64)
@@ -147,6 +150,7 @@ def weights_divisible_by_8(code: BinaryCode) -> bool:
 
 
 def _direct_enumerator(code: BinaryCode) -> list[int]:
+    import numpy as np
     return np.bincount(np.bitwise_count(_word_array(code)), minlength=code.length + 1).tolist()
 
 

@@ -1,55 +1,17 @@
-"""Exact arithmetic: rational phases, integer matrices, cyclotomic numbers."""
+"""Exact arithmetic: rational phases, integer matrices, cyclotomic numbers.
 
-from .rationals import PhaseMod1, PhaseMod2, as_fraction
-from .intmatrix import (
-    IntMatrix,
-    SnfResult,
-    det_int,
-    freeze,
-    identity,
-    integer_kernel,
-    mat_mul,
-    mat_vec,
-    rational_signature,
-    row_lattice_basis,
-    smith_normal_form,
-    transpose,
-)
-from .cyclotomic import (
-    ORDER_CAP,
-    ComplexInterval,
-    CyclotomicNumber,
-    cyclo_approx,
-    cyclotomic_polynomial,
-    euler_phi,
-    gauss_phase,
-    reduce_int_counts,
-    root_of_unity,
-)
+Names resolve on first use: importing the package loads no submodule,
+and reading a name loads the one that defines it.
+"""
 
-__all__ = [
-    "PhaseMod1",
-    "PhaseMod2",
-    "as_fraction",
-    "IntMatrix",
-    "SnfResult",
-    "det_int",
-    "freeze",
-    "identity",
-    "integer_kernel",
-    "mat_mul",
-    "mat_vec",
-    "rational_signature",
-    "row_lattice_basis",
-    "smith_normal_form",
-    "transpose",
-    "ORDER_CAP",
-    "ComplexInterval",
-    "CyclotomicNumber",
-    "cyclo_approx",
-    "cyclotomic_polynomial",
-    "euler_phi",
-    "gauss_phase",
-    "reduce_int_counts",
-    "root_of_unity",
-]
+from .._lazy import lazy_names
+
+__all__, __getattr__, __dir__ = lazy_names(__name__, {
+    "rationals": ("PhaseMod1", "PhaseMod2", "as_fraction"),
+    "intmatrix": ("IntMatrix", "SnfResult", "det_int", "freeze", "identity",
+                  "integer_kernel", "mat_mul", "mat_vec", "rational_signature",
+                  "row_lattice_basis", "smith_normal_form", "transpose"),
+    "cyclotomic": ("ORDER_CAP", "ComplexInterval", "CyclotomicNumber", "cyclo_approx",
+                   "cyclotomic_polynomial", "euler_phi", "gauss_phase",
+                   "reduce_int_counts", "root_of_unity"),
+})

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ..errors import InternalError, ValidationError
 from ..exactkernel import mat_mul, rational_signature, smith_normal_form, transpose
-from ..quadspace import FiniteQuadraticSpace, is_isometric, signature_mod8, trivial_space
+from ..quadspace import FiniteQuadraticSpace, trivial_space
 from ..quadspace.space import _canonical_space
 from .lattice import EvenLattice
 
@@ -71,6 +71,7 @@ class GenusSymbol:
     signature: tuple[int, int]
 
     def __post_init__(self) -> None:
+        from ..quadspace import signature_mod8
         pos, neg = self.signature
         if signature_mod8(self.disc_form) != (pos - neg) % 8:
             raise InternalError("signature and discriminant form violate the "
@@ -83,6 +84,7 @@ def genus_symbol(l: EvenLattice) -> GenusSymbol:
 
 def same_genus(l1: EvenLattice, l2: EvenLattice) -> bool:
     """Equal signature and isometric discriminant forms."""
+    from ..quadspace import is_isometric
     if signature(l1) != signature(l2):
         return False
     return is_isometric(discriminant_form(l1), discriminant_form(l2)) is not None
@@ -96,6 +98,7 @@ def exists_lattice(s: FiniteQuadraticSpace, sig: tuple[int, int]) -> str:
     with strict inequality they are sufficient.  Equality needs a finer
     local criterion that is out of scope, hence "unknown".
     """
+    from ..quadspace import signature_mod8
     pos, neg = sig
     if pos < 0 or neg < 0:
         raise ValidationError("signature counts must be nonnegative")

@@ -1,40 +1,16 @@
-"""Modular tensor category data: S/T matrices, fusion, anomaly checks."""
+"""Modular tensor category data: S/T matrices, fusion, anomaly checks.
 
-from .data import (
-    ModularData,
-    build_modular_data,
-    from_quadratic_space,
-    ising_data,
-    modular_data_from_json,
-    modular_data_to_json,
-    product,
-)
-from .fusion import FusionTable, genus_dimension, verlinde_fusion
-from .relations import RelationReport, verify_relations
-from .voa import (
-    ExtensionReport,
-    VoaGenusSymbol,
-    simple_current_extensions,
-    voa_genus_equal,
-    voa_milgram_check,
-)
+Names resolve on first use: importing the package loads no submodule,
+and reading a name loads the one that defines it.
+"""
 
-__all__ = [
-    "ModularData",
-    "build_modular_data",
-    "from_quadratic_space",
-    "ising_data",
-    "modular_data_from_json",
-    "modular_data_to_json",
-    "product",
-    "FusionTable",
-    "genus_dimension",
-    "verlinde_fusion",
-    "RelationReport",
-    "verify_relations",
-    "ExtensionReport",
-    "VoaGenusSymbol",
-    "simple_current_extensions",
-    "voa_genus_equal",
-    "voa_milgram_check",
-]
+from .._lazy import lazy_names
+
+__all__, __getattr__, __dir__ = lazy_names(__name__, {
+    "data": ("ModularData", "build_modular_data", "from_quadratic_space", "ising_data",
+             "modular_data_from_json", "modular_data_to_json", "product"),
+    "fusion": ("FusionTable", "genus_dimension", "verlinde_fusion"),
+    "relations": ("RelationReport", "verify_relations"),
+    "voa": ("ExtensionReport", "VoaGenusSymbol", "simple_current_extensions",
+            "voa_genus_equal", "voa_milgram_check"),
+})

@@ -25,9 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from ..errors import ConsistencyError, DegenerateFormError, ValidationError
 from ..exactkernel import (
@@ -38,6 +36,9 @@ from ..exactkernel import (
     smith_normal_form,
 )
 from .present import present_subquotient
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -122,11 +123,13 @@ class FiniteQuadraticSpace:
 
     @cached_property
     def gram_array(self) -> np.ndarray:
+        import numpy as np
         return _frozen(np.array(self.gram, dtype=np.int64).reshape(self.rank, self.rank))
 
     @cached_property
     def orders_array(self) -> np.ndarray:
         """The invariant factors; this array and `gram_array` are read-only."""
+        import numpy as np
         return _frozen(np.array(self.orders, dtype=np.int64))
 
     def pair(self, x: Sequence[int], y: Sequence[int]) -> int:
@@ -145,6 +148,7 @@ class FiniteQuadraticSpace:
 
     @cached_property
     def table(self) -> ElementTable:
+        import numpy as np
         orders = self.orders_array
         coords = np.indices(self.orders, dtype=np.int64).reshape(self.rank, self.order).T
         two_n = 2 * self.level
@@ -155,6 +159,7 @@ class FiniteQuadraticSpace:
     @cached_property
     def radix(self) -> np.ndarray:
         """Weights of the element index: x is row x @ radix of `table`."""
+        import numpy as np
         return np.array([math.prod(self.orders[i + 1:]) for i in range(self.rank)],
                         dtype=np.int64)
 

@@ -243,43 +243,98 @@ class TestStatusAndFlags:
         assert json.loads(out)["status"] == "validation-error"
 
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(genusforge.__file__)))
+LAYERS = {"codes", "exactkernel", "lattice", "modcat", "quadspace"}
+
+
+def fresh(code: str) -> str:
+    """Standard output of `code` run in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                          check=True, capture_output=True, text=True, timeout=120).stdout
+
+
 def test_import_loads_no_mpmath_and_no_process_pool():
     # numpy is the one runtime dependency, and nothing starts a worker pool;
-    # the CLI imports its layers per command, so import them here
-    src = os.path.dirname(os.path.dirname(os.path.abspath(genusforge.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, genusforge.cli, genusforge.codes, genusforge.lattice, "
-            "genusforge.modcat, genusforge.quadspace; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-            "('mpmath', 'multiprocessing') or m == 'concurrent.futures.process'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
+    # the layers load their submodules on first use, so read every name
+    out = fresh("import sys, importlib, genusforge.cli\n"
+                f"for layer in {sorted(LAYERS)}:\n"
+                "    pkg = importlib.import_module('genusforge.' + layer)\n"
+                "    for name in pkg.__all__:\n"
+                "        getattr(pkg, name)\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+                "('mpmath', 'multiprocessing') or m == 'concurrent.futures.process'))")
     assert out.strip() == "[]"
 
 
-LAYERS = {"codes", "exactkernel", "lattice", "modcat", "quadspace"}
+@pytest.mark.parametrize("layer", sorted(LAYERS))
+def test_every_public_name_resolves(layer):
+    # a typo in a package's name table would show only when the name is read
+    out = fresh("import json, genusforge." + layer + " as pkg\n"
+                "ns = {}\n"
+                "exec('from genusforge." + layer + " import *', ns)\n"
+                "print(json.dumps({'all': pkg.__all__,\n"
+                "    'star': sorted(n for n in pkg.__all__ if ns.get(n) is getattr(pkg, n)),\n"
+                "    'dir': sorted(set(pkg.__all__) & set(dir(pkg))),\n"
+                "    'unknown': hasattr(pkg, 'no_such_name')}))")
+    doc = json.loads(out)
+    names = doc["all"]
+    assert names and len(set(names)) == len(names)
+    assert doc["star"] == doc["dir"] == sorted(names)
+    assert doc["unknown"] is False
+
+
+def test_names_survive_their_submodules_loading_first():
+    # importing a submodule binds it on its package, over any public name of
+    # the same spelling: a submodule named lexicode would hide codes.lexicode
+    out = fresh("import importlib, pkgutil, types\n"
+                f"for layer in {sorted(LAYERS)}:\n"
+                "    pkg = importlib.import_module('genusforge.' + layer)\n"
+                "    for m in pkgutil.iter_modules(pkg.__path__):\n"
+                "        importlib.import_module(pkg.__name__ + '.' + m.name)\n"
+                "    for name in pkg.__all__:\n"
+                "        if isinstance(getattr(pkg, name), types.ModuleType):\n"
+                "            print(pkg.__name__, name)\n"
+                "from genusforge import codes\n"
+                "print(codes.lexicode(8, 4).dim)")
+    assert out.strip() == "4"
+
+
 CLI = ["-m", "genusforge.cli"]
+NO_NUMPY = {"numpy"}
 
 
 @pytest.mark.parametrize("args, own, absent", [
     (CLI + ["codes", "sigma", "--length", "16", "--dim", "1"], {"codes"},
      {"quadspace", "lattice", "modcat", "exactkernel"}),
-    (CLI + ["qs", "milgram", "a1.json"], {"quadspace"}, {"lattice", "modcat", "codes"}),
-    (CLI + ["lattice", "builtin", "A1"], {"lattice", "quadspace"}, {"codes", "modcat"}),
+    (CLI + ["codes", "check-framed", "c.json", "c.json"], {"codes"},
+     {"quadspace", "lattice", "modcat", "exactkernel"} | NO_NUMPY),
+    (CLI + ["qs", "milgram", "a1.json"], {"quadspace", "exactkernel"},
+     {"lattice", "modcat", "codes"}),
+    (CLI + ["qs", "validate", "a1.json"], {"quadspace", "exactkernel"},
+     {"lattice", "modcat", "codes"} | NO_NUMPY),
+    (CLI + ["qs", "decompose", "a1.json"], {"quadspace", "exactkernel"},
+     {"lattice", "modcat", "codes"} | NO_NUMPY),
+    (CLI + ["lattice", "builtin", "A1"], {"lattice", "exactkernel"},
+     {"codes", "modcat", "quadspace"} | NO_NUMPY),
+    (CLI + ["lattice", "disc-form", "a1l.json"], {"lattice", "quadspace", "exactkernel"},
+     {"codes", "modcat"} | NO_NUMPY),
     (CLI + ["modcat", "ising"], {"modcat", "quadspace"}, {"codes", "lattice"}),
-    (["-c", "import genusforge.cli"], set(), LAYERS),
-], ids=["codes", "qs", "lattice", "modcat", "import"])
+    (["-c", "import genusforge.cli"], set(), LAYERS | NO_NUMPY),
+], ids=["codes", "codes-check-framed", "qs", "qs-validate", "qs-decompose", "lattice",
+        "lattice-disc-form", "modcat", "import"])
 def test_each_command_group_imports_only_its_layers(tmp_path, args, own, absent):
     # -X importtime names every module as a fresh interpreter first loads
     # it into sys.modules
     write(tmp_path, "a1.json", {"orders": [2], "q": ["1/2"]})
-    src = os.path.dirname(os.path.dirname(os.path.abspath(genusforge.__file__)))
+    write(tmp_path, "a1l.json", {"gram": [[2]]})
+    write(tmp_path, "c.json", {"length": 8, "basis": ["11110000", "00001111"]})
     proc = subprocess.run([sys.executable, "-X", "importtime", *args],
-                          env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=SRC), cwd=tmp_path,
                           check=True, capture_output=True, text=True, timeout=120)
     names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
              if line.startswith("import time:")}
     loaded = {n.split(".")[1] for n in names if n.startswith("genusforge.")} & LAYERS
+    loaded |= NO_NUMPY & names
     assert own <= loaded and not loaded & absent, loaded
     assert not {n for n in names if n.split(".")[0] in ("mpmath", "multiprocessing")
                 or n == "concurrent.futures.process"}

@@ -46,7 +46,7 @@ from code_oracles import (
 )
 
 binary_module = import_module("genusforge.codes.binary")
-lexicode_module = import_module("genusforge.codes.lexicode")
+greedy_module = import_module("genusforge.codes.greedy")
 sigma_module = import_module("genusforge.codes.sigma")
 from genusforge.errors import LimitError, ValidationError
 
@@ -547,14 +547,14 @@ class TestLexicode:
         assert lexicode(n, d) == dict_lexicode(n, d)
 
     def test_debug_log_has_one_line_per_call(self, caplog):
-        with caplog.at_level(logging.DEBUG, logger="genusforge.codes.lexicode"):
+        with caplog.at_level(logging.DEBUG, logger=greedy_module.__name__):
             lexicode(8, 4)
         lines = [rec.getMessage() for rec in caplog.records
-                 if rec.name == "genusforge.codes.lexicode"]
+                 if rec.name == greedy_module.__name__]
         assert len(lines) == 1
         assert "lexicode(8, 4): 4 rows admitted, largest coset table 16" in lines[0]
 
     def test_coset_table_cap(self, monkeypatch):
-        monkeypatch.setattr(lexicode_module, "_TABLE_CAP", 1 << 8)
+        monkeypatch.setattr(greedy_module, "_TABLE_CAP", 1 << 8)
         with pytest.raises(LimitError):
             lexicode(24, 13)
