@@ -6,8 +6,9 @@ Each command group imports only the layer packages it calls, inside its
 handler, and a layer package loads a submodule only when one of its names
 is first read: a fresh process compiles and runs every module it imports,
 and for a short command that start-up is most of its time.  `lattice
-builtin`, `lattice disc-form`, `qs validate`, `qs decompose` and `codes
-check-framed` run in integers and never import numpy.
+builtin`, `lattice disc-form`, `lattice genus-compare` on lattices with
+equal discriminant forms, `qs validate`, `qs milgram`, `qs decompose` and
+`codes check-framed` run in integers and never import numpy.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def _cmd_qs(args) -> dict:
         return {"valid": True, "order": s.order, "orders": list(s.orders)}
     if args.cmd == "milgram":
         s = _load_space(args.file)
-        return {"signature_mod8": quadspace.signature_mod8(s, bits=args.precision)}
+        return {"signature_mod8": quadspace.signature_mod8(s)}
     if args.cmd == "isotropic":
         subs = quadspace.isotropic_subgroups(_load_space(args.file),
                                              cap=_caps(args, 4096))
@@ -212,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--limit", type=int, default=None,
                      help="override enumeration caps")
     top.add_argument("--precision", type=int, default=128,
-                     help="interval precision in bits")
+                     help="interval precision in bits for modcat milgram")
     top.add_argument("--pretty", action="store_true",
                      help="indent the JSON output")
     groups = top.add_subparsers(dest="group", required=True)

@@ -83,11 +83,15 @@ def genus_symbol(l: EvenLattice) -> GenusSymbol:
 
 
 def same_genus(l1: EvenLattice, l2: EvenLattice) -> bool:
-    """Equal signature and isometric discriminant forms."""
-    from ..quadspace import is_isometric
+    """Equal signature and isometric discriminant forms.  Equal canonical
+    encodings are equal forms, so only unequal ones go to the search."""
     if signature(l1) != signature(l2):
         return False
-    return is_isometric(discriminant_form(l1), discriminant_form(l2)) is not None
+    d1, d2 = discriminant_form(l1), discriminant_form(l2)
+    if d1 == d2:
+        return True
+    from ..quadspace import is_isometric
+    return is_isometric(d1, d2) is not None
 
 
 def exists_lattice(s: FiniteQuadraticSpace, sig: tuple[int, int]) -> str:

@@ -6,8 +6,9 @@ vector of integer counts over one root of unity: for pointed data the
 counts of tau_j + 2 E[0, j] mod M, for other data the power-basis
 coordinates of G cleared of denominators.  `gauss_phase` squares the
 counts by cyclic convolution in integers, finds the root of unity G^2/D,
-and settles the remaining sign with one certified interval, the scheme
-`signature_mod8` uses for a quadratic space.  Certified means proven: the
+and settles the remaining sign with one certified interval.  (A quadratic
+space needs none of this: `signature_mod8` reads its phase off a Jordan
+splitting, with no Gauss sum formed.)  Certified means proven: the
 interval is summed in integers from tables of cos and sin whose error
 bound is derived in `exactkernel.cyclotomic._unit_circle`.
 """

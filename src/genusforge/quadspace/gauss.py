@@ -1,28 +1,20 @@
-"""Gauss sums of finite quadratic spaces and the signature mod 8.
+"""Gauss sums of finite quadratic spaces.
 
 The sum G = sum_x exp(pi i q(x)) is a count vector: how many x have
-q(x)/2 = k/M mod 1, for each k.  By Milgram's formula G = sqrt|A| zeta_8^sig,
-and `gauss_phase` reads that phase off the counts: squaring G is a cyclic
-convolution in integers, which pins sig mod 4, and one certified interval
-around G turned back to the real axis settles the sign, since the two
-candidate phases differ by pi.  The interval is exact integer arithmetic
-too: sums of integer tables of cos and sin whose error is proven (see
-`exactkernel.cyclotomic._unit_circle`), with no floating point.  `gauss_sum` builds G itself as a
-cyclotomic number for callers that want the value.
+q(x)/2 = k/M mod 1, for each k, binned over the space's element table.
+`gauss_sum` builds G from the counts as a cyclotomic number.  By
+Milgram's formula G = sqrt|A| zeta_8^sig; the signature itself comes
+from the Jordan splitting in `decompose`, which enumerates no elements.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
 
-from ..errors import InternalError
-from ..exactkernel import CyclotomicNumber, gauss_phase, reduce_int_counts
+from ..exactkernel import CyclotomicNumber, reduce_int_counts
 from .space import FiniteQuadraticSpace
-
-_log = logging.getLogger(__name__)
 
 
 def _phase_counts(s: FiniteQuadraticSpace) -> tuple[int, np.ndarray]:
@@ -37,18 +29,3 @@ def gauss_sum(s: FiniteQuadraticSpace) -> CyclotomicNumber:
     """Exact sum of exp(pi i q(x)) over all x."""
     m, counts = _phase_counts(s)
     return CyclotomicNumber(m, reduce_int_counts(m, counts).tolist())
-
-
-def signature_mod8(s: FiniteQuadraticSpace, bits: int = 128) -> int:
-    if s.order == 1:
-        return 0
-    m, counts = _phase_counts(s)
-    phase = gauss_phase(m, counts, s.order, bits)
-    if phase is None or (8 * phase).denominator != 1:
-        raise InternalError(
-            "Gauss sum squared is not |A| times a fourth root of unity; "
-            "the form must be degenerate")
-    if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("signature mod 8 of |A| = %d: integer square test over "
-                   "zeta_%d, then an interval at %d bits", s.order, m, bits)
-    return int(8 * phase)

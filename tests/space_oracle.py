@@ -9,8 +9,9 @@ expands, element by element in rational arithmetic,
 
 Below it, the Python-set subgroup search (`closure`, `minimal_chain`,
 `isotropic_subgroups`, `is_isometric`) that the element-index spans of
-`genusforge.quadspace` replaced, kept verbatim as their oracle, and the
-`Fraction` route of `jordan_blocks_odd`.
+`genusforge.quadspace` replaced, kept verbatim as their oracle, the
+`Fraction` route of `jordan_blocks_odd`, and the Gauss-sum route of
+`signature_mod8` that the Jordan splitting replaced.
 """
 
 import math
@@ -21,6 +22,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from genusforge.errors import InternalError, LimitError, NotPrimaryError, ValidationError
+from genusforge.exactkernel import gauss_phase
 from genusforge.quadspace import FiniteQuadraticSpace, JordanBlockSummary, Subgroup, build_space
 from genusforge.quadspace.decompose import _factorize, _jacobi
 from genusforge.quadspace.space import subquotient
@@ -265,3 +267,28 @@ def jordan_blocks_odd(s: FiniteQuadraticSpace, p: int) -> list[JordanBlockSummar
         current = subquotient(current, gens)
     return [JordanBlockSummary(p=p, k=k, rank=len(thetas), theta=math.prod(thetas))
             for k, thetas in sorted(scales.items())]
+
+
+# The Gauss-sum route of `signature_mod8`: bin q over the element table,
+# square the counts in integers to pin the phase mod 4, and settle the sign
+# with one certified interval.  Kept verbatim as the oracle for the Jordan
+# splitting the library reads the signature from.
+
+def _phase_counts(s: FiniteQuadraticSpace) -> tuple[int, np.ndarray]:
+    """Counts of exp(2 pi i k/M) terms in G, indexed by k."""
+    two_n = 2 * s.level
+    q = s.table.q
+    m = two_n // math.gcd(two_n, int(np.gcd.reduce(q)))
+    return m, np.bincount(q // (two_n // m), minlength=m)
+
+
+def signature_mod8(s: FiniteQuadraticSpace, bits: int = 128) -> int:
+    if s.order == 1:
+        return 0
+    m, counts = _phase_counts(s)
+    phase = gauss_phase(m, counts, s.order, bits)
+    if phase is None or (8 * phase).denominator != 1:
+        raise InternalError(
+            "Gauss sum squared is not |A| times a fourth root of unity; "
+            "the form must be degenerate")
+    return int(8 * phase)

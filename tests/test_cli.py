@@ -9,6 +9,7 @@ import pytest
 
 import genusforge
 from genusforge.cli import main, run
+from genusforge.lattice import builtin_lattice, lattice_to_json
 
 
 def invoke(*argv):
@@ -168,6 +169,13 @@ class TestStatusAndFlags:
         lat = payload("lattice", "builtin", "A2")
         f = write(tmp_path, "a2qs.json",
                   payload("lattice", "disc-form", write(tmp_path, "l.json", lat)))
+        md = write(tmp_path, "a2md.json", payload("modcat", "from-qs", f))
+        assert payload("--precision", "96", "modcat", "milgram", md, "--c", "2") == {
+            "compatible": True}
+        # 16 bits is below the interval's floor of 32: the flag reaches it
+        result = invoke("--precision", "16", "modcat", "milgram", md, "--c", "2")
+        assert result.exit_code == 1 and "bits >= 32" in result.payload["error"]
+        # qs milgram is exact: the flag is accepted and the answer unchanged
         assert payload("--precision", "96", "qs", "milgram", f) == {"signature_mod8": 2}
 
     def test_validation_error_in_library_maps_to_exit_1(self, tmp_path):
@@ -309,7 +317,7 @@ NO_NUMPY = {"numpy"}
     (CLI + ["codes", "check-framed", "c.json", "c.json"], {"codes"},
      {"quadspace", "lattice", "modcat", "exactkernel"} | NO_NUMPY),
     (CLI + ["qs", "milgram", "a1.json"], {"quadspace", "exactkernel"},
-     {"lattice", "modcat", "codes"}),
+     {"lattice", "modcat", "codes"} | NO_NUMPY),
     (CLI + ["qs", "validate", "a1.json"], {"quadspace", "exactkernel"},
      {"lattice", "modcat", "codes"} | NO_NUMPY),
     (CLI + ["qs", "decompose", "a1.json"], {"quadspace", "exactkernel"},
@@ -318,16 +326,20 @@ NO_NUMPY = {"numpy"}
      {"codes", "modcat", "quadspace"} | NO_NUMPY),
     (CLI + ["lattice", "disc-form", "a1l.json"], {"lattice", "quadspace", "exactkernel"},
      {"codes", "modcat"} | NO_NUMPY),
+    (CLI + ["lattice", "genus-compare", "E8E8.json", "D16+.json"],
+     {"lattice", "quadspace", "exactkernel"}, {"codes", "modcat"} | NO_NUMPY),
     (CLI + ["modcat", "ising"], {"modcat", "quadspace"}, {"codes", "lattice"}),
     (["-c", "import genusforge.cli"], set(), LAYERS | NO_NUMPY),
 ], ids=["codes", "codes-check-framed", "qs", "qs-validate", "qs-decompose", "lattice",
-        "lattice-disc-form", "modcat", "import"])
+        "lattice-disc-form", "lattice-genus-compare", "modcat", "import"])
 def test_each_command_group_imports_only_its_layers(tmp_path, args, own, absent):
     # -X importtime names every module as a fresh interpreter first loads
     # it into sys.modules
     write(tmp_path, "a1.json", {"orders": [2], "q": ["1/2"]})
     write(tmp_path, "a1l.json", {"gram": [[2]]})
     write(tmp_path, "c.json", {"length": 8, "basis": ["11110000", "00001111"]})
+    for name in ("E8E8", "D16+"):
+        write(tmp_path, f"{name}.json", lattice_to_json(builtin_lattice(name)))
     proc = subprocess.run([sys.executable, "-X", "importtime", *args],
                           env=dict(os.environ, PYTHONPATH=SRC), cwd=tmp_path,
                           check=True, capture_output=True, text=True, timeout=120)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genusforge.exactkernel as exactkernel
+import genusforge.quadspace as quadspace
 from genusforge.errors import (
     LimitError,
     NotPositiveDefiniteError,
@@ -170,6 +171,33 @@ class TestGenus:
         d = build_lattice([[2, 1], [1, 2]])
         assert not same_genus(u, build_lattice([[2, 0], [0, 2]]))
         assert not same_genus(u, d)
+
+    def test_equal_forms_skip_the_isometry_search(self, monkeypatch):
+        calls = []
+        search = quadspace.is_isometric
+        monkeypatch.setattr(quadspace, "is_isometric",
+                            lambda *a, **k: calls.append(a) or search(*a, **k))
+        assert same_genus(lattice_e8e8(), lattice_d16_plus())
+        base = orthogonal_sum([lattice_a(1)] * 2)
+        assert same_genus(base, lattice_basis_change(base, random.Random(1)))
+        assert calls == []
+        # seed 0 gives the same form on other generators: the search decides
+        other = lattice_basis_change(base, random.Random(0))
+        assert discriminant_form(other) != discriminant_form(base)
+        assert same_genus(base, other) and len(calls) == 1
+
+    @pytest.mark.parametrize("names", [
+        ["A1"] * 11, ["A1"] * 12, ["A1"] * 16, ["A1"] * 24, ["A2"] * 7, ["A2"] * 12,
+        ["D4"] * 5, ["A1", "A2", "A3", "A4", "A5"], ["A7", "A6", "D5"], ["E8", "A1", "D7"],
+    ], ids=lambda names: "+".join(names) if len(set(names)) > 1 else f"{names[0]}^{len(names)}")
+    def test_signature_mod8_is_the_rank_on_root_lattice_sums(self, names):
+        # Positive definite, so the signature is the rank; the Jordan route
+        # reads it without the element table, here up to |A| = 2^24.
+        base = orthogonal_sum([builtin_lattice(n) for n in names])
+        for l in (base, lattice_basis_change(base, random.Random(len(names)))):
+            s = discriminant_form(l)
+            assert signature_mod8(s) == l.rank % 8
+            assert "table" not in vars(s)
 
     def test_exists_lattice(self):
         assert exists_lattice(trivial_space(), (8, 0)) == "yes"

@@ -42,8 +42,8 @@ from genusforge.modcat import relations
 from genusforge.modcat.relations import _verify_cyclotomic, _verify_exponents
 from genusforge.quadspace import (
     build_space,
+    decompose,
     direct_sum,
-    gauss,
     signature_mod8,
     trivial_space,
 )
@@ -595,7 +595,7 @@ class TestExponentTablesAgainstOracle:
 
     def test_debug_log_names_the_path(self, caplog):
         m = from_quadratic_space(build_space((4,), [F(1, 4)]))
-        for logger in (fusion, voa, gauss):
+        for logger in (fusion, voa, decompose):
             caplog.set_level(logging.DEBUG, logger=logger.__name__)
         verlinde_fusion(m)
         verlinde_fusion(ising_data())
@@ -607,4 +607,6 @@ class TestExponentTablesAgainstOracle:
         assert "cyclotomic" in lines[1]
         assert "interval at 64 bits, phase 1/8" in lines[2]
         assert "interval at 128 bits, phase 1/8" in lines[3]
-        assert "interval at 128 bits" in lines[4]
+        assert caplog.records[4].name == decompose.__name__
+        assert "Jordan splitting, blocks per prime {2: 1}" in lines[4]
+        assert "interval" not in lines[4]

@@ -183,6 +183,15 @@ class TestGauss:
         s = direct_sum(disc_A1(), build_space([3], ["2/3"]))
         assert signature_mod8(s) == 3
 
+    def test_jordan_route_matches_the_gauss_sum_oracle(self):
+        # Every space of the library, and one basis change of each, against
+        # the Gauss-sum phase the Jordan splitting replaced.
+        rng = random.Random(8)
+        for s in space_library(64):
+            want = oracle.signature_mod8(s)
+            assert signature_mod8(s) == want, s
+            assert signature_mod8(basis_change(s, rng)[0]) == want, s
+
     def test_float_oracle(self):
         # Sum the phases in floating point and compare the argument.
         import cmath
