@@ -20,8 +20,9 @@ per stabilizer orbit put in canonical form and each new class expanded at
 once; the orbits of each classified level must add up to its double count,
 or InternalError.  node_budget bounds the extension half-vectors examined
 plus the inner nodes of the canonical-form searches; when it runs out
-every level keeps the lower bound of the traversed prefix.  The count runs in one process:
-the threads argument is accepted and has no effect.
+every level keeps the lower bound of the traversed prefix.  The count runs
+in one process: the threads argument of `sigma_profile` and `sigma_k` is
+accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -320,11 +321,10 @@ def sigma_k(r: int, k: int, *, cap: int | None = DEFAULT_LENGTH_CAP,
     return sigma_profile(r, max_k=k, cap=cap, threads=threads).sigma(k)
 
 
-def relative_mass_rhs(r: int, *, cap: int | None = DEFAULT_LENGTH_CAP,
-                      threads: int | None = None) -> Fraction:
+def relative_mass_rhs(r: int, *, cap: int | None = DEFAULT_LENGTH_CAP) -> Fraction:
     """Exact value of (1/(2^r r!)) sum_k 2^(k(k-1)/2 + 1) sigma_k(r)."""
     if isinstance(r, bool) or not isinstance(r, int) or r < 1 or r % 16:
         raise ValidationError("length must be a positive multiple of 16")
-    profile = sigma_profile(r, cap=cap, threads=threads)
+    profile = sigma_profile(r, cap=cap)
     total = sum(Fraction(2 ** (k * (k - 1) // 2 + 1) * v) for k, v in profile.counts)
     return total / (Fraction(2) ** r * factorial(r))

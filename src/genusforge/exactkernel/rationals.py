@@ -1,9 +1,13 @@
 """Rational phases modulo 1 and modulo 2.
 
-Quadratic form values live in Q/2Z, bilinear form values in Q/Z.  Both are
-kept as `fractions.Fraction` representatives normalized into [0, 2) and
-[0, 1).  The wrapper classes exist so a value's residue ring is part of its
-type; arithmetic stays inside the ring and normalizes eagerly.
+A quadratic form value lives in Q/2Z and a bilinear form value or a twist
+in Q/Z.  `PhaseMod2` and `PhaseMod1` share one class body and differ only
+in the modulus m: each keeps a `fractions.Fraction` representative
+normalized into [0, m), so a value's residue ring is part of its type.
+Phases add, compare equal only to phases of their own type, and print as
+their representative.  The library computes on the integer encodings
+(the Gram matrix at a level, exponents over an order); these classes are
+the exact values that JSON, `repr` and the twists of modular data show.
 """
 
 from __future__ import annotations
@@ -28,93 +32,41 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise ValidationError(f"not a rational value: {value!r}")
 
 
-class PhaseMod1:
+class _Phase:
+    """A rational residue modulo `modulus`, normalized into [0, modulus)."""
+
+    __slots__ = ("value",)
+    modulus = 1
+
+    def __init__(self, value: RationalLike):
+        self.value = as_fraction(value) % self.modulus
+
+    def __add__(self, other):
+        return type(self)(self.value + other.value)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.value))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self.value)!r})"
+
+    def __str__(self) -> str:
+        return str(self.value)
+
+
+class PhaseMod1(_Phase):
     """A rational residue modulo 1, normalized into [0, 1)."""
 
-    __slots__ = ("value",)
-
-    def __init__(self, value: RationalLike):
-        self.value = as_fraction(value) % 1
-
-    def __add__(self, other: "PhaseMod1") -> "PhaseMod1":
-        return PhaseMod1(self.value + other.value)
-
-    def __sub__(self, other: "PhaseMod1") -> "PhaseMod1":
-        return PhaseMod1(self.value - other.value)
-
-    def __neg__(self) -> "PhaseMod1":
-        return PhaseMod1(-self.value)
-
-    def __mul__(self, n: int) -> "PhaseMod1":
-        return PhaseMod1(self.value * n)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PhaseMod1):
-            return self.value == other.value
-        if isinstance(other, (int, Fraction)):
-            return self.value == Fraction(other) % 1
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("PhaseMod1", self.value))
-
-    def __repr__(self) -> str:
-        return f"PhaseMod1({str(self.value)!r})"
-
-    def __str__(self) -> str:
-        return str(self.value)
+    __slots__ = ()
 
 
-class PhaseMod2:
+class PhaseMod2(_Phase):
     """A rational residue modulo 2, normalized into [0, 2)."""
 
-    __slots__ = ("value",)
-
-    def __init__(self, value: RationalLike):
-        self.value = as_fraction(value) % 2
-
-    def __add__(self, other: "PhaseMod2") -> "PhaseMod2":
-        return PhaseMod2(self.value + other.value)
-
-    def __sub__(self, other: "PhaseMod2") -> "PhaseMod2":
-        return PhaseMod2(self.value - other.value)
-
-    def __neg__(self) -> "PhaseMod2":
-        return PhaseMod2(-self.value)
-
-    def __mul__(self, n: int) -> "PhaseMod2":
-        return PhaseMod2(self.value * n)
-
-    __rmul__ = __mul__
-
-    def mod1(self) -> PhaseMod1:
-        """Reduce Q/2Z -> Q/Z."""
-        return PhaseMod1(self.value)
-
-    def half(self) -> PhaseMod1:
-        """Divide by 2 along Q/2Z -> Q/Z; well defined on residues."""
-        return PhaseMod1(self.value / 2)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PhaseMod2):
-            return self.value == other.value
-        if isinstance(other, (int, Fraction)):
-            return self.value == Fraction(other) % 2
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("PhaseMod2", self.value))
-
-    def __repr__(self) -> str:
-        return f"PhaseMod2({str(self.value)!r})"
-
-    def __str__(self) -> str:
-        return str(self.value)
+    __slots__ = ()
+    modulus = 2

@@ -1,11 +1,13 @@
-"""Modular data: labels, s-tilde matrix, twists, weights, and the exponents
-of pointed data.
+"""Modular data: labels, s-tilde matrix, twists, and the exponents of
+pointed data.
 
 Everything is stored in the rescaled convention s_tilde = sqrt(D) * S,
 which keeps all entries inside cyclotomic fields.  The discriminant
 D = sum of dim^2 must come out a positive rational integer; twists are
-rational phases (so automatically roots of unity) and must agree with
-the conformal weights mod 1.
+rational phases mod 1, so automatically roots of unity, and each is
+stored once.  Conformal weights exist only in the JSON format: its
+"weights" list is written from the twists, and on input it must match
+the labels and agree with the twists mod 1.
 
 When every entry of s_tilde is a root of unity, as for every pointed
 category, `exponents` writes the data over one root of unity zeta_M:
@@ -68,7 +70,6 @@ class ModularData:
     dual: tuple[int, ...]
     matrix: tuple[tuple[CyclotomicNumber, ...], ...] | None
     twists: tuple[PhaseMod1, ...]
-    weights: tuple[PhaseMod1, ...]
     exponents: Exponents | None = None
 
     def __post_init__(self) -> None:
@@ -81,16 +82,12 @@ class ModularData:
             raise ValidationError("the unit label must be self-dual")
         if any(self.dual[self.dual[i]] != i for i in range(n)):
             raise ValidationError("dual must be an involution")
-        if len(self.twists) != n or len(self.weights) != n:
-            raise ValidationError("twists and weights must match the labels")
+        if len(self.twists) != n:
+            raise ValidationError("twists must match the labels")
         if self.exponents is None:
             self._check_matrix()
         else:
             self._check_exponents()
-        for i in range(n):
-            if self.twists[i] != self.weights[i]:
-                raise ValidationError(
-                    f"twist and weight of label {i} differ mod 1")
         if self.discriminant <= 0:
             raise ValidationError("sum of squared dimensions must be a "
                                   "positive integer")
@@ -171,8 +168,8 @@ class ModularData:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModularData):
             return NotImplemented
-        return ((self.dual, self.twists, self.weights, self.s_tilde)
-                == (other.dual, other.twists, other.weights, other.s_tilde))
+        return ((self.dual, self.twists, self.s_tilde)
+                == (other.dual, other.twists, other.s_tilde))
 
     def __repr__(self) -> str:
         return f"ModularData(n={self.n}, D={self.discriminant})"
@@ -213,18 +210,11 @@ def _exponents_of(mat, twists) -> Exponents | None:
 
 def build_modular_data(dual: Sequence[int],
                        s_tilde: Sequence[Sequence],
-                       twists: Sequence,
-                       weights: Sequence | None = None) -> ModularData:
+                       twists: Sequence) -> ModularData:
     """Normalize raw entries (rationals allowed) into ModularData."""
-    tw = tuple(t if isinstance(t, PhaseMod1) else PhaseMod1(as_fraction(t))
-               for t in twists)
-    if weights is None:
-        wt = tw
-    else:
-        wt = tuple(w if isinstance(w, PhaseMod1) else PhaseMod1(as_fraction(w))
-                   for w in weights)
+    tw = tuple(t if isinstance(t, PhaseMod1) else PhaseMod1(t) for t in twists)
     mat = tuple(tuple(_as_cyclo(x) for x in row) for row in s_tilde)
-    return ModularData(tuple(dual), mat, tw, wt, _exponents_of(mat, tw))
+    return ModularData(tuple(dual), mat, tw, _exponents_of(mat, tw))
 
 
 def from_quadratic_space(s: FiniteQuadraticSpace) -> ModularData:
@@ -239,7 +229,7 @@ def from_quadratic_space(s: FiniteQuadraticSpace) -> ModularData:
     tau = q * order // (2 * level)
     dual = tuple(((-coords) % s.orders_array @ s.radix).tolist())
     twists = tuple(PhaseMod1(Fraction(v, 2 * level)) for v in q.tolist())
-    return ModularData(dual, None, twists, twists, Exponents(order, exps, tau))
+    return ModularData(dual, None, twists, Exponents(order, exps, tau))
 
 
 def product(m1: ModularData, m2: ModularData) -> ModularData:
@@ -255,13 +245,11 @@ def product(m1: ModularData, m2: ModularData) -> ModularData:
                               for j1 in m1.labels for j2 in m2.labels))
     twists = tuple(m1.twists[i] + m2.twists[j]
                    for i in m1.labels for j in m2.labels)
-    weights = tuple(m1.weights[i] + m2.weights[j]
-                    for i in m1.labels for j in m2.labels)
-    return build_modular_data(dual, rows, twists, weights)
+    return build_modular_data(dual, rows, twists)
 
 
 def ising_data() -> ModularData:
-    """The three-object Ising data: weights (0, 1/2, 1/16), dims (1, 1, sqrt 2)."""
+    """The three-object Ising data: twists (0, 1/2, 1/16), dims (1, 1, sqrt 2)."""
     rt2 = CyclotomicNumber.from_exponents(8, {1: 1, 7: 1})
     one = CyclotomicNumber.one()
     s = ((one, one, rt2),
@@ -269,7 +257,7 @@ def ising_data() -> ModularData:
          (rt2, -rt2, CyclotomicNumber.zero()))
     twists = (PhaseMod1(Fraction(0)), PhaseMod1(Fraction(1, 2)),
               PhaseMod1(Fraction(1, 16)))
-    return ModularData((0, 1, 2), s, twists, twists)
+    return ModularData((0, 1, 2), s, twists)
 
 
 def _cyclo_to_json(x: CyclotomicNumber):
@@ -295,12 +283,13 @@ def _cyclo_from_json(doc) -> CyclotomicNumber:
 
 
 def modular_data_to_json(m: ModularData) -> dict:
+    twists = [str(t.value) for t in m.twists]
     return {
         "labels": m.n,
         "dual": list(m.dual),
         "s_tilde": [[_cyclo_to_json(x) for x in row] for row in m.s_tilde],
-        "twists": [str(t.value) for t in m.twists],
-        "weights": [str(w.value) for w in m.weights],
+        "twists": twists,
+        "weights": list(twists),
     }
 
 
@@ -315,4 +304,12 @@ def modular_data_from_json(doc: dict) -> ModularData:
     if not isinstance(n, int) or not isinstance(dual, list) or len(dual) != n:
         raise ValidationError("'labels' must count the entries of 'dual'")
     mat = [[_cyclo_from_json(x) for x in row] for row in doc["s_tilde"]]
-    return build_modular_data(dual, mat, doc["twists"], doc["weights"])
+    twists, weights = doc["twists"], doc["weights"]
+    if not (isinstance(twists, list) and isinstance(weights, list)
+            and len(twists) == len(weights) == n):
+        raise ValidationError("twists and weights must match the labels")
+    m = build_modular_data(dual, mat, twists)
+    for i, w in enumerate(weights):
+        if PhaseMod1(w) != m.twists[i]:
+            raise ValidationError(f"twist and weight of label {i} differ mod 1")
+    return m

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..errors import InternalError, NotPrimaryError, ValidationError
+from ..errors import InternalError, LimitError, NotPrimaryError, ValidationError
 from .space import FiniteQuadraticSpace, subquotient
 
 _log = logging.getLogger(__name__)
@@ -57,15 +57,24 @@ class JordanBlockSummary:
     theta: int
 
 
+_TRIAL_BOUND = 1 << 16
+
+
 def _factorize(n: int) -> dict[int, int]:
+    """Prime factors by trial division up to 2^16.  What is left below 2^32
+    has no factor up to its square root, so it is prime; a cofactor of 2^32
+    or more raises LimitError."""
     out: dict[int, int] = {}
     m = n
-    p = 2
-    while p * p <= m:
+    for p in itertools.chain((2,), range(3, _TRIAL_BOUND + 1, 2)):
+        if p * p > m:
+            break
         while m % p == 0:
             out[p] = out.get(p, 0) + 1
             m //= p
-        p += 1
+    if m >= _TRIAL_BOUND ** 2:
+        raise LimitError(f"{n} has a cofactor {m} >= 2^32 with no prime factor "
+                         f"up to 2^16; trial division stops there")
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out
@@ -179,7 +188,7 @@ def signature_mod8(s: FiniteQuadraticSpace) -> int:
 
 def jordan_blocks_odd(s: FiniteQuadraticSpace, p: int) -> list[JordanBlockSummary]:
     """Per-scale (rank, theta product) of the p-primary space s, p odd."""
-    if p < 3 or p % 2 == 0 or any(p % f == 0 for f in range(3, int(math.isqrt(p)) + 1, 2)):
+    if p < 3 or _factorize(p) != {p: 1}:
         raise ValidationError(f"{p} is not an odd prime")
     if any(d != p ** _factorize(d).get(p, 0) for d in s.orders):
         raise NotPrimaryError(f"space with orders {s.orders} is not {p}-primary")

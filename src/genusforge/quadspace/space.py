@@ -75,12 +75,6 @@ class FiniteAbelianGroup:
     def neg(self, x: Sequence[int]) -> tuple[int, ...]:
         return tuple((-a) % d for a, d in zip(x, self.invariant_factors))
 
-    def element_order(self, x: Sequence[int]) -> int:
-        out = 1
-        for a, d in zip(x, self.invariant_factors):
-            out = math.lcm(out, d // math.gcd(d, a))
-        return out
-
     def elements(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(*(range(d) for d in self.invariant_factors))
 
@@ -137,14 +131,6 @@ class FiniteQuadraticSpace:
         over the level mod 2."""
         return sum(xi * gij * yj for xi, row in zip(x, self.gram) if xi
                    for gij, yj in zip(row, y) if yj)
-
-    def eval_q(self, x: Sequence[int]) -> PhaseMod2:
-        x = self.group.reduce(x)
-        return PhaseMod2(Fraction(self.pair(x, x), self.level))
-
-    def eval_b(self, x: Sequence[int], y: Sequence[int]) -> PhaseMod1:
-        return PhaseMod1(Fraction(self.pair(self.group.reduce(x), self.group.reduce(y)),
-                                  self.level))
 
     @cached_property
     def table(self) -> ElementTable:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -187,11 +188,12 @@ def orthogonal_complement(s: FiniteQuadraticSpace, c: Subgroup) -> Subgroup:
 
 def quotient_space(s: FiniteQuadraticSpace, c: Subgroup) -> FiniteQuadraticSpace:
     """The induced space on C-perp / C for an isotropic subgroup C."""
-    bad = np.flatnonzero(s.table.q[_indices(s, c.elements)])
+    q = s.table.q[_indices(s, c.elements)]
+    bad = np.flatnonzero(q)
     if len(bad):
-        x = c.elements[bad[0]]
         raise NonIsotropicSubgroupError(
-            f"subgroup element {x} has q = {s.eval_q(x).value}, not isotropic")
+            f"subgroup element {c.elements[bad[0]]} has q = "
+            f"{Fraction(int(q[bad[0]]), s.level)}, not isotropic")
     perp = orthogonal_complement(s, c)
     result = subquotient(s, perp.generators, c.generators)
     expected = s.order // (c.order * c.order)

@@ -206,9 +206,9 @@ def is_isometric(s1: FiniteQuadraticSpace, s2: FiniteQuadraticSpace,
     return None
 
 
-# The Fraction route of `jordan_blocks_odd`: q and b evaluated as
-# `PhaseMod` values and rescaled to p^k, kept as the oracle for the integer
-# numerators the library reads.
+# The Fraction route of `jordan_blocks_odd`: q and b evaluated by
+# `oracle_q` and `oracle_b` and rescaled to p^k, kept as the oracle for the
+# integer numerators the library reads.
 
 def _p_scale(value: Fraction, p: int) -> tuple[int, int]:
     """(k, c) with value = 2c/p^k mod 2, p odd, gcd(c, p) = 1; k = 0 if value = 0."""
@@ -247,7 +247,7 @@ def jordan_blocks_odd(s: FiniteQuadraticSpace, p: int) -> list[JordanBlockSummar
         candidates += [tuple(basis[i][t] + basis[j][t] for t in range(n))
                        for ai, i in enumerate(top_idx) for j in top_idx[ai + 1:]]
         for cand in candidates:
-            k, c = _p_scale(current.eval_q(cand).value, p)
+            k, c = _p_scale(oracle_q(current, cand), p)
             if k == k_top:
                 x = cand
                 break
@@ -260,7 +260,7 @@ def jordan_blocks_odd(s: FiniteQuadraticSpace, p: int) -> list[JordanBlockSummar
         inv = pow(bxx_num, -1, pk)
         gens = []
         for i in range(n):
-            bi = current.eval_b(basis[i], x).value
+            bi = oracle_b(current, basis[i], x)
             u = (bi.numerator * (pk // bi.denominator)) % pk
             lam = (u * inv) % pk
             gens.append(tuple((basis[i][t] - lam * x[t]) % orders[t] for t in range(n)))

@@ -59,23 +59,26 @@ class TestPhases:
     def test_mod1_normalization(self):
         assert PhaseMod1(Fraction(5, 4)).value == Fraction(1, 4)
         assert PhaseMod1(Fraction(-1, 4)).value == Fraction(3, 4)
-        assert PhaseMod1(Fraction(1, 4)) + PhaseMod1(Fraction(3, 4)) == 0
+        assert PhaseMod1(Fraction(1, 4)) + PhaseMod1(Fraction(3, 4)) == PhaseMod1(0)
 
     def test_mod2_normalization(self):
         assert PhaseMod2(Fraction(7, 3)).value == Fraction(1, 3)
         assert PhaseMod2(Fraction(-1, 2)).value == Fraction(3, 2)
 
-    def test_mod2_half_and_mod1(self):
-        q = PhaseMod2(Fraction(3, 2))
-        assert q.half() == PhaseMod1(Fraction(3, 4))
-        assert q.mod1() == PhaseMod1(Fraction(1, 2))
+    def test_type_is_part_of_the_value(self):
+        # one class body, two moduli: equality, hash and repr keep the ring
+        half1, half2 = PhaseMod1(Fraction(1, 2)), PhaseMod2(Fraction(1, 2))
+        assert half1 != half2 and half1 != Fraction(1, 2)
+        assert half1 == PhaseMod1("3/2") and hash(half1) == hash(PhaseMod1("3/2"))
+        assert half2 != PhaseMod2("3/2")
+        assert type(half2 + half2) is PhaseMod2 and (half2 + half2).value == 1
+        assert (half1 + half1).value == 0
+        assert repr(half2) == "PhaseMod2('1/2')" and str(PhaseMod1("-1/3")) == "2/3"
 
     @given(st.fractions(max_denominator=40), st.fractions(max_denominator=40))
     def test_mod1_group_laws(self, a, b):
         x, y = PhaseMod1(a), PhaseMod1(b)
         assert x + y == y + x
-        assert (x + y) - y == x
-        assert x + (-x) == 0
 
 
 def one_sided(a):

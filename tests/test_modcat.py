@@ -105,11 +105,6 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="vanishes"):
             build_modular_data((0, 1), [[1, 0], [0, 1]], [0, 0])
 
-    def test_twist_weight_mismatch_rejected(self):
-        with pytest.raises(ValidationError, match="differ"):
-            build_modular_data((0, 1), [[1, 1], [1, -1]], [0, F(1, 4)],
-                               weights=[0, F(3, 4)])
-
     def test_non_integer_discriminant_rejected(self):
         z3 = CyclotomicNumber.from_exponents(3, {1: 1})
         with pytest.raises(ValidationError, match="positive integer"):
@@ -495,6 +490,39 @@ class TestJson:
                 assert [back.exponents[0]] + [a.tolist() for a in back.exponents[1:]] == (
                     [want[0]] + [a.tolist() for a in want[1:]])
 
+    def test_twist_weight_mismatch_rejected(self):
+        m = build_modular_data((0, 1), [[1, 1], [1, -1]], [0, F(1, 4)])
+        doc = modular_data_to_json(m)
+        doc["weights"] = ["0", "3/4"]
+        with pytest.raises(ValidationError, match="twist and weight of label 1 differ mod 1"):
+            modular_data_from_json(doc)
+        # weights are conformal weights: they agree with the twists mod 1
+        doc["weights"] = ["2", "5/4"]
+        assert modular_data_from_json(doc) == m
+
+    def test_weights_are_the_twists_in_json(self):
+        lib = space_library(16)
+        data = [from_quadratic_space(s) for s in lib] + [
+            ising_data(), product(from_quadratic_space(lib[5]), ising_data())]
+        for m in data:
+            doc = modular_data_to_json(m)
+            assert doc["weights"] == doc["twists"], m
+            text = json.dumps(doc)
+            assert json.dumps(modular_data_to_json(modular_data_from_json(doc))) == text, m
+            short = json.loads(text)
+            short["weights"].pop()
+            with pytest.raises(ValidationError,
+                               match="twists and weights must match the labels"):
+                modular_data_from_json(short)
+
+    @pytest.mark.parametrize("key,value", [
+        ("weights", None), ("weights", 5), ("twists", 5), ("twists", "012")])
+    def test_twists_and_weights_must_be_lists(self, key, value):
+        doc = modular_data_to_json(ising_data())
+        doc[key] = value
+        with pytest.raises(ValidationError, match="must match the labels"):
+            modular_data_from_json(doc)
+
     def test_missing_key_rejected(self):
         doc = modular_data_to_json(ising_data())
         del doc["dual"]
@@ -522,7 +550,7 @@ def _assert_matches_oracle(m, s):
         assert voa_milgram_check(m, c) == milgram_by_cyclotomics(m, c), (s, c)
     eager = eager_s_tilde(m)
     assert _entries(m.s_tilde) == _entries(eager), s
-    given_matrix = ModularData(m.dual, eager, m.twists, m.weights)
+    given_matrix = ModularData(m.dual, eager, m.twists)
     assert (json.dumps(modular_data_to_json(m))
             == json.dumps(modular_data_to_json(given_matrix))), s
 
