@@ -4,6 +4,19 @@ A lattice here is always a free Z-module with a chosen basis; the Gram
 matrix fixes everything.  Built-in constructors cover the root lattices
 used elsewhere: A_n, D_n, E8, E8 (+) E8, and the unimodular extension
 D16+ obtained by gluing the all-halves vector onto D16.
+
+Construction runs one fraction-free (Bareiss, Math. Comp. 22, 1968)
+symmetric elimination of the Gram matrix, with no pivoting, and the
+lattice keeps it as `elimination`.  Its diagonal holds the leading
+principal minors Delta_1, ..., Delta_n, and the rest of its rows M hold
+G = L D L^T in integers: d_j = Delta_j / Delta_(j-1) and
+L_ij = M_ji / Delta_j (1-based, Delta_0 = 1).  `det` is Delta_n, the
+signature counts sign changes among the minors
+(`discform.signature`), and Fincke-Pohst reads its factors
+(`theta`), so no other pass eliminates the same matrix.  An indefinite
+Gram such as U = [[0, 1], [1, 0]] can have a vanishing leading minor;
+the elimination stops there, and `det` falls back to `det_int`, which
+pivots.
 """
 
 from __future__ import annotations
@@ -51,8 +64,31 @@ class EvenLattice:
         return len(self.gram)
 
     @cached_property
+    def elimination(self) -> IntMatrix:
+        """Row j holds M_jj, ..., M_j(n-1) of the Bareiss elimination
+        (0-based), with M_jj = Delta_(j+1), the leading principal minor of
+        order j + 1.  The rows stop at the first vanishing minor, so on a
+        nonsingular Gram a full set of n rows means every leading minor is
+        nonzero."""
+        # Row i holds the entries (i, t), t >= i, of the working matrix; by
+        # symmetry the entry (i, j) below pivot j is entry (j, i) of row j.
+        m = [row[i:] for i, row in enumerate(self.gram)]
+        prev = 1
+        for j, head in enumerate(m):
+            piv = head[0]
+            if piv == 0:
+                return tuple(m[:j + 1])
+            for k in range(1, len(head)):
+                a = head[k]
+                m[j + k] = tuple([(piv * x - a * y) // prev
+                                  for x, y in zip(m[j + k], head[k:])])
+            prev = piv
+        return tuple(m)
+
+    @property
     def det(self) -> int:
-        return det_int(self.gram)
+        rows = self.elimination
+        return rows[-1][0] if len(rows) == self.rank else det_int(self.gram)
 
     def inner(self, x: Sequence[int], y: Sequence[int]) -> int:
         return sum(xi * gij * yj

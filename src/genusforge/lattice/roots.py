@@ -12,12 +12,13 @@ that is, not simple, iff some positive q has (r, q) = 1 and f(q) < f(r).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
 from ..errors import InternalError
 from .lattice import EvenLattice
-from .theta import short_vectors
+from .theta import _enumerate
 
 _EXPECTED_COUNTS = {"A": lambda n: n * (n + 1),
                     "D": lambda n: 2 * n * (n - 1),
@@ -38,19 +39,28 @@ def _simple_roots(l: EvenLattice, roots) -> tuple[np.ndarray, np.ndarray]:
     The functional f = (p^(n-1), ..., p, 1) vanishes on an integer vector
     only if that vector encodes a polynomial with root p, which happens
     for at most finitely many primes, so redrawing p always terminates.
-    Its values are Python integers, so nothing overflows.
+    Its values are one int64 product while p^(n-1) n max|r| stays below
+    2^62, and Python integers past that, so they are exact.  The pairings
+    are int64 and may wrap, but arithmetic mod 2^64 is a ring map and a
+    pairing of two roots lies in [-2, 2], so each is exact.
     """
+    roots = np.asarray(roots, dtype=np.int64)
+    n = l.rank
+    bound = n * int(np.abs(roots).max())
     p = 2
     while True:
-        f = [p ** (l.rank - 1 - i) for i in range(l.rank)]
-        values = [sum(fi * ri for fi, ri in zip(f, r)) for r in roots]
-        if all(values):
+        f = [p ** (n - 1 - i) for i in range(n)]
+        if f[0] * bound < 2 ** 62:
+            values = roots @ np.array(f, dtype=np.int64)
+        else:
+            values = np.array([sum(map(mul, f, r)) for r in roots.tolist()], dtype=object)
+        if values.all():
             break
         p = next(q for q in range(p + 1, 10 * p) if all(q % t for t in range(2, q)))
     # Positive roots in increasing order of f; f(q) != f(r) whenever
     # (r, q) = 1, since then r - q is a root and f(r - q) != 0.
-    positive = np.array([r for v, r in sorted(zip(values, roots)) if v > 0],
-                        dtype=np.int64)
+    order = np.argsort(values, kind="stable")
+    positive = roots[order[values[order] > 0]]
     pairs = positive @ np.array(l.gram, dtype=np.int64) @ positive.T
     simple = ~np.tril(pairs == 1, -1).any(axis=1)
     return positive[simple], pairs[np.ix_(simple, simple)]
@@ -91,8 +101,8 @@ def _classify_component(nodes, adj) -> tuple[str, int]:
 
 
 def root_system(l: EvenLattice) -> RootSystemReport:
-    roots = short_vectors(l, 2)
-    if not roots:
+    _, roots = _enumerate(l, 2, store=True)
+    if not len(roots):
         return RootSystemReport((), 0)
     simple, pairs = _simple_roots(l, roots)
 

@@ -126,12 +126,6 @@ class FiniteQuadraticSpace:
         import numpy as np
         return _frozen(np.array(self.orders, dtype=np.int64))
 
-    def pair(self, x: Sequence[int], y: Sequence[int]) -> int:
-        """x^T G y; b(x, y) is this over the level mod 1, q(x) = pair(x, x)
-        over the level mod 2."""
-        return sum(xi * gij * yj for xi, row in zip(x, self.gram) if xi
-                   for gij, yj in zip(row, y) if yj)
-
     @cached_property
     def table(self) -> ElementTable:
         import numpy as np

@@ -50,6 +50,13 @@ def oracle_b(s, x, y):
     return total % 1
 
 
+def pair(s, x, y):
+    """x^T G y on the integer Gram of s: b(x, y) is this over the level
+    mod 1, and q(x) is pair(s, x, x) over the level mod 2."""
+    return sum(xi * gij * yj for xi, row in zip(x, s.gram) if xi
+               for gij, yj in zip(row, y) if yj)
+
+
 def oracle_phase_counts(s):
     """(M, counts): counts[k] elements x with q(x)/2 = k/M mod 1."""
     halves = [oracle_q(s, x) / 2 for x in s.elements()]
@@ -144,7 +151,7 @@ def isotropic_subgroups(s: FiniteQuadraticSpace, cap: int = 4096) -> list[Subgro
         for v in iso_elements:
             if v in elts or (chain and v <= chain[-1]):
                 continue
-            if any(s.pair(v, g) % s.level for g in chain):
+            if any(pair(s, v, g) % s.level for g in chain):
                 continue
             child = closure(s, list(chain) + [v])
             # Canonical chains increase, so the child is new exactly when its
@@ -193,7 +200,7 @@ def is_isometric(s1: FiniteQuadraticSpace, s2: FiniteQuadraticSpace,
         # compared with itself reports the identity.
         ordered = sorted(pool, key=lambda y: (y != g, y))
         for y in ordered:
-            if any(s2.pair(y, images[j]) % level != want[j] for j in range(i)):
+            if any(pair(s2, y, images[j]) % level != want[j] for j in range(i)):
                 continue
             images.append(y)
             if len(closure(s2, images)) == sizes[i] and extend(i + 1):

@@ -223,6 +223,15 @@ class TestStatusAndFlags:
         doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == "limit-exceeded"
 
+    def test_theta_past_int64_is_a_limit_error(self, tmp_path, capsys):
+        # A2 on the basis (e1 + 10^10 e2, e2): Gram entries near 2 * 10^20
+        big = 2 * 10 ** 10 - 1
+        f = write(tmp_path, "a2.json", {"gram": [[2 * 10 ** 20 - 2 * 10 ** 10 + 2, big],
+                                                 [big, 2]]})
+        assert main(["lattice", "theta", f, "--terms", "1"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "limit-exceeded" and "64-bit" in doc["error"]
+
     def test_pretty_output_parses_the_same(self, capsys):
         main(["--pretty", "codes", "sigma", "--length", "16", "--dim", "1"])
         out = capsys.readouterr().out

@@ -156,6 +156,19 @@ class TestGenus:
         u = build_lattice([[0, 1], [1, 0]])
         assert signature(u) == (1, 1)
 
+    def test_signature_reads_the_leading_minors(self, monkeypatch):
+        # Positive definite lattices never reach the congruence
+        # diagonalization: every leading minor is positive.
+        def refuse(*args, **kwargs):
+            raise AssertionError("rational_signature was called")
+
+        pairs = [(lattice_e8e8(), lattice_d16_plus()), (lattice_d(16), lattice_basis_change(
+            lattice_d(16), random.Random(3))), (lattice_a(5), lattice_a(5))]
+        monkeypatch.setattr(discform, "rational_signature", refuse)
+        for l1, l2 in pairs:
+            assert same_genus(l1, l2)
+            assert genus_symbol(l1).signature == genus_symbol(l2).signature == (l1.rank, 0)
+
     def test_milgram_on_builtins(self):
         for name in ("A1", "A2", "A6", "D4", "D5", "D8", "E8", "D16+"):
             l = builtin_lattice(name)
@@ -453,9 +466,28 @@ class TestEnumerationOracle:
 
     @pytest.mark.parametrize("index", range(len(ORACLE_LATTICES)), ids=ORACLE_IDS)
     def test_fraction_free_ldl_matches_fraction_ldl(self, index):
+        # The kept elimination read as exact Fractions is the LDL^T, and the
+        # enumeration's floats are its correctly rounded values.
         base = ORACLE_LATTICES[index]
         for l in (base, lattice_basis_change(base, random.Random(100 + index))):
-            assert theta._ldl(l.gram) == fraction_ldl(l.gram)
+            rows = l.elimination
+            minors = [1] + [row[0] for row in rows]
+            d = [Fraction(minors[j + 1], minors[j]) for j in range(l.rank)]
+            low = [[Fraction(rows[j][i - j], minors[j + 1]) if i > j else Fraction(int(i == j))
+                    for j in range(l.rank)] for i in range(l.rank)]
+            assert (d, low) == fraction_ldl(l.gram)
+            df, lf = theta._factors(l)
+            assert df.tolist() == [float(x) for x in d]
+            assert lf.tolist() == [[float(x) if i > j else 0.0 for j, x in enumerate(row)]
+                                   for i, row in enumerate(low)]
+
+    def test_functional_past_int64_uses_python_integers(self):
+        # Rank 52: p^51 alone passes 2^62, so f is evaluated in Python ints.
+        l = orthogonal_sum([lattice_a(2)] * 24 + [lattice_d(4)])
+        report = root_system(l)
+        assert (report.components, report.root_count) == oracle_root_system(l)
+        simple, _ = _simple_roots(l, short_vectors(l, 2))
+        assert set(map(tuple, simple.tolist())) == oracle_simple_roots(l)
 
     def test_chunks_split_inside_a_parent(self, monkeypatch):
         # Chunks of 5 rows cut most levels' children mid-parent.
@@ -470,6 +502,112 @@ class TestEnumerationOracle:
         [record] = [r for r in caplog.records if r.name == theta.__name__]
         leaves = int(re.search(r"(\d+) leaf candidates", record.getMessage())[1])
         assert leaves >= 120  # the positive half of the 240 roots
+
+    def test_enumeration_builds_no_fraction(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Fraction was built by the enumeration")
+
+        lattices = [lattice_e8e8(), lattice_basis_change(lattice_d(8), random.Random(5)),
+                    skewed(lattice_a(3), SKEW_A3)]
+        assert "Fraction" not in vars(theta)
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        for l in lattices:
+            assert theta_coefficients(l, 2)[0] == 1
+            assert short_vectors(l, 2)
+            assert root_system(l).root_count
+
+
+# det U = 1, and the Gram entries of A3 on this basis reach 2 * 10^14.
+SKEW_A3 = ((1, 10 ** 4, 0), (10 ** 3, 10 ** 7 + 1, 0), (0, 0, 1))
+
+
+def skewed(l, u):
+    """l on the basis U e: Gram U G U^T."""
+    return build_lattice(exactkernel.mat_mul(exactkernel.mat_mul(u, l.gram),
+                                             exactkernel.transpose(u)))
+
+
+def moved_vectors(vectors, u):
+    """Coordinates r U^(-1) on the basis U e of the vectors r, exactly."""
+    inv = kernel_oracle.int_inv_unimodular(u)
+    return sorted(tuple(sum(a * b for a, b in zip(r, col)) for col in zip(*inv))
+                  for r in vectors)
+
+
+class TestSkewedBases:
+    """Enumeration on skewed bases against the exact image of the roots:
+    each answer is complete or a LimitError, never short."""
+
+    def test_skewed_a3_keeps_every_root(self):
+        l = skewed(lattice_a(3), SKEW_A3)
+        assert max(abs(x) for row in l.gram for x in row) > 10 ** 14
+        roots = moved_vectors(short_vectors(lattice_a(3), 2), SKEW_A3)
+        assert len(roots) == 12
+        assert short_vectors(l, 2) == roots
+        assert theta_coefficients(l, 2) == (1, 12, 6)
+        report = root_system(l)
+        assert (report.components, report.root_count) == ((("A", 3),), 12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([lattice_a(2), lattice_a(3), lattice_d(4)]),
+           st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-10 ** 4, 10 ** 4)),
+                    min_size=1, max_size=2))
+    def test_sheared_roots_are_all_found(self, base, moves):
+        u = [[int(i == j) for j in range(base.rank)] for i in range(base.rank)]
+        for i, j, c in moves:
+            i, j = i % base.rank, j % base.rank
+            if i != j:
+                u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+        l = skewed(base, u)
+        try:
+            got = short_vectors(l, 2)
+        except LimitError:
+            return
+        assert got == moved_vectors(short_vectors(base, 2), u)
+
+    def test_gram_entries_past_int64_raise_a_limit_error(self):
+        shear = ((1, 10 ** 10), (0, 1))
+        l = skewed(lattice_a(2), shear)
+        assert max(abs(x) for row in l.gram for x in row) >= 2 ** 63
+        for call in (lambda: theta_coefficients(l, 1), lambda: short_vectors(l, 2),
+                     lambda: root_system(l)):
+            with pytest.raises(LimitError):
+                call()
+
+
+U_GRAM = ((0, 1), (1, 0))
+E8_NEGATIVE = [[-x for x in row] for row in lattice_e8().gram]
+INDEFINITE_IDS = ("U", "U+A1", "E8(-1)+U", "A1+A1(-1)", "A2+A1(-1)")
+INDEFINITE_LATTICES = [orthogonal_sum([build_lattice(g) for g in grams]) for grams in (
+    [U_GRAM], [U_GRAM, [[2]]], [E8_NEGATIVE, U_GRAM], [[[2]], [[-2]]],
+    [lattice_a(2).gram, [[-2]]])]
+
+
+class TestSignatureOracle:
+    """Signatures read off the leading minors, or through the congruence
+    diagonalization when one vanishes, against the Fraction oracle."""
+
+    @pytest.mark.parametrize("index", range(len(ORACLE_LATTICES)), ids=ORACLE_IDS)
+    def test_signature_matches_the_oracle(self, index):
+        base = ORACLE_LATTICES[index]
+        for l in (base, lattice_basis_change(base, random.Random(400 + index))):
+            assert signature(l) + (0,) == kernel_oracle.rational_signature(l.gram)
+            assert l.det == exactkernel.det_int(l.gram)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(ORACLE_LATTICES + INDEFINITE_LATTICES),
+           st.randoms(use_true_random=False))
+    def test_signature_matches_the_oracle_under_basis_change(self, base, rng):
+        l = lattice_basis_change(base, rng)
+        assert signature(l) + (0,) == kernel_oracle.rational_signature(l.gram)
+
+    @pytest.mark.parametrize("index", range(len(INDEFINITE_LATTICES)), ids=INDEFINITE_IDS)
+    def test_signature_of_indefinite_lattices(self, index):
+        l = INDEFINITE_LATTICES[index]
+        # U, U+A1 and E8(-1)+U have a vanishing leading minor
+        assert (len(l.elimination) < l.rank) == (index < 3)
+        assert l.det == exactkernel.det_int(l.gram) == (-1, -2, -1, -4, -6)[index]
+        assert signature(l) + (0,) == kernel_oracle.rational_signature(l.gram)
 
 
 def count_smith_forms(monkeypatch):

@@ -8,8 +8,8 @@ emits the last coordinate's whole interval as a block of candidates.
 `oracle_root_system` splits the roots by the rational ladder
 (1, 1/p, 1/p^2, ...) and calls a positive root simple when no difference
 with another positive root is itself positive.  `fraction_ldl` is the
-LDL^T in `Fraction` arithmetic that the fraction-free elimination in
-`genusforge.lattice.theta` replaced.
+LDL^T in `Fraction` arithmetic, the oracle for the fraction-free
+elimination that `EvenLattice.elimination` keeps and Fincke-Pohst reads.
 """
 
 import math
