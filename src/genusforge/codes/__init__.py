@@ -9,7 +9,7 @@ from .._lazy import lazy_names
 
 __all__, __getattr__, __dir__ = lazy_names(__name__, {
     "binary": ("BinaryCode", "build_code", "code_from_json", "code_to_json",
-               "contains_allones", "dual_code", "is_even", "rref", "weight_enumerator",
+               "contains_allones", "dual_code", "is_even", "weight_enumerator",
                "weights_divisible_by_8"),
     "framed": ("FramedPair", "FramedReport", "check_framed_conditions"),
     "greedy": ("lexicode",),

@@ -109,10 +109,6 @@ def build_code(length: int, rows) -> BinaryCode:
     return BinaryCode(length, _rref_rows(rows, length))
 
 
-def rref(code: BinaryCode) -> BinaryCode:
-    return build_code(code.length, code.basis)
-
-
 def dual_code(code: BinaryCode) -> BinaryCode:
     """All words orthogonal to the code; dim is length - dim."""
     return code._dual

@@ -47,3 +47,9 @@ class LimitError(GenusForgeError, RuntimeError):
 
 class InternalError(GenusForgeError, AssertionError):
     """An internally impossible state; indicates a bug in this package."""
+
+
+def check_cap(cap) -> None:
+    """Every enumeration cap must be a nonnegative integer; a bool is not."""
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
+        raise ValidationError(f"cap must be a nonnegative integer, got {cap!r}")

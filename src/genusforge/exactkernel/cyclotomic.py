@@ -185,12 +185,6 @@ class ComplexInterval(NamedTuple):
     def width(self) -> Fraction:
         return max(self.re_hi - self.re_lo, self.im_hi - self.im_lo)
 
-    def contains(self, re: Fraction, im: Fraction) -> bool:
-        return self.re_lo <= re <= self.re_hi and self.im_lo <= im <= self.im_hi
-
-    def midpoint(self) -> tuple[Fraction, Fraction]:
-        return ((self.re_lo + self.re_hi) / 2, (self.im_lo + self.im_hi) / 2)
-
     def strictly_positive_real(self) -> bool:
         return self.re_lo > 0
 

@@ -42,10 +42,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
-def mat_vec(a: Sequence[Sequence], x: Sequence) -> tuple:
-    return tuple(sum(row[k] * x[k] for k in range(len(x))) for row in a)
-
-
 def transpose(a: Sequence[Sequence]) -> tuple:
     if not a:
         return ()

@@ -70,6 +70,7 @@ from ..errors import (
     LimitError,
     NotPositiveDefiniteError,
     ValidationError,
+    check_cap,
 )
 from .lattice import EvenLattice
 
@@ -215,6 +216,7 @@ def theta_coefficients(l: EvenLattice, k: int, cap: int = 64) -> tuple[int, ...]
     """(c_0, ..., c_k) with c_m the number of vectors of norm 2m."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValidationError("theta needs a nonnegative term count")
+    check_cap(cap)
     if k > cap:
         raise LimitError(f"theta term count {k} exceeds cap {cap}")
     counts, _ = _enumerate(l, 2 * k, store=False)

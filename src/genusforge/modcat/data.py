@@ -1,29 +1,32 @@
-"""Modular data: labels, s-tilde matrix, twists, and the exponents of
-pointed data.
+"""Modular data: labels, dual, twists, and one table of root-of-unity terms.
 
-Everything is stored in the rescaled convention s_tilde = sqrt(D) * S,
-which keeps all entries inside cyclotomic fields.  The discriminant
-D = sum of dim^2 must come out a positive rational integer; twists are
-rational phases mod 1, so automatically roots of unity, and each is
-stored once.  Conformal weights exist only in the JSON format: its
-"weights" list is written from the twists, and on input it must match
-the labels and agree with the twists mod 1.
+Everything is stored in the rescaled convention s_tilde = sqrt(D) * S.
+Each entry s_tilde[i][j] = S_ij / S_00 of a modular category is an
+algebraic integer in a cyclotomic field, so its power-basis coordinates
+are integers, and it is a sum of roots of unity zeta_M over one order M:
+a coordinate c on zeta^e gives c copies of e, or |c| copies of e + M/2
+when c < 0, as zeta^(M/2) = -1 for even M.  `Terms` keeps these exponents,
+one short list per entry padded with -1, beside the twists
+theta_i = zeta_M^tau_i.  A pointed entry is one exponent; Ising's sqrt 2
+is zeta_16^2 + zeta_16^14, -sqrt 2 is zeta_16^6 + zeta_16^10 and 0 the
+empty list.  M is even unless every entry is one root of unity, as for
+`from_quadratic_space`, which keeps the order of its roots.  Data whose
+entries have a non-integer coordinate are not modular and are rejected.
 
-When every entry of s_tilde is a root of unity, as for every pointed
-category, `exponents` writes the data over one root of unity zeta_M:
-s_tilde[i][j] = zeta_M^E[i, j] and theta_i = zeta_M^tau[i], with M the
-lcm of the entry orders and twist denominators.  For such data the table
-(M, E, tau) is what is validated and what relations, fusion and the
-anomaly test read.  `from_quadratic_space` builds nothing else: the
-cyclotomic matrix `s_tilde` of its data is built from E on first access
-(JSON, `product`, `voa_genus_equal` and the cyclotomic reference paths).
-Data whose entries are not all roots of unity, such as Ising, keep their
-given matrix, have `exponents` None and are checked and used in
-cyclotomic arithmetic.
+Validation, relations, fusion, genus dimensions and the anomaly test all
+read this table.  The matrix `s_tilde` of `CyclotomicNumber`s is a view
+built from it on first access (JSON, equality and `voa_genus_equal`),
+each entry written over the least order that holds its exponents.  The
+discriminant D = sum of dim^2 must come out a positive rational integer;
+twists are rational phases mod 1, so automatically roots of unity, and
+each is stored once.  Conformal weights exist only in the JSON format:
+its "weights" list is written from the twists, and on input it must
+match the labels and agree with the twists mod 1.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,44 +36,73 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ..errors import ValidationError
-from ..exactkernel import (
-    ORDER_CAP,
-    CyclotomicNumber,
-    PhaseMod1,
-    as_fraction,
-    reduce_int_counts,
-)
+from ..exactkernel import CyclotomicNumber, PhaseMod1, as_fraction, reduce_int_counts
 from ..exactkernel.cyclotomic import _power_index
 from ..quadspace import FiniteQuadraticSpace
 
 
-class Exponents(NamedTuple):
-    """s_tilde[i][j] = zeta_order^s[i, j] and theta_i = zeta_order^twists[i],
-    with every exponent in [0, order)."""
+class Terms(NamedTuple):
+    """s_tilde[i][j] = sum_t zeta_order^s[i, j, t] over the terms with
+    s[i, j, t] >= 0 (-1 pads a shorter list), and theta_i =
+    zeta_order^twists[i]; exponents lie in [0, order), and the order is even
+    unless every entry is one term."""
 
     order: int
     s: np.ndarray
     twists: np.ndarray
 
 
-def _as_cyclo(x) -> CyclotomicNumber:
-    if isinstance(x, CyclotomicNumber):
-        return x
-    return CyclotomicNumber.from_rational(as_fraction(x))
+def times(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+    """The terms of the products of the entries of a and b, broadcast over
+    every axis but the last: each sum of a term of a and a term of b,
+    padding where either is padding (any negative exponent)."""
+    sums = (a[..., :, None] + b[..., None, :]) % order
+    if a.min() < 0 or b.min() < 0:
+        sums[(a[..., :, None] < 0) | (b[..., None, :] < 0)] = -1
+    return sums.reshape(sums.shape[:-2] + (-1,))
+
+
+def entry(terms: np.ndarray, order: int) -> CyclotomicNumber:
+    """sum_t zeta_order^terms[t], over the least order holding every term."""
+    exps = terms[terms >= 0].tolist()
+    step = gcd(order, *exps)
+    return CyclotomicNumber.from_exponents(order // step,
+                                           dict(Counter(e // step for e in exps)))
+
+
+def pad(lists: Sequence[Sequence[int]]) -> np.ndarray:
+    """Term lists as rows of one array, padded with -1."""
+    out = np.full((len(lists), max([1, *map(len, lists)])), -1, dtype=np.int64)
+    for r, terms in enumerate(lists):
+        out[r, :len(terms)] = terms
+    return out
+
+
+def terms_of(n: int, coeffs: Sequence[int], order: int) -> list[int]:
+    """Exponents over zeta_order whose roots sum to sum_k coeffs[k] zeta_n^k,
+    for integer power-basis coordinates and n dividing the even order: one
+    exponent for a root of unity +-zeta_n^j, else c copies of the exponent
+    of each coordinate c, on the opposite root when c < 0."""
+    step, half = order // n, order // 2
+    power = _power_index(n)
+    e = power.get(tuple(coeffs))
+    if e is not None:
+        return [e * step]
+    e = power.get(tuple(-c for c in coeffs))
+    if e is not None:
+        return [(e * step + half) % order]
+    return [(k * step + (half if c < 0 else 0)) % order
+            for k, c in enumerate(coeffs) for _ in range(abs(c))]
 
 
 @dataclass(frozen=True, eq=False)
 class ModularData:
-    """Labels 0..n-1 with 0 the unit; dual is charge conjugation.
-
-    `matrix` is s_tilde as given, or None when the data are given by their
-    `exponents` alone; read the matrix through `s_tilde` either way.
-    """
+    """Labels 0..n-1 with 0 the unit; dual is charge conjugation; `terms`
+    holds s_tilde and the twists over one root of unity."""
 
     dual: tuple[int, ...]
-    matrix: tuple[tuple[CyclotomicNumber, ...], ...] | None
     twists: tuple[PhaseMod1, ...]
-    exponents: Exponents | None = None
+    terms: Terms
 
     def __post_init__(self) -> None:
         n = len(self.dual)
@@ -84,39 +116,23 @@ class ModularData:
             raise ValidationError("dual must be an involution")
         if len(self.twists) != n:
             raise ValidationError("twists must match the labels")
-        if self.exponents is None:
-            self._check_matrix()
-        else:
-            self._check_exponents()
+        order, s, tau = self.terms
+        if s.ndim != 3 or s.shape[:2] != (n, n) or tau.shape != (n,):
+            raise ValidationError("s_tilde must be square over the labels")
+        if s.min() < -1 or s.max() >= order or (order % 2 and not self.pointed):
+            raise ValidationError("terms must lie in [0, order), an even order "
+                                  "unless every entry is one term")
+        bad = np.argwhere(s != s.transpose(1, 0, 2))
+        if len(bad):
+            i, j, _ = bad[0].tolist()
+            raise ValidationError(f"s_tilde not symmetric at ({i},{j})")
+        if not self.pointed:  # a root of unity never vanishes
+            zero = [i for i, terms in enumerate(s[0]) if entry(terms, order).is_zero()]
+            if zero:
+                raise ValidationError(f"dimension of label {zero[0]} vanishes")
         if self.discriminant <= 0:
             raise ValidationError("sum of squared dimensions must be a "
                                   "positive integer")
-
-    def _check_matrix(self) -> None:
-        n = self.n
-        mat = self.matrix
-        if mat is None or len(mat) != n or any(len(row) != n for row in mat):
-            raise ValidationError("s_tilde must be square over the labels")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if mat[i][j] != mat[j][i]:
-                    raise ValidationError(f"s_tilde not symmetric at ({i},{j})")
-        for i, d in enumerate(mat[0]):
-            if d.is_zero():
-                raise ValidationError(f"dimension of label {i} vanishes")
-
-    def _check_exponents(self) -> None:
-        # roots of unity never vanish, so only shape and symmetry are left
-        order, exps, tau = self.exponents
-        n = self.n
-        if exps.shape != (n, n) or tau.shape != (n,):
-            raise ValidationError("s_tilde must be square over the labels")
-        if exps.min() < 0 or exps.max() >= order:
-            raise ValidationError("exponents must lie in [0, order)")
-        bad = np.argwhere(exps != exps.T)
-        if len(bad):
-            i, j = bad[0].tolist()
-            raise ValidationError(f"s_tilde not symmetric at ({i},{j})")
 
     @property
     def n(self) -> int:
@@ -128,14 +144,16 @@ class ModularData:
 
     @cached_property
     def s_tilde(self) -> tuple[tuple[CyclotomicNumber, ...], ...]:
-        if self.matrix is not None:
-            return self.matrix
-        order, exps, _ = self.exponents
-        roots = {}
-        for e in np.unique(exps).tolist():
-            p = Fraction(e, order)
-            roots[e] = CyclotomicNumber.from_exponents(p.denominator, {p.numerator: 1})
-        return tuple(tuple(roots[e] for e in row) for row in exps.tolist())
+        order, s, _ = self.terms
+        seen: dict[bytes, CyclotomicNumber] = {}
+
+        def cell(terms: np.ndarray) -> CyclotomicNumber:
+            key = terms.tobytes()
+            if key not in seen:
+                seen[key] = entry(terms, order)
+            return seen[key]
+
+        return tuple(tuple(map(cell, row)) for row in s)
 
     @property
     def dims(self) -> tuple[CyclotomicNumber, ...]:
@@ -144,20 +162,46 @@ class ModularData:
     @cached_property
     def discriminant(self) -> int:
         """D = sum of dim^2; raises ValidationError unless it is an integer."""
-        if self.exponents is not None:
-            order, exps, _ = self.exponents
-            coeffs = reduce_int_counts(order, np.bincount(2 * exps[0] % order,
-                                                          minlength=order)).tolist()
-            val = None if any(coeffs[1:]) else coeffs[0]
-        else:
-            d = CyclotomicNumber.zero()
-            for x in self.dims:
-                d = d + x * x
-            val = d.is_integer()
-        if val is None:
+        coeffs = reduce_int_counts(self.terms.order, self._dim_square_counts(0)).tolist()
+        if any(coeffs[1:]):
             raise ValidationError("sum of squared dimensions must be a "
                                   "positive integer")
-        return val
+        return coeffs[0]
+
+    def _dim_square_counts(self, twist) -> np.ndarray:
+        """Counts over zeta_M of sum_j zeta_M^twist[j] dim_j^2, for twist 0 or
+        an array of shape (n, 1, 1)."""
+        order, s, _ = self.terms
+        dims = s[0]
+        terms = (dims[:, :, None] + dims[:, None, :] + twist) % order
+        if not self.pointed:
+            terms = terms[(dims[:, :, None] >= 0) & (dims[:, None, :] >= 0)]
+        return np.bincount(terms.ravel(), minlength=order)
+
+    @cached_property
+    def gauss_counts(self) -> np.ndarray:
+        """Counts over zeta_M of sum_j theta_j dim_j^2."""
+        return self._dim_square_counts(self.terms.twists[:, None, None])
+
+    @cached_property
+    def pointed(self) -> bool:
+        """Whether every entry is one root of unity (one term, no padding),
+        as for the data of a pointed category."""
+        s = self.terms.s
+        return s.shape[2] == 1 and s.min() >= 0
+
+    @cached_property
+    def inverse_dims(self) -> tuple[np.ndarray, int]:
+        """(terms, scale) with scale / dims_l = sum_t zeta_M^terms[l, t]: a
+        pointed dim zeta^e inverts to zeta^-e, any other dim through
+        `CyclotomicNumber.inverse`, over one common integer scale."""
+        order, s, _ = self.terms
+        if self.pointed:
+            return -s[0] % order, 1
+        inverses = [entry(terms, order).inverse() for terms in s[0]]
+        scale = lcm(*(x.den for x in inverses))
+        return pad([terms_of(x.order, [c * (scale // x.den) for c in x.num], order)
+                    for x in inverses]), scale
 
     @cached_property
     def _relation_report(self):
@@ -175,46 +219,28 @@ class ModularData:
         return f"ModularData(n={self.n}, D={self.discriminant})"
 
 
-def _exponent(x: CyclotomicNumber, order: int) -> int | None:
-    """e with x = zeta_order^e, read off the power basis of x's own field:
-    the roots of unity there are +-zeta^j, each one row of `_power_index`."""
-    if x.den != 1:
-        return None
-    power = _power_index(x.order)
-    e = power.get(x.num)
-    if e is not None:
-        return e * (order // x.order)
-    e = power.get(tuple(-c for c in x.num))
-    if e is None or order % 2:
-        return None
-    return (e * (order // x.order) + order // 2) % order
-
-
-def _exponents_of(mat, twists) -> Exponents | None:
-    """The exponents of every entry and twist, or None when some entry is
-    not a root of unity, the matrix is not square or the common order
-    passes the cyclotomic cap."""
-    if any(len(row) != len(mat) for row in mat):
-        return None
-    order = lcm(*(x.order for row in mat for x in row),
-                *(t.value.denominator for t in twists))
-    if order > ORDER_CAP:
-        return None
-    exps = [[_exponent(x, order) for x in row] for row in mat]
-    if any(None in row for row in exps):
-        return None
-    tau = [t.value.numerator * (order // t.value.denominator) for t in twists]
-    return Exponents(order, np.array(exps, dtype=np.int64).reshape(len(mat), len(mat)),
-                     np.array(tau, dtype=np.int64))
-
-
 def build_modular_data(dual: Sequence[int],
                        s_tilde: Sequence[Sequence],
                        twists: Sequence) -> ModularData:
     """Normalize raw entries (rationals allowed) into ModularData."""
     tw = tuple(t if isinstance(t, PhaseMod1) else PhaseMod1(t) for t in twists)
-    mat = tuple(tuple(_as_cyclo(x) for x in row) for row in s_tilde)
-    return ModularData(tuple(dual), mat, tw, _exponents_of(mat, tw))
+    mat = [[x if isinstance(x, CyclotomicNumber)
+            else CyclotomicNumber.from_rational(as_fraction(x)) for x in row]
+           for row in s_tilde]
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValidationError("s_tilde must be square over the labels")
+    bad = next((x for row in mat for x in row if x.den != 1), None)
+    if bad is not None:
+        raise ValidationError(f"s_tilde entry {bad} is not an algebraic integer "
+                              "(its power-basis coordinates are not integers), "
+                              "so the data are not modular")
+    order = lcm(2, *(x.order for row in mat for x in row),
+                *(t.value.denominator for t in tw))
+    s = pad([terms_of(x.order, x.num, order) for row in mat for x in row])
+    tau = np.array([t.value.numerator * (order // t.value.denominator) for t in tw],
+                   dtype=np.int64)
+    return ModularData(tuple(dual), tw, Terms(order, s.reshape(n, n, -1), tau))
 
 
 def from_quadratic_space(s: FiniteQuadraticSpace) -> ModularData:
@@ -229,35 +255,35 @@ def from_quadratic_space(s: FiniteQuadraticSpace) -> ModularData:
     tau = q * order // (2 * level)
     dual = tuple(((-coords) % s.orders_array @ s.radix).tolist())
     twists = tuple(PhaseMod1(Fraction(v, 2 * level)) for v in q.tolist())
-    return ModularData(dual, None, twists, Exponents(order, exps, tau))
+    return ModularData(dual, twists, Terms(order, exps[:, :, None], tau))
 
 
 def product(m1: ModularData, m2: ModularData) -> ModularData:
-    """Product category data: labels are pairs, s_tilde the tensor product,
-    twists add."""
-    n2 = m2.n
-    dual = tuple(m1.dual[i] * n2 + m2.dual[j]
+    """Product category data: labels are pairs, s_tilde the tensor product
+    (term exponents add), twists add."""
+    (o1, s1, t1), (o2, s2, t2) = m1.terms, m2.terms
+    order = lcm(o1, o2)
+    n = m1.n * m2.n
+    # scaling keeps padding negative, and `times` writes it back as -1
+    s = times((s1 * (order // o1))[:, None, :, None], (s2 * (order // o2))[None, :, None, :],
+              order).reshape(n, n, -1)
+    tau = (t1[:, None] * (order // o1) + t2[None, :] * (order // o2)) % order
+    dual = tuple(m1.dual[i] * m2.n + m2.dual[j]
                  for i in m1.labels for j in m2.labels)
-    rows = []
-    for i1 in m1.labels:
-        for i2 in m2.labels:
-            rows.append(tuple(m1.s_tilde[i1][j1] * m2.s_tilde[i2][j2]
-                              for j1 in m1.labels for j2 in m2.labels))
     twists = tuple(m1.twists[i] + m2.twists[j]
                    for i in m1.labels for j in m2.labels)
-    return build_modular_data(dual, rows, twists)
+    return ModularData(dual, twists, Terms(order, s, tau.ravel()))
 
 
 def ising_data() -> ModularData:
-    """The three-object Ising data: twists (0, 1/2, 1/16), dims (1, 1, sqrt 2)."""
-    rt2 = CyclotomicNumber.from_exponents(8, {1: 1, 7: 1})
-    one = CyclotomicNumber.one()
-    s = ((one, one, rt2),
-         (one, one, -rt2),
-         (rt2, -rt2, CyclotomicNumber.zero()))
+    """The three-object Ising data over zeta_16: twists (0, 1/2, 1/16), dims
+    (1, 1, sqrt 2) with sqrt 2 = zeta^2 + zeta^14 and -sqrt 2 = zeta^6 + zeta^10."""
+    s = np.array([[[0, -1], [0, -1], [2, 14]],
+                  [[0, -1], [0, -1], [6, 10]],
+                  [[2, 14], [6, 10], [-1, -1]]], dtype=np.int64)
     twists = (PhaseMod1(Fraction(0)), PhaseMod1(Fraction(1, 2)),
               PhaseMod1(Fraction(1, 16)))
-    return ModularData((0, 1, 2), s, twists)
+    return ModularData((0, 1, 2), twists, Terms(16, s, np.array([0, 8, 1], dtype=np.int64)))
 
 
 def _cyclo_to_json(x: CyclotomicNumber):

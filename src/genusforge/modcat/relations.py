@@ -8,11 +8,11 @@ nor the cube root gamma ever appears:
   (iii) s_tilde^2 T = T s_tilde^2
   (iv)  (s_tilde T)^3 = (sum_i theta_i dim_i^2) * s_tilde^2
 
-For pointed data, which carry their exponents over one root of unity
-zeta_M, each product becomes a count of exponent sums mod M, reduced to
-the power basis with one integer matrix multiplication.  Data without
-exponents, such as Ising, are multiplied out in cyclotomic arithmetic,
-which is fine for small label sets.
+Every entry is a list of exponents over one root of unity zeta_M (see
+`data`), so each matrix product becomes a count of exponent sums mod M,
+one per choice of a term in each factor, reduced to the power basis with
+one integer matrix multiplication.  Pointed data have one term per entry
+and a term axis of length 1.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exactkernel import CyclotomicNumber, euler_phi, reduce_int_counts, root_of_unity
+from ..exactkernel import euler_phi, reduce_int_counts
 from .data import ModularData
 
 
@@ -45,57 +45,70 @@ _PASS = RelationReport(None, "")
 
 
 # The counts below take rows i in chunks so that the keyed and gathered
-# temporaries (n^2 and n^2 M entries per row) stay near this many entries;
-# all rows at once would need n^3 M, 2^27 at n = 64, M = 512.
+# temporaries (n^2 w^2 and n^2 w M entries per row, for w terms an entry)
+# stay near this many entries; all rows of a pointed table at once would
+# need n^3 M, 2^27 at n = 64, M = 512.
 _CHUNK = 1 << 20
 
 
 def _pair_counts(left: np.ndarray, right: np.ndarray, order: int) -> np.ndarray:
-    """counts[i, k, e] = #{j : left[i,j] + right[j,k] == e (mod order)}:
-    one bincount over the keys (i n + k) order + e per chunk of rows i."""
-    n = left.shape[0]
-    out = np.empty((n, n, order), dtype=np.int64)
-    step = max(1, min(n, _CHUNK // (n * n)))
-    offsets = order * np.arange(n * step).reshape(step, 1, n)
-    for i in range(0, n, step):
+    """counts[i, k, e] = #{(j, t, u) : left[i,j,t] + right[j,k,u] == e (mod order)}
+    over the terms t of left[i, j] and u of right[j, k], padding (-1) no
+    term: one bincount over the keys (i c + k) order + e per chunk of rows
+    i, with padded pairs sent to one spare bin past the end."""
+    rows, n, wl = left.shape
+    cols, wr = right.shape[1:]
+    padded = left.min() < 0 or right.min() < 0
+    out = np.empty((rows, cols, order), dtype=np.int64)
+    step = max(1, min(rows, _CHUNK // (n * cols * wl * wr)))
+    offsets = order * np.arange(step * cols).reshape(step, 1, cols, 1, 1)
+    for i in range(0, rows, step):
         block = left[i:i + step]
-        rows = block.shape[0]
-        keys = (block[:, :, None] + right[None, :, :]) % order + offsets[:rows]
-        out[i:i + rows] = np.bincount(
-            keys.ravel(), minlength=rows * n * order).reshape(rows, n, order)
+        r = block.shape[0]
+        keys = ((block[:, :, None, :, None] + right[None, :, :, None, :]) % order
+                + offsets[:r])
+        if padded:
+            keys = np.where((block[:, :, None, :, None] < 0) | (right[None, :, :, None, :] < 0),
+                            r * cols * order, keys)
+        out[i:i + r] = np.bincount(keys.ravel(), minlength=r * cols * order + 1)[:-1].reshape(
+            r, cols, order)
     return out
 
 
 def _triple_counts(a: np.ndarray, order: int) -> np.ndarray:
-    """counts[i, k, e] = #{(j, l) : a[i,l] + a[l,j] + a[j,k] == e (mod order)}:
-    the pair counts of a with a, gathered along a[j, k] and summed over j."""
-    n = a.shape[0]
+    """counts[i, k, e] = #{(l, j, t, u, v) : a[i,l,t] + a[l,j,u] + a[j,k,v] == e
+    (mod order)}: the pair counts of a with a, gathered along the terms of
+    a[j, k] and summed over j and the terms."""
+    n, _, w = a.shape
     a2 = _pair_counts(a, a, order)
-    # shift[j, k, e] = e - a[j, k], so a2[i, j, shift[j, k, e]] counts the
-    # paths through j that end at exponent e
-    shift = (np.arange(order)[None, None, :] - a[:, :, None]) % order
-    js = np.arange(n)[:, None, None]
+    # shift[j, k, v, e] = e - a[j, k, v], so a2[i, j, shift[j, k, v, e]]
+    # counts the paths through j that end at exponent e; a padded term
+    # reads a zero column appended at index `order`
+    shift = (np.arange(order) - a[:, :, :, None]) % order
+    if a.min() < 0:
+        a2 = np.concatenate([a2, np.zeros((n, n, 1), dtype=np.int64)], axis=2)
+        shift[a < 0] = order
+    js = np.arange(n)[:, None, None, None]
     out = np.empty((n, n, order), dtype=np.int64)
-    step = max(1, _CHUNK // (n * n * order))
+    step = max(1, _CHUNK // (n * n * w * order))
     for i in range(0, n, step):
-        out[i:i + step] = a2[i:i + step][:, js, shift].sum(axis=1)
+        out[i:i + step] = a2[i:i + step][:, js, shift].sum(axis=(1, 3))
     return out
 
 
-def _verify_exponents(m: ModularData) -> RelationReport:
-    order, exps, tau = m.exponents
+def _verify(m: ModularData) -> RelationReport:
+    order, s, tau = m.terms
     n = m.n
     d = m.discriminant
     phi = euler_phi(order)
     labels = np.arange(n)
     dual = np.asarray(m.dual)
 
-    s2 = reduce_int_counts(order, _pair_counts(exps, exps, order))
+    s2 = reduce_int_counts(order, _pair_counts(s, s, order))
     target = np.zeros((n, n, phi), dtype=np.int64)
     target[labels, dual, 0] = d
     if not np.array_equal(s2, target):
-        bad = next((i, k) for i in range(n) for k in range(n)
-                   if not np.array_equal(s2[i, k], target[i, k]))
+        bad = tuple(np.argwhere((s2 != target).any(axis=2))[0].tolist())
         return RelationReport("i", f"s_tilde^2 != D*P at {bad}")
 
     if any(m.dual[m.dual[i]] != i for i in range(n)):
@@ -108,69 +121,16 @@ def _verify_exponents(m: ModularData) -> RelationReport:
             return RelationReport(
                 "iii", f"theta differs on the dual pair ({i},{m.dual[i]})")
 
-    a = (exps + tau[None, :]) % order  # s_tilde * T, columns scaled
+    a = (s + tau[None, :, None]) % order  # s_tilde * T, columns scaled
+    if not m.pointed:
+        a[s < 0] = -1
     lhs = reduce_int_counts(order, _triple_counts(a, order))
-
-    # Gauss part: sum theta_i dim_i^2 = sum zeta^(tau_i + 2 E[0,i]).
-    gauss = np.bincount((tau + 2 * exps[0]) % order, minlength=order)
     rhs = np.zeros((n, n, phi), dtype=np.int64)
-    rhs[labels, dual] = d * reduce_int_counts(order, gauss)
+    rhs[labels, dual] = d * reduce_int_counts(order, m.gauss_counts)
     if not np.array_equal(lhs, rhs):
-        bad = next((i, k) for i in range(n) for k in range(n)
-                   if not np.array_equal(lhs[i, k], rhs[i, k]))
+        bad = tuple(np.argwhere((lhs != rhs).any(axis=2))[0].tolist())
         return RelationReport("iv", f"(s_tilde*T)^3 mismatch at {bad}")
     return _PASS
-
-
-def _mat_mul_cyclo(a, b):
-    n = len(a)
-    zero = CyclotomicNumber.zero()
-    out = []
-    for i in range(n):
-        row = []
-        for k in range(n):
-            acc = zero
-            for j in range(n):
-                acc = acc + a[i][j] * b[j][k]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _verify_cyclotomic(m: ModularData) -> RelationReport:
-    n = m.n
-    d = CyclotomicNumber.from_rational(m.discriminant)
-    zero = CyclotomicNumber.zero()
-    s2 = _mat_mul_cyclo(m.s_tilde, m.s_tilde)
-    for i in range(n):
-        for k in range(n):
-            want = d if k == m.dual[i] else zero
-            if s2[i][k] != want:
-                return RelationReport("i", f"s_tilde^2 != D*P at ({i},{k})")
-    if any(m.dual[m.dual[i]] != i for i in range(n)):
-        return RelationReport("ii", "dual is not an involution")
-    theta = [root_of_unity(t) for t in m.twists]
-    for i in range(n):
-        for k in range(n):
-            if s2[i][k] * theta[k] != theta[i] * s2[i][k]:
-                return RelationReport(
-                    "iii", f"s_tilde^2 and T do not commute at ({i},{k})")
-    st = tuple(tuple(m.s_tilde[i][j] * theta[j] for j in range(n))
-               for i in range(n))
-    cubed = _mat_mul_cyclo(_mat_mul_cyclo(st, st), st)
-    gauss = zero
-    for i in range(n):
-        gauss = gauss + theta[i] * m.dims[i] * m.dims[i]
-    for i in range(n):
-        for k in range(n):
-            if cubed[i][k] != gauss * s2[i][k]:
-                return RelationReport(
-                    "iv", f"(s_tilde*T)^3 mismatch at ({i},{k})")
-    return _PASS
-
-
-def _verify(m: ModularData) -> RelationReport:
-    return _verify_cyclotomic(m) if m.exponents is None else _verify_exponents(m)
 
 
 def verify_relations(m: ModularData) -> RelationReport:

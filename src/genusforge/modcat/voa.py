@@ -2,15 +2,15 @@
 
 The anomaly test asks whether G = sum_j theta_j dim_j^2 equals
 exp(2 pi i c/8) sqrt(D), without ever taking a square root.  G is a
-vector of integer counts over one root of unity: for pointed data the
-counts of tau_j + 2 E[0, j] mod M, for other data the power-basis
-coordinates of G cleared of denominators.  `gauss_phase` squares the
-counts by cyclic convolution in integers, finds the root of unity G^2/D,
-and settles the remaining sign with one certified interval.  (A quadratic
-space needs none of this: `signature_mod8` reads its phase off a Jordan
-splitting, with no Gauss sum formed.)  Certified means proven: the
-interval is summed in integers from tables of cos and sin whose error
-bound is derived in `exactkernel.cyclotomic._unit_circle`.
+vector of integer counts over one root of unity zeta_M: the counts of the
+exponent sums tau_j + e + e' over the terms e, e' of dim_j in the term
+table.  `gauss_phase` squares the counts by cyclic convolution in
+integers, finds the root of unity G^2/D, and settles the remaining sign
+with one certified interval.  (A quadratic space needs none of this:
+`signature_mod8` reads its phase off a Jordan splitting, with no Gauss
+sum formed.)  Certified means proven: the interval is summed in integers
+from tables of cos and sin whose error bound is derived in
+`exactkernel.cyclotomic._unit_circle`.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from ..errors import LimitError, ValidationError
-from ..exactkernel import CyclotomicNumber, gauss_phase, root_of_unity
+from ..exactkernel import gauss_phase
 from ..exactkernel.rationals import RationalLike, as_fraction
 from ..quadspace import (
     FiniteQuadraticSpace,
@@ -35,24 +33,10 @@ from .data import ModularData
 _log = logging.getLogger(__name__)
 
 
-def _twisted_dimension_counts(m: ModularData) -> tuple[int, list[int], int]:
-    """(order, counts, scale) with sum_j theta_j d_j^2 equal to
-    sum_e counts[e] zeta_order^e / scale."""
-    if m.exponents is not None:
-        order, exps, tau = m.exponents
-        return order, np.bincount((tau + 2 * exps[0]) % order, minlength=order).tolist(), 1
-    acc = CyclotomicNumber.zero()
-    for j in range(m.n):
-        d = m.dims[j]
-        acc = acc + root_of_unity(m.twists[j]) * d * d
-    return acc.order, list(acc.num), acc.den
-
-
 def voa_milgram_check(m: ModularData, c: RationalLike, bits: int = 128) -> bool:
     """Whether sum_j theta_j d_j^2 equals exp(2 pi i c/8) sqrt(D)."""
     c = as_fraction(c)
-    order, counts, scale = _twisted_dimension_counts(m)
-    phase = gauss_phase(order, counts, scale * scale * m.discriminant, bits)
+    phase = gauss_phase(m.terms.order, m.gauss_counts, m.discriminant, bits)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("Milgram check of %d labels at c = %s: %s", m.n, c,
                    "integer square test failed" if phase is None else

@@ -198,12 +198,3 @@ def jordan_blocks_odd(s: FiniteQuadraticSpace, p: int) -> list[JordanBlockSummar
         scales.setdefault(k, []).append(_jacobi(rho // 2, p))
     return [JordanBlockSummary(p=p, k=k, rank=len(thetas), theta=math.prod(thetas))
             for k, thetas in sorted(scales.items())]
-
-
-def jordan_decomposition(s: FiniteQuadraticSpace):
-    """Per prime: odd p -> block summaries, p = 2 -> the raw 2-primary space."""
-    parts = primary_decomposition(s)
-    out: dict[int, object] = {}
-    for p, part in sorted(parts.items()):
-        out[p] = part if p == 2 else jordan_blocks_odd(part, p)
-    return out

@@ -22,9 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import LimitError
+from ..errors import LimitError, check_cap
 from .space import FiniteQuadraticSpace
-from .subgroups import _check_cap, _indices, _rows, _span
+from .subgroups import _indices, _rows, _span
 
 Coords = tuple[int, ...]
 
@@ -56,7 +56,7 @@ def is_isometric(s1: FiniteQuadraticSpace, s2: FiniteQuadraticSpace,
     ascending element order, so a space compared with itself reports the
     identity.  Forward checking cuts only choices with no completion.
     """
-    _check_cap(cap)
+    check_cap(cap)
     if s1.orders != s2.orders:
         return None
     if s1.order > cap:

@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..errors import InternalError, LimitError, NonIsotropicSubgroupError, ValidationError
+from ..errors import InternalError, LimitError, NonIsotropicSubgroupError, check_cap
 from .space import FiniteQuadraticSpace, subquotient
 
 Coords = tuple[int, ...]
@@ -45,11 +45,6 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, generators={list(self.generators)})"
-
-
-def _check_cap(cap) -> None:
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
-        raise ValidationError(f"cap must be a nonnegative integer, got {cap!r}")
 
 
 def _index(s: FiniteQuadraticSpace, rows: np.ndarray) -> np.ndarray:
@@ -137,7 +132,7 @@ def isotropic_subgroups(s: FiniteQuadraticSpace, cap: int = 4096) -> list[Subgro
     candidates of a node are tested at once: the cosets H + k*v are laid out
     for every v, and v is canonical when it is the least new element.
     """
-    _check_cap(cap)
+    check_cap(cap)
     if s.order > cap:
         raise LimitError(f"group order {s.order} exceeds isotropic cap {cap}")
     start = time.perf_counter()

@@ -1,8 +1,15 @@
-"""The counting and cyclotomic code that pointed modular data used to run,
-kept as the oracle for the exponent-table paths.
+"""The counting and cyclotomic code that modular data used to run, kept as
+the oracle for the term-table paths.
 
-- `fusion_by_counts`: the Verlinde sum of every (i, j, k) as exponent
-  counts over zeta_M, reduced to the power basis and divided by D.
+- `verify_cyclotomic`, `fusion_cyclotomic`, `block_sum_cyclotomic`,
+  `discriminant_cyclotomic` and `twisted_dimension_cyclotomic`: the
+  relations, the Verlinde sum, the genus block sum, D and the twisted
+  dimension sum multiplied out one `CyclotomicNumber` at a time over
+  `s_tilde`, as the library did for data that were not pointed.
+
+- `fusion_by_counts`: the Verlinde sum of every (i, j, k) of pointed data
+  as exponent counts over zeta_M, reduced to the power basis and divided
+  by D.
 - `milgram_by_cyclotomics`: sum_j theta_j d_j^2 multiplied out, squared
   and compared in `CyclotomicNumber` arithmetic, with the sign read off a
   certified interval.
@@ -26,13 +33,14 @@ from genusforge.exactkernel import (
     root_of_unity,
 )
 from genusforge.exactkernel.cyclotomic import _power_index, _reduction_rows
-from genusforge.modcat import FusionTable
+from genusforge.modcat import FusionTable, RelationReport
 from genusforge.quadspace import gauss_sum
 from genusforge.quadspace.gauss import _phase_counts
 
 
 def fusion_by_counts(m):
-    order, exps, _ = m.exponents
+    order, s, _ = m.terms
+    exps = s[:, :, 0]
     n = m.n
     d = m.discriminant
     rows = np.array(_reduction_rows(order), dtype=np.int64)
@@ -55,11 +63,7 @@ def fusion_by_counts(m):
     return FusionTable(tuple(out))
 
 
-def _twisted_dimension_sum(m):
-    if m.exponents is not None:
-        order, exps, tau = m.exponents
-        counts = np.bincount((tau + 2 * exps[0]) % order, minlength=order)
-        return CyclotomicNumber(order, [Fraction(c) for c in reduce_int_counts(order, counts)])
+def twisted_dimension_cyclotomic(m):
     acc = CyclotomicNumber.zero()
     for j in range(m.n):
         d = m.dims[j]
@@ -69,8 +73,8 @@ def _twisted_dimension_sum(m):
 
 def milgram_by_cyclotomics(m, c, bits=128):
     c = as_fraction(c)
-    g = _twisted_dimension_sum(m)
-    if g * g != root_of_unity(c / 4) * CyclotomicNumber.from_rational(m.discriminant):
+    g = twisted_dimension_cyclotomic(m)
+    if g * g != root_of_unity(c / 4) * CyclotomicNumber.from_rational(discriminant_cyclotomic(m)):
         return False
     box = cyclo_approx(g * root_of_unity(-c / 8), bits=bits)
     if box.strictly_positive_real():
@@ -104,7 +108,8 @@ def signature_by_cyclotomics(s, bits=128):
 
 
 def eager_s_tilde(m):
-    order, exps, _ = m.exponents
+    order, s, _ = m.terms
+    exps = s[:, :, 0]
     roots = {}
     for e in np.unique(exps).tolist():
         p = Fraction(e, order)
@@ -123,3 +128,96 @@ def exponents_by_embedding(matrix, twists):
         return None
     tau = [t.value.numerator * (int(order) // t.value.denominator) for t in twists]
     return int(order), np.array(exps, dtype=np.int64), np.array(tau, dtype=np.int64)
+
+
+def discriminant_cyclotomic(m):
+    d = CyclotomicNumber.zero()
+    for x in m.dims:
+        d = d + x * x
+    return d.is_integer()
+
+
+def _mat_mul_cyclo(a, b):
+    n = len(a)
+    zero = CyclotomicNumber.zero()
+    out = []
+    for i in range(n):
+        row = []
+        for k in range(n):
+            acc = zero
+            for j in range(n):
+                acc = acc + a[i][j] * b[j][k]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def verify_cyclotomic(m):
+    n = m.n
+    d = CyclotomicNumber.from_rational(discriminant_cyclotomic(m))
+    zero = CyclotomicNumber.zero()
+    s2 = _mat_mul_cyclo(m.s_tilde, m.s_tilde)
+    for i in range(n):
+        for k in range(n):
+            want = d if k == m.dual[i] else zero
+            if s2[i][k] != want:
+                return RelationReport("i", f"s_tilde^2 != D*P at ({i},{k})")
+    if any(m.dual[m.dual[i]] != i for i in range(n)):
+        return RelationReport("ii", "dual is not an involution")
+    theta = [root_of_unity(t) for t in m.twists]
+    for i in range(n):
+        for k in range(n):
+            if s2[i][k] * theta[k] != theta[i] * s2[i][k]:
+                return RelationReport(
+                    "iii", f"s_tilde^2 and T do not commute at ({i},{k})")
+    st = tuple(tuple(m.s_tilde[i][j] * theta[j] for j in range(n))
+               for i in range(n))
+    cubed = _mat_mul_cyclo(_mat_mul_cyclo(st, st), st)
+    gauss = zero
+    for i in range(n):
+        gauss = gauss + theta[i] * m.dims[i] * m.dims[i]
+    for i in range(n):
+        for k in range(n):
+            if cubed[i][k] != gauss * s2[i][k]:
+                return RelationReport(
+                    "iv", f"(s_tilde*T)^3 mismatch at ({i},{k})")
+    return RelationReport(None, "")
+
+
+def fusion_cyclotomic(m):
+    n = m.n
+    d = Fraction(discriminant_cyclotomic(m))
+    inv_dims = [m.dims[l].inverse() for l in range(n)]
+    conj = [[m.s_tilde[k][l].conjugate() for l in range(n)] for k in range(n)]
+    out = []
+    for i in range(n):
+        mat = []
+        for j in range(n):
+            w = [m.s_tilde[i][l] * m.s_tilde[j][l] * inv_dims[l] for l in range(n)]
+            row = []
+            for k in range(n):
+                acc = CyclotomicNumber.zero()
+                for l in range(n):
+                    acc = acc + w[l] * conj[k][l]
+                val = acc.is_rational()
+                if val is None or (val / d).denominator != 1 or val < 0:
+                    raise NonIntegralError(
+                        f"fusion N[{i}][{j}][{k}] is not a nonnegative integer")
+                row.append(int(val / d))
+            mat.append(tuple(row))
+        out.append(tuple(mat))
+    return FusionTable(tuple(out))
+
+
+def block_sum_cyclotomic(m, power, labels):
+    """sum_j dims_j^power prod_s s_tilde[i_s][j], in cyclotomic arithmetic."""
+    acc = CyclotomicNumber.zero()
+    for j in range(m.n):
+        term = m.dims[j] ** power
+        for i in labels:
+            term = term * m.s_tilde[i][j]
+        acc = acc + term
+    val = acc.is_rational()
+    if val is None:
+        raise NonIntegralError("genus dimension is not rational")
+    return val

@@ -24,7 +24,6 @@ from genusforge.codes import (
     is_even,
     lexicode,
     relative_mass_rhs,
-    rref,
     sigma_k,
     sigma_profile,
     weight_enumerator,
@@ -182,7 +181,7 @@ class TestBinaryCode:
 
     def test_rref_idempotent(self):
         c = build_code(7, [0b1010101, 0b0110011])
-        assert rref(c) == c
+        assert build_code(c.length, c.basis) == c
 
     @pytest.mark.parametrize("basis", [
         (0b0110, 0b0001),          # pivots decrease

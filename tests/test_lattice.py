@@ -335,6 +335,9 @@ class TestTheta:
             theta_coefficients(lattice_a(1), 100, cap=64)
         with pytest.raises(ValidationError):
             theta_coefficients(lattice_a(1), -1)
+        for cap in (True, 2.5, -1):
+            with pytest.raises(ValidationError):
+                theta_coefficients(lattice_a(1), 0, cap=cap)
 
     def test_counts_are_even(self):
         for name in ("A3", "D5", "E8"):

@@ -3,7 +3,9 @@
 import json
 import logging
 import random
+import time
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 import numpy as np
@@ -15,7 +17,6 @@ from genusforge.errors import LimitError, NonIntegralError, ValidationError
 from genusforge.exactkernel import CyclotomicNumber
 from genusforge.lattice import builtin_lattice, discriminant_form
 from genusforge.modcat import (
-    ModularData,
     VoaGenusSymbol,
     build_modular_data,
     from_quadratic_space,
@@ -32,14 +33,8 @@ from genusforge.modcat import (
     voa_genus_equal,
     voa_milgram_check,
 )
-from genusforge.modcat.fusion import (
-    _block_sum_cyclotomic,
-    _block_sum_exponents,
-    _fusion_cyclotomic,
-    _fusion_rows,
-)
+from genusforge.modcat.fusion import _block_sum, _fusion_rows
 from genusforge.modcat import relations
-from genusforge.modcat.relations import _verify_cyclotomic, _verify_exponents
 from genusforge.quadspace import (
     build_space,
     decompose,
@@ -48,16 +43,41 @@ from genusforge.quadspace import (
     trivial_space,
 )
 from modcat_oracle import (
+    block_sum_cyclotomic,
     eager_s_tilde,
     exponents_by_embedding,
     fusion_by_counts,
+    fusion_cyclotomic,
     milgram_by_cyclotomics,
     signature_by_cyclotomics,
+    verify_cyclotomic,
 )
 from space_library import space_library
 from space_oracle import basis_change, oracle_twists_and_dual
 
 F = Fraction
+
+
+def _broken_variants(m):
+    """m with the twist of label 1 moved by 1/8, and m with a wrong dual,
+    where the labels allow them."""
+    out = []
+    if m.n > 1:
+        twists = [t.value for t in m.twists]
+        twists[1] += F(1, 8)
+        out.append(build_modular_data(m.dual, m.s_tilde, twists))
+    if m.n > 2:
+        dual = tuple(m.labels)
+        if m.dual == dual:
+            dual = dual[:-2] + (m.n - 1, m.n - 2)
+        out.append(build_modular_data(dual, m.s_tilde, [t.value for t in m.twists]))
+    return out
+
+
+LIBRARY_16 = space_library(16)
+LIBRARY_4 = space_library(4)
+NON_POINTED = [ising_data(), product(ising_data(), ising_data())] + [
+    product(ising_data(), from_quadratic_space(s)) for s in LIBRARY_4]
 
 
 def hyperbolic_plane():
@@ -104,6 +124,11 @@ class TestConstruction:
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValidationError, match="vanishes"):
             build_modular_data((0, 1), [[1, 0], [0, 1]], [0, 0])
+
+    def test_entries_need_integer_coordinates(self):
+        half = CyclotomicNumber.from_rational(F(1, 2))
+        with pytest.raises(ValidationError, match="not an algebraic integer"):
+            build_modular_data((0, 1), [[1, half], [half, 1]], [0, 0])
 
     def test_non_integer_discriminant_rejected(self):
         z3 = CyclotomicNumber.from_exponents(3, {1: 1})
@@ -155,43 +180,62 @@ class TestRelations:
         assert report.failed == "i"
 
     def test_generic_path_agrees_with_fast_path(self):
-        # the cyclotomic code is the reference for the exponent code, on
-        # the data of every small space and on a copy with a wrong twist
-        for s in space_library(8):
-            m = from_quadratic_space(s)
-            assert _verify_cyclotomic(m).ok and _verify_exponents(m).ok
-            assert _fusion_cyclotomic(m) == verlinde_fusion(m), s
-            if m.n > 1:
-                twists = [t.value for t in m.twists]
-                twists[1] += F(1, 8)
-                broken = build_modular_data(m.dual, m.s_tilde, twists)
-                assert (_verify_cyclotomic(broken).failed
-                        == _verify_exponents(broken).failed
+        # the cyclotomic code is the reference for the term code, on the
+        # data of every small space, on data that are not pointed, and on
+        # copies with a wrong twist or a wrong dual
+        for m in [from_quadratic_space(s) for s in space_library(8)] + NON_POINTED:
+            assert verify_cyclotomic(m).ok and verify_relations(m).ok
+            assert fusion_cyclotomic(m) == verlinde_fusion(m), m
+            for broken in _broken_variants(m):
+                assert (verify_cyclotomic(broken).failed
+                        == verify_relations(broken).failed
                         is not None)
-
+        for m in NON_POINTED:
+            for c in (F(1, 2), F(1), F(3, 2), F(5, 2), F(9, 2), F(13, 2)):
+                assert voa_milgram_check(m, c) == milgram_by_cyclotomics(m, c), (m, c)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=12),
            st.randoms(use_true_random=False))
     def test_whole_array_counts_match_their_definition(self, n, order, rng):
-        left, right = (np.array([[rng.randrange(order) for _ in range(n)]
-                                 for _ in range(n)], dtype=np.int64) for _ in range(2))
-        pairs = np.zeros((n, n, order), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    pairs[i, k, (left[i, j] + right[j, k]) % order] += 1
-        triples = np.zeros((n, n, order), dtype=np.int64)
-        for i in range(n):
-            for l in range(n):
+        def table(width):
+            # entries of 1 to `width` terms, the padding (-1) anywhere
+            out = np.full((n, n, width), -1, dtype=np.int64)
+            for i in range(n):
+                for j in range(n):
+                    terms = [rng.randrange(order) for _ in range(rng.randint(1, width))]
+                    terms += [-1] * (width - len(terms))
+                    rng.shuffle(terms)
+                    out[i, j] = terms
+            return out
+
+        def terms(x):
+            return [e for e in x.tolist() if e >= 0]
+
+        # one term per entry, and entries of 1-3 terms
+        for width in (1, 3):
+            left, right = table(width), table(width)
+            pairs = np.zeros((n, n, order), dtype=np.int64)
+            for i in range(n):
                 for j in range(n):
                     for k in range(n):
-                        triples[i, k, (left[i, l] + left[l, j] + left[j, k]) % order] += 1
-        # chunks of one row, of rows that split the last chunk, and whole
-        for chunk in (1, 2 * n * n * order + 1, 1 << 20):
-            with mock.patch.object(relations, "_CHUNK", chunk):
-                assert np.array_equal(relations._pair_counts(left, right, order), pairs)
-                assert np.array_equal(relations._triple_counts(left, order), triples)
+                        for t in terms(left[i, j]):
+                            for u in terms(right[j, k]):
+                                pairs[i, k, (t + u) % order] += 1
+            triples = np.zeros((n, n, order), dtype=np.int64)
+            for i in range(n):
+                for l in range(n):
+                    for j in range(n):
+                        for k in range(n):
+                            for t in terms(left[i, l]):
+                                for u in terms(left[l, j]):
+                                    for v in terms(left[j, k]):
+                                        triples[i, k, (t + u + v) % order] += 1
+            # chunks of one row, of rows that split the last chunk, and whole
+            for chunk in (1, 2 * n * n * width * order + 1, 1 << 20):
+                with mock.patch.object(relations, "_CHUNK", chunk):
+                    assert np.array_equal(relations._pair_counts(left, right, order), pairs)
+                    assert np.array_equal(relations._triple_counts(left, order), triples)
 
     def test_reports_do_not_depend_on_the_chunk(self):
         rng = random.Random(5)
@@ -203,9 +247,9 @@ class TestRelations:
             cases += [m, build_modular_data(m.dual, m.s_tilde, twists),
                       build_modular_data(tuple(range(m.n)), m.s_tilde,
                                          [t.value for t in m.twists])]
-        want = [_verify_exponents(m) for m in cases]
+        want = [relations._verify(m) for m in cases]
         with mock.patch.object(relations, "_CHUNK", 1):
-            assert [_verify_exponents(m) for m in cases] == want
+            assert [relations._verify(m) for m in cases] == want
         assert {r.failed for r in want} == {None, "i", "iii", "iv"}
 
 
@@ -255,6 +299,19 @@ class TestFusion:
                                       for t in range(n))
                             assert lhs == rhs
 
+    def test_product_with_ising_of_48_labels(self):
+        # fusion of a product is the Kronecker product of the factors' tables
+        a, ising = from_quadratic_space(LIBRARY_16[5]), ising_data()
+        m = product(a, ising)
+        assert m.n == 48
+        start = time.perf_counter()
+        assert verify_relations(m).ok
+        table = np.array(verlinde_fusion(m).table)
+        assert time.perf_counter() - start < 10
+        fa, fi = np.array(verlinde_fusion(a).table), np.array(verlinde_fusion(ising).table)
+        want = np.einsum("ijk,abc->iajbkc", fa, fi).reshape(48, 48, 48)
+        assert np.array_equal(table, want)
+
     def test_rejects_non_modular_input(self):
         s = build_space((3,), [F(2, 3)])
         m = from_quadratic_space(s)
@@ -293,15 +350,16 @@ class TestGenusDimension:
 
     def test_generic_path(self):
         m = ising_data()
-        assert m.exponents is None
+        assert m.terms.s.shape[2] > 1
         assert genus_dimension(m, 1) == 3
         assert genus_dimension(m, 2) == 10
-        for s in space_library(8):
-            m = from_quadratic_space(s)
+        # genus 0, 1 and 2 with up to three punctures
+        for m in [from_quadratic_space(s) for s in space_library(8)] + NON_POINTED:
+            a, b = 1 % m.n, (m.n - 1) // 2
             for power in (2, 0, -2):
-                for labels in ([], [1 % m.n], [1 % m.n, m.dual[1 % m.n]]):
-                    assert (_block_sum_cyclotomic(m, power - len(labels), labels)
-                            == _block_sum_exponents(m, power - len(labels), labels)), s
+                for labels in ([], [a], [a, m.dual[a]], [a, b, m.n - 1]):
+                    assert (block_sum_cyclotomic(m, power - len(labels), labels)
+                            == _block_sum(m, power - len(labels), labels)), m
 
     def test_bad_arguments(self):
         for m in (ising_data(), from_quadratic_space(build_space((2,), [F(1, 2)]))):
@@ -474,8 +532,9 @@ class TestJson:
         assert verify_relations(back).ok
 
     def test_round_trip_keeps_json_and_exponents(self):
-        # the exponents read off each entry's own field agree with the
-        # entries embedded in the common field and looked up there
+        # the terms read off each entry's own field agree with the entries
+        # embedded in the common field and looked up there: one term per
+        # entry exactly when every entry is a root of unity
         lib = space_library(16)
         data = [from_quadratic_space(s) for s in lib] + [
             ising_data(), product(from_quadratic_space(lib[3]), from_quadratic_space(lib[7]))]
@@ -483,12 +542,15 @@ class TestJson:
             doc = json.dumps(modular_data_to_json(m))
             back = modular_data_from_json(json.loads(doc))
             assert json.dumps(modular_data_to_json(back)) == doc
-            want = exponents_by_embedding(back.matrix, back.twists)
+            want = exponents_by_embedding(back.s_tilde, back.twists)
+            order, s, tau = back.terms
             if want is None:
-                assert back.exponents is None
+                assert s.shape[2] > 1
             else:
-                assert [back.exponents[0]] + [a.tolist() for a in back.exponents[1:]] == (
-                    [want[0]] + [a.tolist() for a in want[1:]])
+                scale = order // want[0]
+                assert order == lcm(2, want[0]) and s.shape[2] == 1
+                assert s[:, :, 0].tolist() == (want[1] * scale).tolist()
+                assert tau.tolist() == (want[2] * scale).tolist()
 
     def test_twist_weight_mismatch_rejected(self):
         m = build_modular_data((0, 1), [[1, 1], [1, -1]], [0, F(1, 4)])
@@ -550,13 +612,9 @@ def _assert_matches_oracle(m, s):
         assert voa_milgram_check(m, c) == milgram_by_cyclotomics(m, c), (s, c)
     eager = eager_s_tilde(m)
     assert _entries(m.s_tilde) == _entries(eager), s
-    given_matrix = ModularData(m.dual, eager, m.twists)
+    given_matrix = build_modular_data(m.dual, eager, m.twists)
     assert (json.dumps(modular_data_to_json(m))
             == json.dumps(modular_data_to_json(given_matrix))), s
-
-
-LIBRARY_16 = space_library(16)
-LIBRARY_4 = space_library(4)
 
 
 class TestExponentTablesAgainstOracle:
@@ -577,13 +635,13 @@ class TestExponentTablesAgainstOracle:
     @given(st.sampled_from(LIBRARY_4), st.sampled_from(LIBRARY_4))
     def test_product_data(self, s1, s2):
         m = product(from_quadratic_space(s1), from_quadratic_space(s2))
-        assert m.exponents is not None
+        assert m.terms.s.shape[2] == 1
         assert verlinde_fusion(m) == fusion_by_counts(m)
         sig = signature_mod8(s1) + signature_mod8(s2)
         for c in (sig, sig + 4, sig + 2, sig + F(1, 2)):
             assert voa_milgram_check(m, c) == milgram_by_cyclotomics(m, c), c
         with_ising = product(m, ising_data())
-        assert with_ising.exponents is None
+        assert with_ising.terms.s.shape[2] > 1
         for c in (sig + F(1, 2), sig + F(9, 2), sig + 1):
             assert (voa_milgram_check(with_ising, c)
                     == milgram_by_cyclotomics(with_ising, c)), c
@@ -614,7 +672,7 @@ class TestExponentTablesAgainstOracle:
         h = [[one, one, one, one], [one, z, -one, -z],
              [one, -one, one, -one], [one, -z, -one, z]]
         m = build_modular_data((0, 1, 2, 3), h, [0, 0, 0, 0])
-        assert m.exponents.order == 8 and m.discriminant == m.n
+        assert m.terms.order == 8 and m.terms.s.shape[2] == 1 and m.discriminant == m.n
         assert verify_relations(m).failed == "i"
         with pytest.raises(NonIntegralError, match=r"N\[1\]\[1\]"):
             _fusion_rows(m)
@@ -632,7 +690,7 @@ class TestExponentTablesAgainstOracle:
         signature_mod8(build_space((4,), [F(1, 4)]))
         lines = [r.getMessage() for r in caplog.records]
         assert "row lookup" in lines[0]
-        assert "cyclotomic" in lines[1]
+        assert "Verlinde sum over terms" in lines[1]
         assert "interval at 64 bits, phase 1/8" in lines[2]
         assert "interval at 128 bits, phase 1/8" in lines[3]
         assert caplog.records[4].name == decompose.__name__
