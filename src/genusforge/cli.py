@@ -164,8 +164,7 @@ def _cmd_modcat(args) -> dict:
         return {"dimension": dim}
     if args.cmd == "milgram":
         m = _load_modular_data(args.file)
-        return {"compatible": modcat.voa_milgram_check(m, args.c,
-                                                       bits=args.precision)}
+        return {"compatible": modcat.voa_milgram_check(m, args.c)}
     if args.cmd == "ising":
         return modcat.modular_data_to_json(modcat.ising_data())
     if args.cmd == "extensions":
@@ -212,8 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "spaces, abelian modular data, and binary codes.")
     top.add_argument("--limit", type=int, default=None,
                      help="override enumeration caps")
-    top.add_argument("--precision", type=int, default=128,
-                     help="interval precision in bits for modcat milgram")
     top.add_argument("--pretty", action="store_true",
                      help="indent the JSON output")
     groups = top.add_subparsers(dest="group", required=True)

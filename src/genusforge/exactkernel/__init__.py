@@ -7,7 +7,7 @@ and reading a name loads the one that defines it.
 from .._lazy import lazy_names
 
 __all__, __getattr__, __dir__ = lazy_names(__name__, {
-    "rationals": ("PhaseMod1", "PhaseMod2", "as_fraction"),
+    "rationals": ("PhaseMod1", "PhaseMod2", "as_fraction", "fraction_str"),
     "intmatrix": ("IntMatrix", "SnfResult", "det_int", "freeze", "identity",
                   "integer_kernel", "mat_mul", "rational_signature",
                   "row_lattice_basis", "smith_normal_form", "transpose"),

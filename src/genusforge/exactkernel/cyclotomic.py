@@ -30,7 +30,8 @@ from typing import Iterable, NamedTuple, Sequence, Union
 import numpy as np
 
 from ..errors import LimitError, InternalError, ValidationError
-from .rationals import PhaseMod1, as_fraction
+from .intmatrix import _factorize
+from .rationals import as_fraction
 
 ORDER_CAP = 10080
 
@@ -45,23 +46,8 @@ def _check_order(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _primes(n: int) -> tuple[int, ...]:
-    """The distinct prime factors of n, ascending."""
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    primes = _primes(n)
+    primes = _factorize(n)
     return n // math.prod(primes) * math.prod(p - 1 for p in primes)
 
 
@@ -75,7 +61,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """
     if n == 1:
         return (-1, 1)
-    primes = _primes(n)
+    primes = _factorize(n)
     m = math.prod(primes)
     phi = euler_phi(m)
     series = [1] + [0] * phi
@@ -405,19 +391,19 @@ def _from_terms(order: int, exps, num: Sequence[int], den: int) -> CyclotomicNum
     return CyclotomicNumber(order, reduce_int_counts(order, counts).tolist(), den)
 
 
-def root_of_unity(phase: PhaseMod1 | Fraction | int | str) -> CyclotomicNumber:
+def root_of_unity(phase: Fraction | int | str) -> CyclotomicNumber:
     """exp(2*pi*i*phase) for a rational phase, exact."""
-    if isinstance(phase, PhaseMod1):
-        fr = phase.value
-    else:
-        fr = as_fraction(phase) % 1
-    order = fr.denominator
-    return CyclotomicNumber.from_exponents(order, {fr.numerator: 1})
+    fr = as_fraction(phase) % 1
+    return CyclotomicNumber.from_exponents(fr.denominator, {fr.numerator: 1})
 
 
 # Table precisions are rounded up to a multiple of this many bits, so one
 # cached table serves every request whose precision rounds to it.
 _PREC_STEP = 32
+
+# The least `bits` an enclosure takes, and all `gauss_phase` needs: its two
+# candidates +-sqrt(norm) are at least 2 apart.
+_MIN_BITS = 32
 
 
 def _arctan_inv(x: int, w: int) -> tuple[int, int]:
@@ -534,8 +520,8 @@ def _enclose(n: int, coeffs: Sequence[Scalar], bits: int) -> ComplexInterval:
     prec = bits + k with k >= 0 and 2^k L >= 2T, rounded up to a multiple
     of `_PREC_STEP`, so the width 4T / (2^prec L) is at most 2^(1-bits).
     """
-    if bits < 32:
-        raise ValidationError("cyclo_approx needs bits >= 32")
+    if bits < _MIN_BITS:
+        raise ValidationError(f"cyclo_approx needs bits >= {_MIN_BITS}")
     ints, scale = _clear(coeffs)
     total = sum(map(abs, ints))
     if total == 0:
@@ -551,8 +537,7 @@ def _enclose(n: int, coeffs: Sequence[Scalar], bits: int) -> ComplexInterval:
                            Fraction(im - err, den), Fraction(im + err, den))
 
 
-def gauss_phase(order: int, counts: Sequence[int], norm: int,
-                bits: int = 128) -> Fraction | None:
+def gauss_phase(order: int, counts: Sequence[int], norm: int) -> Fraction | None:
     """The phase t in [0, 1) with G = sqrt(norm) exp(2 pi i t), for the sum
     G = sum_e counts[e] zeta_order^e with integer counts, or None when G is
     not of that form.
@@ -560,10 +545,10 @@ def gauss_phase(order: int, counts: Sequence[int], norm: int,
     G^2 is the cyclic convolution of the counts, reduced mod Phi_order in
     integers; it must be norm times +-zeta_order^e, which fixes 2t mod 1.
     The two candidates for t differ by 1/2, so G turned back by the first
-    is +-sqrt(norm) with norm >= 1, and one certified interval (the
-    enclosure `cyclo_approx` uses) reads the sign.  The interval is taken
-    of the turned counts as they are, over zeta_rot: reducing them mod
-    Phi_rot would not change the value.  No `CyclotomicNumber` is built.
+    is +-sqrt(norm) with norm >= 1, and one certified interval of width
+    at most 2^-31 (the enclosure `cyclo_approx` uses) reads the sign.  It
+    is taken of the turned counts as they are, over zeta_rot: reducing them
+    mod Phi_rot would not change the value.  No `CyclotomicNumber` is built.
     """
     counts = counts.tolist() if isinstance(counts, np.ndarray) else list(counts)
     coeffs = reduce_int_counts(order, _convolve(counts, counts)).tolist()
@@ -583,7 +568,7 @@ def gauss_phase(order: int, counts: Sequence[int], norm: int,
     turned = [0] * rot  # G zeta^(-t), over the order rot
     for e, k in enumerate(counts):
         turned[(e * (rot // order) - t.numerator * (rot // t.denominator)) % rot] = k
-    box = _enclose(rot, turned, bits)
+    box = _enclose(rot, turned, _MIN_BITS)
     if box.strictly_positive_real():
         return t
     if box.strictly_negative_real():

@@ -5,7 +5,8 @@ routines work on lists of lists.  Everything here is exact and
 fraction-free: determinants by Bareiss elimination, Smith normal forms that
 record only the transform their caller reads, row lattice bases read off
 the row transform (no inverse is formed), and signatures by symmetric
-integer elimination.  No floating point.
+integer elimination.  `_factorize` is the one integer factorization that
+the cyclotomic and quadratic-space layers read.  No floating point.
 """
 
 from __future__ import annotations
@@ -17,9 +18,29 @@ from numbers import Rational
 from operator import mul
 from typing import Sequence
 
-from ..errors import ValidationError
+from ..errors import LimitError, ValidationError
 
 IntMatrix = tuple[tuple[int, ...], ...]
+
+
+def _factorize(n: int) -> dict[int, int]:
+    """Prime factors, ascending, by trial division up to 2^16.  What is left
+    below 2^32 has no factor up to its square root, so it is prime; a
+    cofactor of 2^32 or more raises LimitError."""
+    out: dict[int, int] = {}
+    m = n
+    for p in chain((2,), range(3, (1 << 16) + 1, 2)):
+        if p * p > m:
+            break
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
+    if m >= 1 << 32:
+        raise LimitError(f"{n} has a cofactor {m} >= 2^32 with no prime factor "
+                         f"up to 2^16; trial division stops there")
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
 
 
 def freeze(rows: Sequence[Sequence]) -> tuple:

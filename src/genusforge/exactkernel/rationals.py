@@ -1,18 +1,21 @@
-"""Rational phases modulo 1 and modulo 2.
+"""Rational phases modulo 1 and modulo 2, as views of integer encodings.
 
 A quadratic form value lives in Q/2Z and a bilinear form value or a twist
-in Q/Z.  `PhaseMod2` and `PhaseMod1` share one class body and differ only
-in the modulus m: each keeps a `fractions.Fraction` representative
-normalized into [0, m), so a value's residue ring is part of its type.
-Phases add, compare equal only to phases of their own type, and print as
-their representative.  The library computes on the integer encodings
-(the Gram matrix at a level, exponents over an order); these classes are
-the exact values that JSON, `repr` and the twists of modular data show.
+in Q/Z.  The library keeps each as an integer numerator (a Gram matrix
+over its level, twists over the order of a term table) and writes JSON
+and `repr` from the integers with `fraction_str`.  `PhaseMod2` and
+`PhaseMod1` are built only by the views `FiniteQuadraticSpace.q_gen`,
+`b_matrix` and `ModularData.twists`, for callers that want exact values.
+They share one class body and differ only in the modulus m: each keeps a
+`fractions.Fraction` representative normalized into [0, m), so a value's
+residue ring is part of its type.  A phase compares equal only to phases
+of its own type and prints as its representative; it has no arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 from ..errors import ValidationError
@@ -32,6 +35,12 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise ValidationError(f"not a rational value: {value!r}")
 
 
+def fraction_str(num: int, den: int) -> str:
+    """num/den for den > 0 in lowest terms, spelled as `str(Fraction(num, den))`."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 class _Phase:
     """A rational residue modulo `modulus`, normalized into [0, modulus)."""
 
@@ -40,9 +49,6 @@ class _Phase:
 
     def __init__(self, value: RationalLike):
         self.value = as_fraction(value) % self.modulus
-
-    def __add__(self, other):
-        return type(self)(self.value + other.value)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

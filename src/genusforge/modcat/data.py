@@ -1,4 +1,4 @@
-"""Modular data: labels, dual, twists, and one table of root-of-unity terms.
+"""Modular data: labels, dual, and one table of root-of-unity terms.
 
 Everything is stored in the rescaled convention s_tilde = sqrt(D) * S.
 Each entry s_tilde[i][j] = S_ij / S_00 of a modular category is an
@@ -6,22 +6,22 @@ algebraic integer in a cyclotomic field, so its power-basis coordinates
 are integers, and it is a sum of roots of unity zeta_M over one order M:
 a coordinate c on zeta^e gives c copies of e, or |c| copies of e + M/2
 when c < 0, as zeta^(M/2) = -1 for even M.  `Terms` keeps these exponents,
-one short list per entry padded with -1, beside the twists
-theta_i = zeta_M^tau_i.  A pointed entry is one exponent; Ising's sqrt 2
-is zeta_16^2 + zeta_16^14, -sqrt 2 is zeta_16^6 + zeta_16^10 and 0 the
-empty list.  M is even unless every entry is one root of unity, as for
-`from_quadratic_space`, which keeps the order of its roots.  Data whose
-entries have a non-integer coordinate are not modular and are rejected.
+one short list per entry padded with -1, beside the twists theta_i =
+zeta_M^tau_i, each stored once as its integer tau_i.  A pointed entry is
+one exponent; Ising's sqrt 2 is zeta_16^2 + zeta_16^14, -sqrt 2 is
+zeta_16^6 + zeta_16^10 and 0 the empty list.  M is even unless every
+entry is one root of unity, as for `from_quadratic_space`, which keeps
+the order of its roots.  Data whose entries have a non-integer
+coordinate are not modular and are rejected.
 
-Validation, relations, fusion, genus dimensions and the anomaly test all
-read this table.  The matrix `s_tilde` of `CyclotomicNumber`s is a view
-built from it on first access (JSON, equality and `voa_genus_equal`),
-each entry written over the least order that holds its exponents.  The
-discriminant D = sum of dim^2 must come out a positive rational integer;
-twists are rational phases mod 1, so automatically roots of unity, and
-each is stored once.  Conformal weights exist only in the JSON format:
-its "weights" list is written from the twists, and on input it must
-match the labels and agree with the twists mod 1.
+Everything in the library reads this table.  Two views are built from it
+on first access: the matrix `s_tilde` of `CyclotomicNumber`s (JSON,
+equality and `voa_genus_equal`), each entry written over the least order
+that holds its exponents, and `twists`, the phases tau_i/M mod 1, which
+no library code reads.  The discriminant D = sum of dim^2 must come out a
+positive rational integer.  Conformal weights exist only in the JSON
+format: its "weights" list is written from the twists, and on input it
+must match the labels and agree with the twists mod 1.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ..errors import ValidationError
-from ..exactkernel import CyclotomicNumber, PhaseMod1, as_fraction, reduce_int_counts
+from ..exactkernel import CyclotomicNumber, as_fraction, fraction_str, reduce_int_counts
 from ..exactkernel.cyclotomic import _power_index
 from ..quadspace import FiniteQuadraticSpace
 
@@ -101,7 +101,6 @@ class ModularData:
     holds s_tilde and the twists over one root of unity."""
 
     dual: tuple[int, ...]
-    twists: tuple[PhaseMod1, ...]
     terms: Terms
 
     def __post_init__(self) -> None:
@@ -114,10 +113,12 @@ class ModularData:
             raise ValidationError("the unit label must be self-dual")
         if any(self.dual[self.dual[i]] != i for i in range(n)):
             raise ValidationError("dual must be an involution")
-        if len(self.twists) != n:
-            raise ValidationError("twists must match the labels")
         order, s, tau = self.terms
-        if s.ndim != 3 or s.shape[:2] != (n, n) or tau.shape != (n,):
+        if not all(isinstance(a, np.ndarray) and a.dtype.kind in "iu" for a in (s, tau)):
+            raise ValidationError("terms must be integer arrays")
+        if tau.shape != (n,) or tau.min() < 0 or tau.max() >= order:
+            raise ValidationError("twists must be one integer in [0, order) per label")
+        if s.ndim != 3 or s.shape[:2] != (n, n):
             raise ValidationError("s_tilde must be square over the labels")
         if s.min() < -1 or s.max() >= order or (order % 2 and not self.pointed):
             raise ValidationError("terms must lie in [0, order), an even order "
@@ -154,6 +155,14 @@ class ModularData:
             return seen[key]
 
         return tuple(tuple(map(cell, row)) for row in s)
+
+    @cached_property
+    def twists(self) -> tuple[PhaseMod1, ...]:
+        """The phases tau_i/M mod 1 of `terms.twists`, a view built on first
+        read for callers that want exact values (`bench/checks.py`)."""
+        from ..exactkernel import PhaseMod1
+        order, _, tau = self.terms
+        return tuple(PhaseMod1(Fraction(t, order)) for t in tau.tolist())
 
     @property
     def dims(self) -> tuple[CyclotomicNumber, ...]:
@@ -212,8 +221,9 @@ class ModularData:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModularData):
             return NotImplemented
-        return ((self.dual, self.twists, self.s_tilde)
-                == (other.dual, other.twists, other.s_tilde))
+        (o1, _, t1), (o2, _, t2) = self.terms, other.terms  # t1/o1 == t2/o2
+        return (self.dual == other.dual and np.array_equal(t1 * o2, t2 * o1)
+                and self.s_tilde == other.s_tilde)
 
     def __repr__(self) -> str:
         return f"ModularData(n={self.n}, D={self.discriminant})"
@@ -222,8 +232,9 @@ class ModularData:
 def build_modular_data(dual: Sequence[int],
                        s_tilde: Sequence[Sequence],
                        twists: Sequence) -> ModularData:
-    """Normalize raw entries (rationals allowed) into ModularData."""
-    tw = tuple(t if isinstance(t, PhaseMod1) else PhaseMod1(t) for t in twists)
+    """Normalize raw entries (rationals allowed) and rational twists into
+    ModularData."""
+    tw = [as_fraction(t) % 1 for t in twists]
     mat = [[x if isinstance(x, CyclotomicNumber)
             else CyclotomicNumber.from_rational(as_fraction(x)) for x in row]
            for row in s_tilde]
@@ -235,12 +246,10 @@ def build_modular_data(dual: Sequence[int],
         raise ValidationError(f"s_tilde entry {bad} is not an algebraic integer "
                               "(its power-basis coordinates are not integers), "
                               "so the data are not modular")
-    order = lcm(2, *(x.order for row in mat for x in row),
-                *(t.value.denominator for t in tw))
+    order = lcm(2, *(x.order for row in mat for x in row), *(t.denominator for t in tw))
     s = pad([terms_of(x.order, x.num, order) for row in mat for x in row])
-    tau = np.array([t.value.numerator * (order // t.value.denominator) for t in tw],
-                   dtype=np.int64)
-    return ModularData(tuple(dual), tw, Terms(order, s.reshape(n, n, -1), tau))
+    tau = np.array([t.numerator * (order // t.denominator) for t in tw], dtype=np.int64)
+    return ModularData(tuple(dual), Terms(order, s.reshape(n, n, s.shape[1]), tau))
 
 
 def from_quadratic_space(s: FiniteQuadraticSpace) -> ModularData:
@@ -254,8 +263,7 @@ def from_quadratic_space(s: FiniteQuadraticSpace) -> ModularData:
     exps = (-b) % level * order // level
     tau = q * order // (2 * level)
     dual = tuple(((-coords) % s.orders_array @ s.radix).tolist())
-    twists = tuple(PhaseMod1(Fraction(v, 2 * level)) for v in q.tolist())
-    return ModularData(dual, twists, Terms(order, exps[:, :, None], tau))
+    return ModularData(dual, Terms(order, exps[:, :, None], tau))
 
 
 def product(m1: ModularData, m2: ModularData) -> ModularData:
@@ -270,9 +278,7 @@ def product(m1: ModularData, m2: ModularData) -> ModularData:
     tau = (t1[:, None] * (order // o1) + t2[None, :] * (order // o2)) % order
     dual = tuple(m1.dual[i] * m2.n + m2.dual[j]
                  for i in m1.labels for j in m2.labels)
-    twists = tuple(m1.twists[i] + m2.twists[j]
-                   for i in m1.labels for j in m2.labels)
-    return ModularData(dual, twists, Terms(order, s, tau.ravel()))
+    return ModularData(dual, Terms(order, s, tau.ravel()))
 
 
 def ising_data() -> ModularData:
@@ -281,9 +287,7 @@ def ising_data() -> ModularData:
     s = np.array([[[0, -1], [0, -1], [2, 14]],
                   [[0, -1], [0, -1], [6, 10]],
                   [[2, 14], [6, 10], [-1, -1]]], dtype=np.int64)
-    twists = (PhaseMod1(Fraction(0)), PhaseMod1(Fraction(1, 2)),
-              PhaseMod1(Fraction(1, 16)))
-    return ModularData((0, 1, 2), twists, Terms(16, s, np.array([0, 8, 1], dtype=np.int64)))
+    return ModularData((0, 1, 2), Terms(16, s, np.array([0, 8, 1], dtype=np.int64)))
 
 
 def _cyclo_to_json(x: CyclotomicNumber):
@@ -309,7 +313,8 @@ def _cyclo_from_json(doc) -> CyclotomicNumber:
 
 
 def modular_data_to_json(m: ModularData) -> dict:
-    twists = [str(t.value) for t in m.twists]
+    order, _, tau = m.terms
+    twists = [fraction_str(t, order) for t in tau.tolist()]
     return {
         "labels": m.n,
         "dual": list(m.dual),
@@ -325,17 +330,20 @@ def modular_data_from_json(doc: dict) -> ModularData:
     for key in ("labels", "dual", "s_tilde", "twists", "weights"):
         if key not in doc:
             raise ValidationError(f"modular data document lacks {key!r}")
-    n = doc["labels"]
-    dual = doc["dual"]
-    if not isinstance(n, int) or not isinstance(dual, list) or len(dual) != n:
-        raise ValidationError("'labels' must count the entries of 'dual'")
-    mat = [[_cyclo_from_json(x) for x in row] for row in doc["s_tilde"]]
+    n, dual, rows = doc["labels"], doc["dual"], doc["s_tilde"]
+    if (type(n) is not int or not isinstance(dual, list) or len(dual) != n
+            or any(type(i) is not int for i in dual)):
+        raise ValidationError("'labels' must count the integer entries of 'dual'")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValidationError("'s_tilde' must be a list of rows")
+    mat = [[_cyclo_from_json(x) for x in row] for row in rows]
     twists, weights = doc["twists"], doc["weights"]
     if not (isinstance(twists, list) and isinstance(weights, list)
             and len(twists) == len(weights) == n):
         raise ValidationError("twists and weights must match the labels")
     m = build_modular_data(dual, mat, twists)
-    for i, w in enumerate(weights):
-        if PhaseMod1(w) != m.twists[i]:
+    order, _, tau = m.terms
+    for i, (w, t) in enumerate(zip(map(as_fraction, weights), tau.tolist())):
+        if (w.numerator * order - t * w.denominator) % (w.denominator * order):
             raise ValidationError(f"twist and weight of label {i} differ mod 1")
     return m

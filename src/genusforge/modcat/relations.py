@@ -116,10 +116,9 @@ def _verify(m: ModularData) -> RelationReport:
 
     # With (i) settled, s_tilde^2 has support on (i, i*), so commuting with
     # the diagonal twist matrix reduces to theta_{i*} = theta_i.
-    for i in range(n):
-        if m.twists[m.dual[i]] != m.twists[i]:
-            return RelationReport(
-                "iii", f"theta differs on the dual pair ({i},{m.dual[i]})")
+    bad = np.flatnonzero(tau[dual] != tau)
+    if len(bad):
+        return RelationReport("iii", f"theta differs on the dual pair ({bad[0]},{dual[bad[0]]})")
 
     a = (s + tau[None, :, None]) % order  # s_tilde * T, columns scaled
     if not m.pointed:

@@ -33,14 +33,14 @@ from .data import ModularData
 _log = logging.getLogger(__name__)
 
 
-def voa_milgram_check(m: ModularData, c: RationalLike, bits: int = 128) -> bool:
+def voa_milgram_check(m: ModularData, c: RationalLike) -> bool:
     """Whether sum_j theta_j d_j^2 equals exp(2 pi i c/8) sqrt(D)."""
     c = as_fraction(c)
-    phase = gauss_phase(m.terms.order, m.gauss_counts, m.discriminant, bits)
+    phase = gauss_phase(m.terms.order, m.gauss_counts, m.discriminant)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("Milgram check of %d labels at c = %s: %s", m.n, c,
                    "integer square test failed" if phase is None else
-                   f"integer square test, interval at {bits} bits, phase {phase}")
+                   f"integer square test and one certified interval, phase {phase}")
     return phase == (c / 8) % 1
 
 
@@ -75,12 +75,6 @@ class VoaGenusSymbol:
                 "(twisted dimension sum mismatch)")
 
 
-def _invariant_key(m: ModularData, i: int):
-    # twists only: dims are compared exactly through row 0 of s_tilde,
-    # whose equality test is representation independent
-    return m.twists[i].value
-
-
 def voa_genus_equal(g1: VoaGenusSymbol, g2: VoaGenusSymbol,
                     cap: int = 16) -> bool:
     """Equal central charge and label bijection fixing 0 matching the data."""
@@ -92,15 +86,16 @@ def voa_genus_equal(g1: VoaGenusSymbol, g2: VoaGenusSymbol,
         return False
     if n > cap:
         raise LimitError(f"label set of size {n} exceeds cap {cap}")
-    if _invariant_key(m1, 0) != _invariant_key(m2, 0):
+    # labels are matched by twist, t1/o1 == t2/o2 as t1 o2 == t2 o1; dims
+    # are compared exactly through row 0 of s_tilde, whose equality test is
+    # representation independent
+    (o1, _, t1), (o2, _, t2) = m1.terms, m2.terms
+    key1, key2 = (t1 * o2).tolist(), (t2 * o1).tolist()
+    if key1[0] != key2[0] or sorted(key1[1:]) != sorted(key2[1:]):
         return False
     pools = {}
     for j in range(1, n):
-        pools.setdefault(_invariant_key(m2, j), []).append(j)
-    want = sorted(_invariant_key(m1, i) for i in range(1, n))
-    have = sorted(k for k, js in pools.items() for _ in js)
-    if want != have:
-        return False
+        pools.setdefault(key2[j], []).append(j)
 
     perm = [0] + [-1] * (n - 1)
     used = [False] * n
@@ -109,7 +104,8 @@ def voa_genus_equal(g1: VoaGenusSymbol, g2: VoaGenusSymbol,
         if m1.s_tilde[i][i] != m2.s_tilde[j][j]:
             return False
         di = m1.dual[i]
-        if di <= i and m2.dual[j] != perm[di]:
+        # a self-dual i must go to a self-dual j; perm[i] is set only later
+        if di <= i and m2.dual[j] != (j if di == i else perm[di]):
             return False
         for a in range(i):
             if m1.s_tilde[i][a] != m2.s_tilde[j][perm[a]]:
@@ -119,7 +115,7 @@ def voa_genus_equal(g1: VoaGenusSymbol, g2: VoaGenusSymbol,
     def extend(i: int) -> bool:
         if i == n:
             return True
-        for j in pools.get(_invariant_key(m1, i), []):
+        for j in pools.get(key1[i], []):
             if used[j] or not consistent(i, j):
                 continue
             perm[i] = j

@@ -41,7 +41,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..errors import InternalError, LimitError, NotPrimaryError, ValidationError
+from ..errors import InternalError, NotPrimaryError, ValidationError
+from ..exactkernel.intmatrix import _factorize
 from .space import FiniteQuadraticSpace, subquotient
 
 _log = logging.getLogger(__name__)
@@ -55,29 +56,6 @@ class JordanBlockSummary:
     k: int
     rank: int
     theta: int
-
-
-_TRIAL_BOUND = 1 << 16
-
-
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factors by trial division up to 2^16.  What is left below 2^32
-    has no factor up to its square root, so it is prime; a cofactor of 2^32
-    or more raises LimitError."""
-    out: dict[int, int] = {}
-    m = n
-    for p in itertools.chain((2,), range(3, _TRIAL_BOUND + 1, 2)):
-        if p * p > m:
-            break
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-    if m >= _TRIAL_BOUND ** 2:
-        raise LimitError(f"{n} has a cofactor {m} >= 2^32 with no prime factor "
-                         f"up to 2^16; trial division stops there")
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
 
 
 def _primary_generators(s: FiniteQuadraticSpace, p: int) -> list[tuple[int, ...]]:

@@ -15,7 +15,9 @@ data, re-presents generator orders that do not form a divisibility chain,
 and rejects degenerate forms.  Subquotients that are nondegenerate by
 construction (C-perp/C, primary parts) and discriminant forms go through
 the same encoding without the nondegeneracy test, which costs a Smith
-normal form.
+normal form.  JSON and `repr` write q and b from G and N; the phase views
+`q_gen` and `b_matrix` are built on each read, and no library code reads
+them.
 """
 
 from __future__ import annotations
@@ -25,16 +27,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Integral
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from ..errors import ConsistencyError, DegenerateFormError, ValidationError
-from ..exactkernel import (
-    PhaseMod1,
-    PhaseMod2,
-    as_fraction,
-    integer_kernel,
-    smith_normal_form,
-)
+from ..exactkernel import as_fraction, fraction_str, integer_kernel, smith_normal_form
 from .present import present_subquotient
 
 if TYPE_CHECKING:
@@ -107,11 +104,16 @@ class FiniteQuadraticSpace:
 
     @property
     def q_gen(self) -> tuple[PhaseMod2, ...]:
+        """q on the generators as phases mod 2, a view of `gram` and `level`
+        for callers that want exact values (`bench/checks.py`)."""
+        from ..exactkernel import PhaseMod2
         return tuple(PhaseMod2(Fraction(self.gram[i][i], self.level))
                      for i in range(self.rank))
 
     @property
     def b_matrix(self) -> tuple[tuple[PhaseMod1, ...], ...]:
+        """b on pairs of generators as phases mod 1, a view like `q_gen`."""
+        from ..exactkernel import PhaseMod1
         return tuple(tuple(PhaseMod1(Fraction(x, self.level)) for x in row)
                      for row in self.gram)
 
@@ -151,7 +153,7 @@ class FiniteQuadraticSpace:
         return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
     def __repr__(self) -> str:
-        qs = ", ".join(str(p.value) for p in self.q_gen)
+        qs = ", ".join(space_to_json(self)["q"])
         return f"FiniteQuadraticSpace(orders={list(self.orders)}, q=[{qs}])"
 
 
@@ -245,6 +247,8 @@ def build_space(group: FiniteAbelianGroup | Sequence[int],
     if isinstance(group, FiniteAbelianGroup):
         orders = list(group.invariant_factors)
     else:
+        if any(isinstance(d, bool) or not isinstance(d, Integral) for d in group):
+            raise ValidationError(f"generator orders must be integers: {list(group)}")
         orders = [int(d) for d in group]
         if any(d < 1 for d in orders):
             raise ValidationError("generator orders must be positive")
@@ -301,12 +305,16 @@ def direct_sum(s1: FiniteQuadraticSpace, s2: FiniteQuadraticSpace) -> FiniteQuad
 def space_to_json(s: FiniteQuadraticSpace) -> dict:
     return {
         "orders": list(s.orders),
-        "q": [str(p.value) for p in s.q_gen],
-        "b": [[str(p.value) for p in row] for row in s.b_matrix],
+        "q": [fraction_str(s.gram[i][i] % (2 * s.level), s.level) for i in range(s.rank)],
+        "b": [[fraction_str(x % s.level, s.level) for x in row] for row in s.gram],
     }
 
 
 def space_from_json(doc: dict) -> FiniteQuadraticSpace:
     if not isinstance(doc, dict) or "orders" not in doc or "q" not in doc:
         raise ValidationError("space JSON needs 'orders' and 'q' fields")
-    return build_space(doc["orders"], doc["q"], doc.get("b"))
+    orders, q, b = doc["orders"], doc["q"], doc.get("b")
+    if not (isinstance(orders, list) and isinstance(q, list) and (b is None or (
+            isinstance(b, list) and all(isinstance(row, list) for row in b)))):
+        raise ValidationError("space JSON needs lists 'orders' and 'q', and 'b' a list of rows")
+    return build_space(orders, q, b)

@@ -67,7 +67,7 @@ def twisted_dimension_cyclotomic(m):
     acc = CyclotomicNumber.zero()
     for j in range(m.n):
         d = m.dims[j]
-        acc = acc + root_of_unity(m.twists[j]) * d * d
+        acc = acc + root_of_unity(m.twists[j].value) * d * d
     return acc
 
 
@@ -164,7 +164,7 @@ def verify_cyclotomic(m):
                 return RelationReport("i", f"s_tilde^2 != D*P at ({i},{k})")
     if any(m.dual[m.dual[i]] != i for i in range(n)):
         return RelationReport("ii", "dual is not an involution")
-    theta = [root_of_unity(t) for t in m.twists]
+    theta = [root_of_unity(t.value) for t in m.twists]
     for i in range(n):
         for k in range(n):
             if s2[i][k] * theta[k] != theta[i] * s2[i][k]:

@@ -24,7 +24,8 @@ import numpy as np
 from genusforge.errors import InternalError, LimitError, NotPrimaryError, ValidationError
 from genusforge.exactkernel import gauss_phase
 from genusforge.quadspace import FiniteQuadraticSpace, JordanBlockSummary, Subgroup, build_space
-from genusforge.quadspace.decompose import _factorize, _jacobi
+from genusforge.exactkernel.intmatrix import _factorize
+from genusforge.quadspace.decompose import _jacobi
 from genusforge.quadspace.space import subquotient
 
 
@@ -289,11 +290,11 @@ def _phase_counts(s: FiniteQuadraticSpace) -> tuple[int, np.ndarray]:
     return m, np.bincount(q // (two_n // m), minlength=m)
 
 
-def signature_mod8(s: FiniteQuadraticSpace, bits: int = 128) -> int:
+def signature_mod8(s: FiniteQuadraticSpace) -> int:
     if s.order == 1:
         return 0
     m, counts = _phase_counts(s)
-    phase = gauss_phase(m, counts, s.order, bits)
+    phase = gauss_phase(m, counts, s.order)
     if phase is None or (8 * phase).denominator != 1:
         raise InternalError(
             "Gauss sum squared is not |A| times a fourth root of unity; "

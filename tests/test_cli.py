@@ -165,18 +165,18 @@ class TestStatusAndFlags:
         out = payload("--limit", "40", "codes", "sigma", "--length", "40", "--dim", "1")
         assert out == {"sigma": 1}
 
-    def test_precision_flag_reaches_milgram(self, tmp_path):
+    def test_precision_flag_is_rejected(self, tmp_path):
+        # modcat milgram reads its sign off one interval of fixed width, so
+        # there is no precision to set
         lat = payload("lattice", "builtin", "A2")
         f = write(tmp_path, "a2qs.json",
                   payload("lattice", "disc-form", write(tmp_path, "l.json", lat)))
         md = write(tmp_path, "a2md.json", payload("modcat", "from-qs", f))
-        assert payload("--precision", "96", "modcat", "milgram", md, "--c", "2") == {
-            "compatible": True}
-        # 16 bits is below the interval's floor of 32: the flag reaches it
-        result = invoke("--precision", "16", "modcat", "milgram", md, "--c", "2")
-        assert result.exit_code == 1 and "bits >= 32" in result.payload["error"]
-        # qs milgram is exact: the flag is accepted and the answer unchanged
-        assert payload("--precision", "96", "qs", "milgram", f) == {"signature_mod8": 2}
+        assert payload("modcat", "milgram", md, "--c", "2") == {"compatible": True}
+        for argv in (("--precision", "96", "modcat", "milgram", md, "--c", "2"),
+                     ("--precision", "96", "qs", "milgram", f)):
+            result = invoke(*argv)
+            assert result.status == "validation-error" and result.exit_code == 1
 
     def test_validation_error_in_library_maps_to_exit_1(self, tmp_path):
         f = write(tmp_path, "bad.json", {"gram": [[1]]})  # odd diagonal
@@ -194,6 +194,24 @@ class TestStatusAndFlags:
         doc = payload("modcat", "ising")
         doc["s_tilde"][0][0] = entry
         f = write(tmp_path, "md.json", doc)
+        assert main(["modcat", "verlinde", f]) == 1
+        assert json.loads(capsys.readouterr().out)["status"] == "validation-error"
+
+    @pytest.mark.parametrize("key, value", [
+        ("q", 5), ("orders", 2), ("b", 7), ("b", [7]),
+        ("orders", [2.7]), ("orders", ["2"]), ("orders", [True])])
+    def test_malformed_space_document(self, tmp_path, capsys, key, value):
+        doc = {"orders": [2], "q": ["1/2"], "b": [["1/2"]]}
+        doc[key] = value
+        f = write(tmp_path, "q.json", doc)
+        assert main(["qs", "validate", f]) == 1
+        assert json.loads(capsys.readouterr().out)["status"] == "validation-error"
+
+    @pytest.mark.parametrize("changes", [
+        {"s_tilde": 5}, {"s_tilde": [1, 2, 3]}, {"labels": True}, {"dual": ["0", 1, 2]},
+        {"labels": 0, "dual": [], "s_tilde": [], "twists": [], "weights": []}])
+    def test_malformed_modular_data_document(self, tmp_path, capsys, changes):
+        f = write(tmp_path, "md.json", {**payload("modcat", "ising"), **changes})
         assert main(["modcat", "verlinde", f]) == 1
         assert json.loads(capsys.readouterr().out)["status"] == "validation-error"
 

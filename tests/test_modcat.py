@@ -1,5 +1,6 @@
 """Modular data, relations, fusion, genus dimensions, and VOA checks."""
 
+import dataclasses
 import json
 import logging
 import random
@@ -15,8 +16,10 @@ from hypothesis import strategies as st
 
 from genusforge.errors import LimitError, NonIntegralError, ValidationError
 from genusforge.exactkernel import CyclotomicNumber
+from genusforge.exactkernel.rationals import _Phase
 from genusforge.lattice import builtin_lattice, discriminant_form
 from genusforge.modcat import (
+    ModularData,
     VoaGenusSymbol,
     build_modular_data,
     from_quadratic_space,
@@ -35,11 +38,14 @@ from genusforge.modcat import (
 )
 from genusforge.modcat.fusion import _block_sum, _fusion_rows
 from genusforge.modcat import relations
+from genusforge.modcat.data import Terms
 from genusforge.quadspace import (
     build_space,
     decompose,
     direct_sum,
     signature_mod8,
+    space_from_json,
+    space_to_json,
     trivial_space,
 )
 from modcat_oracle import (
@@ -481,6 +487,23 @@ class TestVoaGenus:
                             F(8))
         assert voa_genus_equal(ga, gb)
 
+    def test_data_with_self_dual_labels_equal_themselves(self):
+        # Ising's labels are all self-dual, and so is 2 in Z/4; Z/2 x Z/4
+        # has self-dual labels among pairs that are not
+        for m, c in ((ising_data(), F(1, 2)),
+                     (from_quadratic_space(build_space((4,), [F(1, 4)])), F(1)),
+                     (from_quadratic_space(build_space((2, 4), [F(1, 2), F(1, 4)])), F(2))):
+            g = VoaGenusSymbol(m, c)
+            assert voa_genus_equal(g, VoaGenusSymbol(m, c)), m
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(LIBRARY_16), st.randoms(use_true_random=False))
+    def test_basis_change_is_genus_equal(self, s, rng):
+        t, _ = basis_change(s, rng)
+        sig = signature_mod8(s)
+        assert voa_genus_equal(VoaGenusSymbol(from_quadratic_space(s), sig),
+                               VoaGenusSymbol(from_quadratic_space(t), sig))
+
     def test_same_order_different_twists(self):
         s9 = build_space((9,), [F(2, 9)])
         s33 = direct_sum(build_space((3,), [F(2, 3)]),
@@ -612,7 +635,7 @@ def _assert_matches_oracle(m, s):
         assert voa_milgram_check(m, c) == milgram_by_cyclotomics(m, c), (s, c)
     eager = eager_s_tilde(m)
     assert _entries(m.s_tilde) == _entries(eager), s
-    given_matrix = build_modular_data(m.dual, eager, m.twists)
+    given_matrix = build_modular_data(m.dual, eager, [t.value for t in m.twists])
     assert (json.dumps(modular_data_to_json(m))
             == json.dumps(modular_data_to_json(given_matrix))), s
 
@@ -685,14 +708,66 @@ class TestExponentTablesAgainstOracle:
             caplog.set_level(logging.DEBUG, logger=logger.__name__)
         verlinde_fusion(m)
         verlinde_fusion(ising_data())
-        voa_milgram_check(m, 1, bits=64)
-        voa_milgram_check(m, 2)
+        voa_milgram_check(m, 1)
         signature_mod8(build_space((4,), [F(1, 4)]))
         lines = [r.getMessage() for r in caplog.records]
         assert "row lookup" in lines[0]
         assert "Verlinde sum over terms" in lines[1]
-        assert "interval at 64 bits, phase 1/8" in lines[2]
-        assert "interval at 128 bits, phase 1/8" in lines[3]
-        assert caplog.records[4].name == decompose.__name__
-        assert "Jordan splitting, blocks per prime {2: 1}" in lines[4]
-        assert "interval" not in lines[4]
+        assert "integer square test and one certified interval, phase 1/8" in lines[2]
+        assert caplog.records[3].name == decompose.__name__
+        assert "Jordan splitting, blocks per prime {2: 1}" in lines[3]
+        assert "interval" not in lines[3]
+
+
+class TestOneTwistEncoding:
+    """Each twist is stored once, as an integer numerator over the order of
+    the term table; phases mod 1 are only a view of it."""
+
+    def test_fields_are_the_dual_and_the_table(self):
+        assert [f.name for f in dataclasses.fields(ModularData)] == ["dual", "terms"]
+
+    def test_no_library_path_builds_a_phase(self, monkeypatch):
+        def refuse(self, *args):
+            raise AssertionError("a phase object was built")
+
+        monkeypatch.setattr(_Phase, "__init__", refuse)
+        ising = ising_data()
+        data = [(from_quadratic_space(s), s, signature_mod8(s)) for s in LIBRARY_16]
+        data += [(ising, None, F(1, 2)), (product(ising, ising), None, F(1))]
+        data += [(product(ising, from_quadratic_space(s)), None, F(1, 2) + signature_mod8(s))
+                 for s in LIBRARY_4]
+        for m, s, c in data:
+            if s is not None:
+                qs_doc = space_to_json(s)
+                assert repr(s).startswith("FiniteQuadraticSpace(")
+                assert space_from_json(qs_doc) == s
+            doc = modular_data_to_json(m)
+            back = modular_data_from_json(json.loads(json.dumps(doc)))
+            assert back == m and modular_data_to_json(back) == doc
+            assert build_modular_data(m.dual, m.s_tilde, doc["twists"]) == m
+            assert verify_relations(m).ok
+            verlinde_fusion(m)
+            assert genus_dimension(m, 0) == 1
+            assert voa_milgram_check(m, c) and not voa_milgram_check(m, c + 4)
+        assert voa_genus_equal(VoaGenusSymbol(ising, F(1, 2)), VoaGenusSymbol(ising, F(1, 2)))
+
+    @pytest.mark.parametrize("twists, match", [
+        (np.array([0.0, 8.0, 1.0]), "integer arrays"),
+        (np.array([0, 8], dtype=np.int64), "per label"),
+        (np.array([[0, 8, 1]], dtype=np.int64), "per label"),
+        (np.array([0, 8, 16], dtype=np.int64), r"in \[0, order\)"),
+        (np.array([0, -8, 1], dtype=np.int64), r"in \[0, order\)")])
+    def test_table_twists_are_integers_in_range(self, twists, match):
+        order, s, _ = ising_data().terms
+        with pytest.raises(ValidationError, match=match):
+            ModularData((0, 1, 2), Terms(order, s, twists))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(LIBRARY_4), st.sampled_from(LIBRARY_4), st.booleans())
+    def test_twists_view_reads_the_table(self, s1, s2, with_ising):
+        m = product(from_quadratic_space(s1), from_quadratic_space(s2))
+        if with_ising:
+            m = product(m, ising_data())
+        order, _, tau = m.terms
+        assert [t.value for t in m.twists] == [F(t, order) for t in tau.tolist()]
+        assert modular_data_to_json(m)["twists"] == [str(F(t, order)) for t in tau.tolist()]

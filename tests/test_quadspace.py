@@ -41,8 +41,8 @@ from genusforge.quadspace import (
     trivial_space,
     verify_isometry,
 )
+from genusforge.exactkernel.intmatrix import _factorize
 from genusforge.quadspace import space as space_module
-from genusforge.quadspace.decompose import _factorize
 from genusforge.quadspace.gauss import _phase_counts
 from genusforge.quadspace.present import present_subquotient
 import kernel_oracle
@@ -123,6 +123,13 @@ class TestBuild:
         # q(g) = 3/2 on Z/4 puts 2g in the radical.
         with pytest.raises(DegenerateFormError):
             build_space([4], ["3/2"])
+
+    def test_orders_must_be_integers(self):
+        import numpy as np
+        assert build_space(np.array([2, 4]), ["1/2", "1/4"]) == build_space([2, 4], ["1/2", "1/4"])
+        for orders in ([2.7], ["2"], [True], [2.0]):
+            with pytest.raises(ValidationError, match="must be integers"):
+                build_space(orders, ["1/2"])
 
     def test_gram_and_orders_arrays_are_kept_read_only(self):
         s = build_space([2, 4], ["1/2", "1/4"])
