@@ -36,7 +36,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from ..errors import InternalError, LimitError, ValidationError
+from ..errors import InternalError, LimitError, ValidationError, check_cap
 
 DEFAULT_LENGTH_CAP = 24
 
@@ -271,8 +271,10 @@ class SigmaProfile:
 def _validated_length(r, cap):
     if isinstance(r, bool) or not isinstance(r, int) or r < 1:
         raise ValidationError("length must be a positive integer")
-    if cap is not None and r > cap:
-        raise LimitError(f"length {r} exceeds the enumeration cap {cap}")
+    if cap is not None:
+        check_cap(cap)
+        if r > cap:
+            raise LimitError(f"length {r} exceeds the enumeration cap {cap}")
 
 
 def sigma_profile(r: int, *, max_k: int | None = None, cap: int | None = DEFAULT_LENGTH_CAP,
@@ -284,6 +286,8 @@ def sigma_profile(r: int, *, max_k: int | None = None, cap: int | None = DEFAULT
     counts are deterministic.  threads has no effect.
     """
     _validated_length(r, cap)
+    if node_budget is not None:
+        check_cap(node_budget)
     if max_k is not None and (isinstance(max_k, bool) or not isinstance(max_k, int) or max_k < 1):
         raise ValidationError("max_k must be a positive integer")
     if r % 8:

@@ -2,19 +2,18 @@
 
 Matrices are plain tuples of tuples (immutable at API boundaries); internal
 routines work on lists of lists.  Everything here is exact and
-fraction-free: determinants by Bareiss elimination, Smith normal forms that
-record only the transform their caller reads, row lattice bases read off
-the row transform (no inverse is formed), and signatures by symmetric
-integer elimination.  `_factorize` is the one integer factorization that
-the cyclotomic and quadratic-space layers read.  No floating point.
+fraction-free: Smith normal forms that record only the transform their
+caller reads, and row lattice bases read off the row transform (no inverse
+is formed).  Determinants and signatures of Gram matrices come from the
+one elimination `lattice.EvenLattice` keeps.  `_factorize` is the one
+integer factorization that the cyclotomic and quadratic-space layers
+read.  No floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import gcd, lcm
-from numbers import Rational
 from operator import mul
 from typing import Sequence
 
@@ -74,34 +73,6 @@ def _require_ints(matrix: Sequence[Sequence], what: str) -> None:
     kinds = set(map(type, chain.from_iterable(matrix)))
     if kinds - {int} and any(issubclass(k, bool) or not issubclass(k, int) for k in kinds):
         raise ValidationError(f"{what} needs integer entries")
-
-
-def det_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in matrix):
-        raise ValidationError("determinant needs a square matrix")
-    _require_ints(matrix, "determinant")
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -253,57 +224,3 @@ def row_lattice_basis(matrix: Sequence[Sequence[int]]) -> tuple:
     """
     res = smith_normal_form(matrix, "u")
     return mat_mul(res.u[:res.rank], matrix)
-
-
-def rational_signature(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
-    """(n_plus, n_minus, n_zero) of a symmetric rational matrix.
-
-    Exact symmetric congruence diagonalization in integers.  The matrix is
-    scaled integral by one positive factor.  With pivot p, the column c
-    below it and the block B after it, the next block is sign(p) (p B - c c^T),
-    |p| times the Schur complement, with its content divided out.  When the
-    whole remaining diagonal vanishes but the block is nonzero, the basis
-    change e_i <- e_i + e_j manufactures a nonzero diagonal entry (valid
-    away from characteristic 2).
-    """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValidationError("signature needs a square matrix")
-    if any(isinstance(x, bool) or not isinstance(x, Rational) for row in matrix for x in row):
-        raise ValidationError("signature needs rational entries")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if matrix[i][j] != matrix[j][i]:
-                raise ValidationError("signature needs a symmetric matrix")
-    scale = lcm(1, *(int(x.denominator) for row in matrix for x in row))
-    m = [[int(x.numerator) * (scale // int(x.denominator)) for x in row] for row in matrix]
-    pos = neg = zero = 0
-    while m:
-        if m[0][0] == 0:
-            swap = next((j for j in range(1, len(m)) if m[j][j] != 0), None)
-            if swap is not None:
-                m[0], m[swap] = m[swap], m[0]
-                for row in m:
-                    row[0], row[swap] = row[swap], row[0]
-            else:
-                off = next((j for j in range(1, len(m)) if m[0][j] != 0), None)
-                if off is None:
-                    zero += 1
-                    m = [row[1:] for row in m[1:]]
-                    continue
-                # e_0 <- e_0 + e_off gives diagonal entry 2*m[0][off].
-                m[0] = [a + b for a, b in zip(m[0], m[off])]
-                for row in m:
-                    row[0] += row[off]
-        p = m[0][0]
-        head = m[0][1:]
-        if p > 0:
-            pos += 1
-            m = [[p * a - row[0] * b for a, b in zip(row[1:], head)] for row in m[1:]]
-        else:
-            neg += 1
-            m = [[row[0] * b - p * a for a, b in zip(row[1:], head)] for row in m[1:]]
-        g = gcd(*(x for row in m for x in row))
-        if g > 1:
-            m = [[x // g for x in row] for row in m]
-    return pos, neg, zero

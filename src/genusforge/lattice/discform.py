@@ -11,9 +11,7 @@ Smith normal form.  L*/L is nondegenerate by construction: an x in L*
 that pairs integrally with all of L* lies in (L*)* = L.  So its encoding
 skips the nondegeneracy test that `space_from_gram` runs on outside data.
 The signature is read off the leading principal minors that the lattice
-kept from its construction (Sylvester-Jacobi), and only a Gram with a
-vanishing leading minor, such as U = [[0, 1], [1, 0]], goes through the
-congruence diagonalization `rational_signature`.
+kept from its construction (Sylvester-Jacobi).
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import InternalError, ValidationError
-from ..exactkernel import mat_mul, rational_signature, smith_normal_form, transpose
+from ..exactkernel import mat_mul, smith_normal_form, transpose
 from ..quadspace import FiniteQuadraticSpace, trivial_space
 from ..quadspace.space import _canonical_space
 from .lattice import EvenLattice
@@ -60,20 +58,14 @@ def discriminant_form(l: EvenLattice) -> FiniteQuadraticSpace:
 
 
 def signature(l: EvenLattice) -> tuple[int, int]:
-    """(n_plus, n_minus).  When every leading principal minor Delta_j is
-    nonzero, G = L D L^T with d_j = Delta_j / Delta_(j-1), so by Sylvester's
-    law of inertia n_minus is the number of sign changes in
-    1, Delta_1, ..., Delta_n (Jacobi).  The minors come from the
-    elimination the lattice ran at construction."""
-    rows = l.elimination
-    if len(rows) == l.rank:
-        minors = [row[0] for row in rows]
-        neg = sum((a < 0) != (b < 0) for a, b in zip([1] + minors, minors))
-        return l.rank - neg, neg
-    pos, neg, zero = rational_signature(l.gram)
-    if zero:
-        raise InternalError("nonsingular Gram matrix cannot have zero signature part")
-    return pos, neg
+    """(n_plus, n_minus).  The elimination the lattice ran at construction
+    writes P^T G P = L D L^T for an integral congruence P, with
+    d_j = Delta_j / Delta_(j-1) from its leading principal minors, so by
+    Sylvester's law of inertia n_minus is the number of sign changes in
+    1, Delta_1, ..., Delta_n (Jacobi)."""
+    minors = [row[0] for row in l.elimination]
+    neg = sum((a < 0) != (b < 0) for a, b in zip([1] + minors, minors))
+    return l.rank - neg, neg
 
 
 @dataclass(frozen=True)

@@ -6,17 +6,17 @@ used elsewhere: A_n, D_n, E8, E8 (+) E8, and the unimodular extension
 D16+ obtained by gluing the all-halves vector onto D16.
 
 Construction runs one fraction-free (Bareiss, Math. Comp. 22, 1968)
-symmetric elimination of the Gram matrix, with no pivoting, and the
-lattice keeps it as `elimination`.  Its diagonal holds the leading
-principal minors Delta_1, ..., Delta_n, and the rest of its rows M hold
-G = L D L^T in integers: d_j = Delta_j / Delta_(j-1) and
-L_ij = M_ji / Delta_j (1-based, Delta_0 = 1).  `det` is Delta_n, the
-signature counts sign changes among the minors
-(`discform.signature`), and Fincke-Pohst reads its factors
-(`theta`), so no other pass eliminates the same matrix.  An indefinite
-Gram such as U = [[0, 1], [1, 0]] can have a vanishing leading minor;
-the elimination stops there, and `det` falls back to `det_int`, which
-pivots.
+symmetric elimination of the Gram matrix, and the lattice keeps it as
+`elimination`.  Its diagonal holds the leading principal minors
+Delta_1, ..., Delta_n of P^T G P, and the rest of its rows M hold
+P^T G P = L D L^T in integers: d_j = Delta_j / Delta_(j-1) and
+L_ij = M_ji / Delta_j (1-based, Delta_0 = 1).  P is an integral
+congruence of determinant +-1 that the elimination builds only when a
+pivot vanishes, as it can on an indefinite Gram such as
+U = [[0, 1], [1, 0]]; a positive definite Gram never meets one, so there
+P = I.  `det` is Delta_n, the signature counts sign changes among the
+minors (`discform.signature`), and Fincke-Pohst reads its factors
+(`theta`), so no other pass eliminates the same matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Sequence
 
 from ..errors import InternalError, ValidationError
-from ..exactkernel import det_int, freeze, row_lattice_basis
+from ..exactkernel import freeze, row_lattice_basis
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -65,19 +65,37 @@ class EvenLattice:
 
     @cached_property
     def elimination(self) -> IntMatrix:
-        """Row j holds M_jj, ..., M_j(n-1) of the Bareiss elimination
-        (0-based), with M_jj = Delta_(j+1), the leading principal minor of
-        order j + 1.  The rows stop at the first vanishing minor, so on a
-        nonsingular Gram a full set of n rows means every leading minor is
-        nonzero."""
+        """Row j holds M_jj, ..., M_j(n-1) of the Bareiss elimination of
+        P^T G P (0-based), with M_jj = Delta_(j+1), its leading principal
+        minor of order j + 1.  A vanishing pivot M_jj is replaced by an
+        integral congruence on basis vectors j, ..., n-1: a later nonzero
+        working diagonal entry is swapped in, or else e_j <- e_j + e_t for
+        some M_jt != 0 makes the pivot 2 M_jt.  Both keep the working
+        entries the Bareiss minors of the new Gram, so the exact division
+        goes on.  When the whole working row j is zero, G is singular and
+        the rows stop before it; a nonsingular Gram has n rows."""
         # Row i holds the entries (i, t), t >= i, of the working matrix; by
         # symmetry the entry (i, j) below pivot j is entry (j, i) of row j.
         m = [row[i:] for i, row in enumerate(self.gram)]
-        prev = 1
-        for j, head in enumerate(m):
+        n, prev = len(m), 1
+        for j in range(n):
+            if m[j][0] == 0:
+                w = [[m[min(i, t)][abs(t - i)] for t in range(j, n)] for i in range(j, n)]
+                s = next((s for s in range(1, n - j) if w[s][s]), None)
+                t = s or next((t for t in range(1, n - j) if w[0][t]), None)
+                if t is None:
+                    return tuple(m[:j])
+                if s:
+                    w[0], w[s] = w[s], w[0]
+                    for row in w:
+                        row[0], row[s] = row[s], row[0]
+                else:
+                    w[0] = [a + b for a, b in zip(w[0], w[t])]
+                    for row in w:
+                        row[0] += row[t]
+                m[j:] = [tuple(row[i:]) for i, row in enumerate(w)]
+            head = m[j]
             piv = head[0]
-            if piv == 0:
-                return tuple(m[:j + 1])
             for k in range(1, len(head)):
                 a = head[k]
                 m[j + k] = tuple([(piv * x - a * y) // prev
@@ -88,7 +106,7 @@ class EvenLattice:
     @property
     def det(self) -> int:
         rows = self.elimination
-        return rows[-1][0] if len(rows) == self.rank else det_int(self.gram)
+        return rows[-1][0] if len(rows) == self.rank else 0
 
     def inner(self, x: Sequence[int], y: Sequence[int]) -> int:
         return sum(xi * gij * yj

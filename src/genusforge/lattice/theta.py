@@ -5,7 +5,10 @@ Enumeration is Fincke-Pohst (Math. Comp. 44, 1985) on G = L D L^T, with
 that depend only on x_{j+1}, ..., x_{n-1}.  D and L come from the
 elimination the lattice kept at construction (0-based here):
 d_j = Delta_{j+1} / Delta_j and L_sj = M_js / Delta_{j+1}, each a correctly
-rounded quotient of two integers.  It runs one level at a time: numpy
+rounded quotient of two integers.  A positive definite Gram has no
+vanishing pivot, so that elimination applied no congruence and its factors
+are those of G; on any other Gram some minor is at most 0, and the
+enumeration refuses it.  It runs one level at a time: numpy
 bounds x_j for every node of level j at once, and the children that fit
 form level j - 1, walked depth-first in chunks so memory stays bounded.
 Only vectors whose last nonzero coordinate is positive are generated.

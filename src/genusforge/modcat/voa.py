@@ -19,7 +19,7 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..errors import LimitError, ValidationError
+from ..errors import LimitError, ValidationError, check_cap
 from ..exactkernel import gauss_phase
 from ..exactkernel.rationals import RationalLike, as_fraction
 from ..quadspace import (
@@ -78,6 +78,7 @@ class VoaGenusSymbol:
 def voa_genus_equal(g1: VoaGenusSymbol, g2: VoaGenusSymbol,
                     cap: int = 16) -> bool:
     """Equal central charge and label bijection fixing 0 matching the data."""
+    check_cap(cap)
     if g1.central_charge != g2.central_charge:
         return False
     m1, m2 = g1.data, g2.data

@@ -62,8 +62,8 @@ class FiniteAbelianGroup:
     def reduce(self, coords: Sequence[int]) -> tuple[int, ...]:
         if len(coords) != self.rank:
             raise ValidationError(f"expected {self.rank} coordinates, got {len(coords)}")
-        if any(isinstance(c, bool) for c in coords):
-            raise ValidationError(f"coordinates must be integers, not booleans: {coords}")
+        if any(isinstance(c, bool) or not isinstance(c, Integral) for c in coords):
+            raise ValidationError(f"coordinates must be integers: {coords}")
         return tuple(int(c) % d for c, d in zip(coords, self.invariant_factors))
 
     def add(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:

@@ -4,7 +4,11 @@ kept as the oracle for the fraction-free kernel.
 `smith_normal_form` is the Smith normal form that always records both
 transforms and the full diagonal matrix, the reference for the one-sided
 transforms of `genusforge.exactkernel.smith_normal_form`.
-`rational_signature` is the symmetric congruence diagonalization over Q,
+`rational_signature` is the symmetric congruence diagonalization over Q
+and `fraction_det` the row-pivoting determinant over Q, the references for
+the determinant and signature of `genusforge.lattice.EvenLattice`, and
+`unpivoted_elimination` is its Bareiss elimination as it ran before it
+learned to pivot past a vanishing minor.
 `int_inv_unimodular` and `row_lattice_basis` invert through the Gauss-Jordan
 `rat_inv`, `present_subquotient` reads the rows of V^(-1) it needs off that
 inverse, and `_lift_vector` sums the `Fraction` lift vectors of a
@@ -232,6 +236,43 @@ def rational_signature(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
                 for row in m:
                     row[j] -= f * row[i]
     return pos, neg, zero
+
+
+def fraction_det(matrix: Sequence[Sequence]) -> Fraction:
+    """Determinant by Gauss elimination over Q with row swaps."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+def unpivoted_elimination(gram: Sequence[Sequence[int]]) -> IntMatrix:
+    """Fraction-free symmetric Bareiss elimination with no pivoting, upper
+    rows only: row j holds M_jj, ..., M_j(n-1), and M_jj is the leading
+    principal minor of order j + 1.  The rows stop at the first vanishing
+    minor."""
+    m = [tuple(row[i:]) for i, row in enumerate(gram)]
+    prev = 1
+    for j, head in enumerate(m):
+        piv = head[0]
+        if piv == 0:
+            return tuple(m[:j + 1])
+        for k in range(1, len(head)):
+            a = head[k]
+            m[j + k] = tuple([(piv * x - a * y) // prev
+                              for x, y in zip(m[j + k], head[k:])])
+        prev = piv
+    return tuple(m)
 
 
 def present_subquotient(orders: Sequence[int], gram: Sequence[Sequence[int]],

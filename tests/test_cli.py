@@ -230,6 +230,13 @@ class TestStatusAndFlags:
         assert main(["qs", "quotient", f, "--subgroup", "[[0, true]]"]) == 1
         assert json.loads(capsys.readouterr().out)["status"] == "validation-error"
 
+    @pytest.mark.parametrize("argv", [("codes", "sigma", "--length", "16", "--dim", "2"),
+                                      ("codes", "mass", "--length", "16")])
+    def test_negative_limit_is_a_validation_error(self, argv):
+        result = invoke("--limit", "-5", *argv)
+        assert result.status == "validation-error" and result.exit_code == 1
+        assert "nonnegative integer" in result.payload["error"]
+
     def test_mass_wrong_length(self):
         result = invoke("codes", "mass", "--length", "8")
         assert result.status == "validation-error"

@@ -383,6 +383,12 @@ class TestSigma:
         with pytest.raises(LimitError):
             relative_mass_rhs(32)
 
+    @pytest.mark.parametrize("kwargs", [{"cap": -1}, {"cap": True}, {"node_budget": -1},
+                                        {"node_budget": True}])
+    def test_caps_must_be_nonnegative_integers(self, kwargs):
+        with pytest.raises(ValidationError, match="nonnegative integer"):
+            sigma_profile(8, **kwargs)
+
 
 @cache
 def code_classes(r, levels):

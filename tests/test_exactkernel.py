@@ -16,18 +16,15 @@ from genusforge.exactkernel import (
     PhaseMod2,
     cyclo_approx,
     cyclotomic_polynomial,
-    det_int,
     euler_phi,
     fraction_str,
     freeze,
     identity,
     integer_kernel,
     mat_mul,
-    rational_signature,
     root_of_unity,
     row_lattice_basis,
     smith_normal_form,
-    transpose,
 )
 from genusforge.exactkernel.cyclotomic import (
     _enclose,
@@ -35,6 +32,7 @@ from genusforge.exactkernel.cyclotomic import (
     _unit_circle,
     reduce_int_counts,
 )
+from genusforge.lattice import build_lattice
 import kernel_oracle
 from cyclotomic_oracle import FractionCyclotomic
 from cyclotomic_oracle import cyclotomic_polynomial as oracle_polynomial
@@ -116,8 +114,8 @@ class TestSmithNormalForm:
         d = tuple(tuple(diagonal[i] if i == j else 0 for j in range(len(a[0])))
                   for i in range(len(a)))
         assert mat_mul(mat_mul(u, a), v) == d
-        assert abs(det_int(u)) == 1
-        assert abs(det_int(v)) == 1
+        kernel_oracle.int_inv_unimodular(u)  # raises unless unimodular
+        kernel_oracle.int_inv_unimodular(v)
         nz = [x for x in diagonal if x != 0]
         assert all(x > 0 for x in nz)
         assert all(nz[i + 1] % nz[i] == 0 for i in range(len(nz) - 1))
@@ -172,69 +170,23 @@ class TestKernelAndInverse:
         assert mat_mul(mat_mul(right, left), u) == freeze(identity(2))
 
 
-class TestRationalSignature:
-    def test_definite_and_hyperbolic(self):
-        assert rational_signature(((2, 1), (1, 2))) == (2, 0, 0)
-        assert rational_signature(((-2, 0), (0, -2))) == (0, 2, 0)
-        assert rational_signature(((0, 1), (1, 0))) == (1, 1, 0)
-        assert rational_signature(((0, 0), (0, 0))) == (0, 0, 2)
-
-    @given(int_matrix(6))
-    @settings(max_examples=60, deadline=None)
-    def test_congruence_invariance(self, rows):
-        # Use A^T A + A A^T pattern? Simpler: symmetrize and congruence by
-        # a unimodular shear; Sylvester says the signature cannot move.
-        n = len(rows)
-        if len(rows[0]) != n:
-            rows = [r[:n] + [0] * (n - len(r[:n])) for r in rows][:n]
-        sym = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
-        sig = rational_signature(sym)
-        shear = [[1 if i == j else (1 if (i + 1 == j) else 0) for j in range(n)]
-                 for i in range(n)]
-        conj = mat_mul(mat_mul(shear, sym), transpose(shear))
-        assert rational_signature(conj) == sig
-        assert sum(sig) == n
-
-
+# The determinant and signature of a Gram matrix come from the elimination
+# that `EvenLattice` runs, so its construction refuses the same entries.
 @pytest.mark.parametrize("call", [
     lambda: smith_normal_form(((True, False), (False, True))),
     lambda: smith_normal_form(((1, 0), (0, False))),
-    lambda: det_int(((True,),)),
-    lambda: det_int(((1, 2), (3, Fraction(1, 2)))),
+    lambda: build_lattice(((True,),)),
+    lambda: build_lattice(((2, 1), (1, Fraction(1, 2)))),
     lambda: integer_kernel(((True, 1),)),
     lambda: row_lattice_basis(((1, True),)),
     lambda: smith_normal_form(((True,),), "v"),
-    lambda: rational_signature(((True,),)),
-    lambda: rational_signature(((2, False), (False, 2))),
-    lambda: rational_signature((("1/2",),)),
+    lambda: build_lattice(((2, False), (False, 2))),
+    lambda: build_lattice(((2, 1), (1, 2.0))),
+    lambda: build_lattice((("1/2",),)),
 ])
 def test_kernel_rejects_entries_that_are_not_numbers(call):
     with pytest.raises(ValidationError):
         call()
-
-
-def symmetric_rational(max_dim=6):
-    """Symmetric matrices with Fraction entries; a drawn share of the
-    diagonal is zero, and some draws are sums of hyperbolic blocks."""
-    entry = st.fractions(min_value=-6, max_value=6, max_denominator=6)
-
-    def build(n):
-        lower = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
-        zeros = st.lists(st.booleans(), min_size=n, max_size=n)
-        return st.tuples(lower, zeros).map(lambda lz: tuple(
-            tuple(Fraction(0) if i == j and lz[1][i]
-                  else lz[0][max(i, j)][min(i, j)] for j in range(n))
-            for i in range(n)))
-
-    def hyperbolic_sum(xs):
-        m = [[Fraction(0)] * (2 * len(xs)) for _ in range(2 * len(xs))]
-        for k, x in enumerate(xs):
-            m[2 * k][2 * k + 1] = m[2 * k + 1][2 * k] = x
-        return freeze(m)
-
-    hyperbolic = st.lists(entry.filter(lambda x: x != 0), min_size=1, max_size=3)
-    return st.one_of(st.integers(min_value=0, max_value=max_dim).flatmap(build),
-                     hyperbolic.map(hyperbolic_sum))
 
 
 def signed_shear_product(max_dim=6):
@@ -260,16 +212,6 @@ def signed_shear_product(max_dim=6):
 
 class TestFractionFreeAgainstOracle:
     """The integer kernel against the Fraction routines it replaced."""
-
-    @given(symmetric_rational())
-    @example(((0, 0, 1), (0, 0, 0), (1, 0, 0)))
-    @example(((0, 2, 0), (2, 0, 3), (0, 3, 0)))
-    @example(((Fraction(1, 2), 1), (1, 0)))
-    @example(((-3,),))
-    @example(())
-    @settings(max_examples=200, deadline=None)
-    def test_signature(self, m):
-        assert rational_signature(m) == kernel_oracle.rational_signature(m)
 
     @given(int_matrix(8).map(freeze), st.integers(min_value=0, max_value=3))
     @settings(max_examples=150, deadline=None)

@@ -156,16 +156,14 @@ class TestGenus:
         u = build_lattice([[0, 1], [1, 0]])
         assert signature(u) == (1, 1)
 
-    def test_signature_reads_the_leading_minors(self, monkeypatch):
-        # Positive definite lattices never reach the congruence
-        # diagonalization: every leading minor is positive.
-        def refuse(*args, **kwargs):
-            raise AssertionError("rational_signature was called")
-
+    def test_signature_reads_the_leading_minors(self):
+        # Positive definite lattices never pivot: the kept rows are the
+        # unpivoted elimination, and every leading minor is positive.
         pairs = [(lattice_e8e8(), lattice_d16_plus()), (lattice_d(16), lattice_basis_change(
             lattice_d(16), random.Random(3))), (lattice_a(5), lattice_a(5))]
-        monkeypatch.setattr(discform, "rational_signature", refuse)
         for l1, l2 in pairs:
+            for l in (l1, l2):
+                assert l.elimination == kernel_oracle.unpivoted_elimination(l.gram)
             assert same_genus(l1, l2)
             assert genus_symbol(l1).signature == genus_symbol(l2).signature == (l1.rank, 0)
 
@@ -586,16 +584,78 @@ INDEFINITE_LATTICES = [orthogonal_sum([build_lattice(g) for g in grams]) for gra
     [lattice_a(2).gram, [[-2]]])]
 
 
+@st.composite
+def even_gram(draw):
+    """Even symmetric Gram matrices: random ones with mostly zero diagonals,
+    and U^k (+) E8(-1) (+) <a>, a = +-2 or +-4, then symmetric shears and a
+    permutation.  A drawn share gets one more basis vector, an integer
+    combination of the others, which makes the Gram singular."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = 2 * draw(st.sampled_from([0, 0, 0, 1, -1, 2]))
+            for j in range(i + 1, n):
+                g[i][j] = g[j][i] = draw(st.integers(-3, 3))
+    else:
+        blocks = [U_GRAM] * draw(st.integers(0, 3))
+        if draw(st.booleans()):
+            blocks.append(E8_NEGATIVE)
+        blocks.append([[draw(st.sampled_from([-4, -2, 2, 4]))]])
+        g = [list(row) for row in orthogonal_sum([build_lattice(b) for b in blocks]).gram]
+    n = len(g)
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-2, 2))
+        g[i] = [a + c * b for a, b in zip(g[i], g[j])]
+        for row in g:
+            row[i] += c * row[j]
+    perm = draw(st.permutations(range(n)))
+    g = [[g[i][j] for j in perm] for i in perm]
+    if draw(st.integers(0, 3)) == 0:
+        c = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        col = [sum(a * b for a, b in zip(row, c)) for row in g]
+        g = [row + [x] for row, x in zip(g, col)] + [col + [sum(a * b for a, b in zip(col, c))]]
+    return g
+
+
+class TestOneElimination:
+    """The one elimination pivots past vanishing minors by an integral
+    congruence; its determinant and signature against the Fraction
+    oracles, and its rows on positive definite Grams against the
+    unpivoted elimination."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(even_gram())
+    def test_det_and_signature_match_the_fraction_oracles(self, gram):
+        det = kernel_oracle.fraction_det(gram)
+        if det == 0:
+            with pytest.raises(ValidationError, match="Gram matrix is singular"):
+                build_lattice(gram)
+            return
+        l = build_lattice(gram)
+        assert len(l.elimination) == l.rank
+        assert l.det == det
+        assert signature(l) + (0,) == kernel_oracle.rational_signature(gram)
+
+    @pytest.mark.parametrize("index", range(len(ORACLE_LATTICES)), ids=ORACLE_IDS)
+    def test_positive_definite_rows_are_the_unpivoted_ones(self, index):
+        base = ORACLE_LATTICES[index]
+        for k in range(4):
+            l = lattice_basis_change(base, random.Random(600 + 10 * index + k)) if k else base
+            assert l.elimination == kernel_oracle.unpivoted_elimination(l.gram)
+
+
 class TestSignatureOracle:
-    """Signatures read off the leading minors, or through the congruence
-    diagonalization when one vanishes, against the Fraction oracle."""
+    """Signatures read off the leading minors of the one elimination
+    against the Fraction oracle."""
 
     @pytest.mark.parametrize("index", range(len(ORACLE_LATTICES)), ids=ORACLE_IDS)
     def test_signature_matches_the_oracle(self, index):
         base = ORACLE_LATTICES[index]
         for l in (base, lattice_basis_change(base, random.Random(400 + index))):
             assert signature(l) + (0,) == kernel_oracle.rational_signature(l.gram)
-            assert l.det == exactkernel.det_int(l.gram)
+            assert l.det == kernel_oracle.fraction_det(l.gram)
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(ORACLE_LATTICES + INDEFINITE_LATTICES),
@@ -607,9 +667,12 @@ class TestSignatureOracle:
     @pytest.mark.parametrize("index", range(len(INDEFINITE_LATTICES)), ids=INDEFINITE_IDS)
     def test_signature_of_indefinite_lattices(self, index):
         l = INDEFINITE_LATTICES[index]
-        # U, U+A1 and E8(-1)+U have a vanishing leading minor
-        assert (len(l.elimination) < l.rank) == (index < 3)
-        assert l.det == exactkernel.det_int(l.gram) == (-1, -2, -1, -4, -6)[index]
+        # U, U+A1 and E8(-1)+U have a vanishing leading minor, which the
+        # elimination pivots past
+        unpivoted = kernel_oracle.unpivoted_elimination(l.gram)
+        assert (len(unpivoted) < l.rank) == (index < 3)
+        assert len(l.elimination) == l.rank
+        assert l.det == kernel_oracle.fraction_det(l.gram) == (-1, -2, -1, -4, -6)[index]
         assert signature(l) + (0,) == kernel_oracle.rational_signature(l.gram)
 
 

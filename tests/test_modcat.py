@@ -523,6 +523,12 @@ class TestVoaGenus:
         with pytest.raises(LimitError):
             voa_genus_equal(g, g, cap=16)
 
+    @pytest.mark.parametrize("cap", [-1, True])
+    def test_cap_must_be_a_nonnegative_integer(self, cap):
+        g = VoaGenusSymbol(from_quadratic_space(trivial_space()), F(8))
+        with pytest.raises(ValidationError, match="nonnegative integer"):
+            voa_genus_equal(g, g, cap=cap)
+
 
 class TestJson:
     def test_round_trip_ising(self):

@@ -281,6 +281,26 @@ class TestIsotropic:
         assert sorted(got) == naive_isotropic(s)
 
 
+DISC_A3 = build_space([4], ["3/4"])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: subgroup_from_generators(DISC_A3, [(2.7,)]),
+    lambda: subgroup_from_generators(DISC_A3, [("2",)]),
+    lambda: closure(DISC_A3, [(1.5,)]),
+    lambda: verify_isometry(DISC_A3, DISC_A3, [(1.0,)]),
+])
+def test_group_coordinates_must_be_integers(call):
+    with pytest.raises(ValidationError, match="must be integers"):
+        call()
+
+
+def test_numpy_integer_coordinates_are_integers():
+    import numpy as np
+    assert subgroup_from_generators(DISC_A3, [(np.int64(2),)]).order == 2
+    assert verify_isometry(DISC_A3, DISC_A3, [(np.int32(1),)])
+
+
 class TestQuotient:
     def test_rejects_non_isotropic(self):
         s = build_space([4], ["1/4"])
