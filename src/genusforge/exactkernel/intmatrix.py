@@ -80,8 +80,8 @@ class SnfResult:
     """U @ A @ V = D with U, V unimodular and D in Smith normal form.
 
     `diagonal` holds the min(rows, cols) diagonal entries of D, nonnegative
-    with d1 | d2 | ... .  Only the transform that was asked for is
-    recorded; the other field is None.
+    with d1 | d2 | ... .  Only the transforms that were asked for are
+    recorded; a field not asked for is None.
     """
 
     diagonal: tuple[int, ...]
@@ -96,7 +96,7 @@ class SnfResult:
 def smith_normal_form(matrix: Sequence[Sequence[int]],
                       transform: str | None = None) -> SnfResult:
     """Smith normal form, recording the row transform U (transform="u"),
-    the column transform V ("v") or neither (None).
+    the column transform V ("v"), both ("uv") or neither (None).
 
     Row operations act on U from the left, column operations on V from the
     right, keeping U @ A @ V equal to the working matrix throughout.  The
@@ -104,16 +104,16 @@ def smith_normal_form(matrix: Sequence[Sequence[int]],
     which one is recorded.  V is built transposed, so a column operation on
     V is a row operation on the list of its columns.
     """
-    if transform not in (None, "u", "v"):
-        raise ValidationError(f"transform must be 'u', 'v' or None, not {transform!r}")
+    if transform not in (None, "u", "v", "uv"):
+        raise ValidationError(f"transform must be 'u', 'v', 'uv' or None, not {transform!r}")
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     if any(len(row) != cols for row in matrix):
         raise ValidationError("ragged matrix")
     _require_ints(matrix, "Smith normal form")
     m = [list(row) for row in matrix]
-    u = identity(rows) if transform == "u" else None
-    vt = identity(cols) if transform == "v" else None
+    u = identity(rows) if transform in ("u", "uv") else None
+    vt = identity(cols) if transform in ("v", "uv") else None
 
     def row_op(i: int, j: int, q: int) -> None:
         # row_i -= q * row_j

@@ -1,9 +1,10 @@
 """Discriminant forms, signatures, and genus symbols of even lattices.
 
 The dual quotient L*/L is read off the Smith normal form U G V = D of the
-Gram matrix G, recording V only.  Since G^(-1) = V D^(-1) U, column i of V
-divided by d_i is a vector of L* (in the basis of L), and these classes
-generate L*/L with orders d_1 | d_2 | ... .  The form on two of them is
+Gram matrix G, recording V (and U for overlattices).  Since
+G^(-1) = V D^(-1) U, column i of V divided by d_i is a vector of L* (in
+the basis of L), and these classes generate L*/L with orders
+d_1 | d_2 | ... .  The form on two of them is
 (V^T G V)_ij / (d_i d_j), so the discriminant form comes out as integer
 data at level d_n, with no rational inverse of G.  A unimodular lattice
 (|det| = 1, which the lattice keeps) has the trivial form and needs no
@@ -25,18 +26,20 @@ from ..quadspace.space import _canonical_space
 from .lattice import EvenLattice
 
 
-def _disc_with_lifts(l: EvenLattice):
+def _disc_with_lifts(l: EvenLattice, transform: str = "v"):
     """Discriminant form plus integer lifts, one per generator.
 
-    Returns (space, columns, orders): generator i of the space is the class
-    of columns[i] / orders[i] in L*/L, where columns[i] is an integer vector
-    in the basis of L (a column of V).  The form is computed from these
-    columns, so returning them builds nothing extra.
+    Returns (space, columns, orders, u_rows): generator i of the space is
+    the class of columns[i] / orders[i] in L*/L, where columns[i] is an
+    integer vector in the basis of L (a column of V).  The form is computed
+    from these columns, so returning them builds nothing extra.  u_rows
+    are the kept rows of U when transform="uv" records it, else None; as
+    x = V D^(-1) (U G x), x in L* has class ((U G x)_i mod orders[i]).
     """
     if abs(l.det) == 1:
-        return trivial_space(), [], []
+        return trivial_space(), [], [], []
     g = l.gram
-    snf = smith_normal_form(g, "v")
+    snf = smith_normal_form(g, transform)
     d = snf.diagonal
     kept = [i for i in range(l.rank) if d[i] != 1]
     orders = [d[i] for i in kept]
@@ -48,12 +51,13 @@ def _disc_with_lifts(l: EvenLattice):
     space = _canonical_space(orders, level, gram)
     if space.orders != tuple(orders):
         raise InternalError("SNF orders should survive canonicalization")
-    return space, cols, orders
+    u_rows = None if snf.u is None else [snf.u[i] for i in kept]
+    return space, cols, orders, u_rows
 
 
 def discriminant_form(l: EvenLattice) -> FiniteQuadraticSpace:
     """The finite quadratic space (L*/L, q) with q(x) = (x, x) mod 2Z."""
-    space, _, _ = _disc_with_lifts(l)
+    space, _, _, _ = _disc_with_lifts(l)
     return space
 
 

@@ -133,8 +133,21 @@ class TestSmithNormalForm:
         assert u == want.u
         assert v == want.v
 
+    @given(rank_deficient_matrix())
+    @settings(max_examples=120, deadline=None)
+    def test_both_transforms_from_one_elimination(self, a):
+        diagonal, u, v = one_sided(a)
+        both = smith_normal_form(a, "uv")
+        d = tuple(tuple(diagonal[i] if i == j else 0 for j in range(len(a[0])))
+                  for i in range(len(a)))
+        assert both.diagonal == diagonal
+        assert mat_mul(mat_mul(both.u, a), both.v) == d
+        kernel_oracle.int_inv_unimodular(both.u)  # raises unless unimodular
+        kernel_oracle.int_inv_unimodular(both.v)
+        assert (both.u, both.v) == (u, v)
+
     def test_rejects_unknown_transform(self):
-        for transform in ("uv", "U", 1, True):
+        for transform in ("vu", "U", 1, True):
             with pytest.raises(ValidationError):
                 smith_normal_form(((1, 0), (0, 2)), transform)
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import genusforge.exactkernel as exactkernel
 import genusforge.quadspace as quadspace
 from genusforge.errors import (
+    InternalError,
     LimitError,
     NotPositiveDefiniteError,
     ValidationError,
@@ -43,9 +44,10 @@ from genusforge.lattice import (
     signature,
     theta_coefficients,
 )
-from genusforge.lattice import discform, theta
+from genusforge.lattice import discform, overlattice, theta
 from genusforge.lattice.discform import _disc_with_lifts
 from genusforge.lattice.roots import _simple_roots
+from genusforge.modcat import simple_current_extensions
 from genusforge.quadspace import (
     build_space,
     is_isometric,
@@ -244,13 +246,61 @@ class TestOverlattices:
             assert root_system(k).components == (("E", 8),)
 
     def test_invariants_on_samples(self):
-        for name in ("D8", "A3", "D4", "A7"):
-            l = builtin_lattice(name)
-            disc = discriminant_form(l)
-            for c, k in overlattices(l):
-                assert k.det * c.order ** 2 == l.det
-                w = is_isometric(discriminant_form(k), quotient_space(disc, c))
-                assert w is not None
+        # The oracle: K*/K is isometric to C-perp / C, by a quotient
+        # presentation and an isometry search that overlattices never runs.
+        samples = [builtin_lattice("D4")] + list(OVERLATTICE_LATTICES)
+        for index, base in enumerate(samples):
+            for l in (base, lattice_basis_change(base, random.Random(400 + index))):
+                disc = discriminant_form(l)
+                for c, k in overlattices(l):
+                    assert k.det * c.order ** 2 == l.det
+                    w = is_isometric(discriminant_form(k), quotient_space(disc, c))
+                    assert w is not None
+
+    def test_no_isometry_cap(self):
+        # |A| = 3200 is over the isometry cap of 3000; only the subgroup
+        # cap applies.
+        l = build_lattice([[3200]])
+        want = [r.subgroup.order for r in simple_current_extensions(discriminant_form(l))]
+        found = overlattices(l)
+        assert [c.order for c, _ in found] == want == [1, 2, 4, 5, 8, 10, 20, 40]
+        assert [k.det for _, k in found] == [3200 // (m * m) for m in want]
+
+    def test_one_smith_form_and_no_quotient_form(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("overlattices re-checked a form")
+
+        for name in ("quotient_space", "is_isometric", "discriminant_form"):
+            monkeypatch.setattr(overlattice, name, refuse, raising=False)
+        calls = count_smith_forms(monkeypatch)
+        lattices = OVERLATTICE_LATTICES[:3]
+        assert [len(overlattices(l)) for l in lattices] == [3, 16, 31]
+        # One elimination of each Gram gives both U and V.
+        grams = [args[0] for args in calls]
+        assert [grams.count(l.gram) for l in lattices] == [1, 1, 1]
+
+    def test_class_outside_the_subgroup_is_refused(self, monkeypatch):
+        # Each K is built from the generators of one subgroup and checked
+        # against the elements of another of the same order; the quotient
+        # forms of the two agree (both trivial), so only the classes tell.
+        l = lattice_d(8)
+        found = isotropic_subgroups(discriminant_form(l))
+        order_two = [c for c in found if c.order == 2]
+        assert len(order_two) == 2
+        for c, other in (order_two, order_two[::-1]):
+            swapped = quadspace.Subgroup(elements=other.elements, generators=c.generators)
+            monkeypatch.setattr(overlattice, "isotropic_subgroups",
+                                lambda s, cap: [found[0], swapped])
+            with pytest.raises(InternalError, match="class outside C"):
+                overlattices(l)
+
+    def test_debug_log_names_the_proof(self, caplog):
+        caplog.set_level(logging.DEBUG, logger=overlattice.__name__)
+        overlattices(orthogonal_sum([lattice_d(4)] * 2))
+        [record] = [r for r in caplog.records if r.name == overlattice.__name__]
+        assert re.fullmatch(r"overlattices of \|A\| = 16: 16 isotropic subgroups, "
+                            r"16 overlattices, each proved by K/L = C, \d+\.\d{3} s",
+                            record.getMessage())
 
     @pytest.mark.parametrize("cap", [True, -1])
     def test_cap_must_be_a_nonnegative_integer(self, cap):
@@ -279,7 +329,7 @@ class TestIntegerLifts:
     def test_overlattice_grams_match_fraction_lifts(self, index):
         base = OVERLATTICE_LATTICES[index]
         for l in (base, lattice_basis_change(base, random.Random(200 + index))):
-            _, columns, orders = _disc_with_lifts(l)
+            _, columns, orders, _ = _disc_with_lifts(l)
             found = overlattices(l)
             want = kernel_oracle.overlattice_grams(
                 l, kernel_oracle.rational_lifts(columns, orders), [c for c, _ in found])
