@@ -401,8 +401,8 @@ def root_of_unity(phase: Fraction | int | str) -> CyclotomicNumber:
 # cached table serves every request whose precision rounds to it.
 _PREC_STEP = 32
 
-# The least `bits` an enclosure takes, and all `gauss_phase` needs: its two
-# candidates +-sqrt(norm) are at least 2 apart.
+# The least `bits` an enclosure takes, and all `gauss_phase` needs: its turned
+# sum is +-sqrt(norm), and an error below 2^-32 of the unit reads its sign.
 _MIN_BITS = 32
 
 
@@ -507,48 +507,49 @@ def cyclo_approx(z: CyclotomicNumber, bits: int = 128) -> ComplexInterval:
     return _enclose(z.order, z.coeffs, bits)
 
 
-def _enclose(n: int, coeffs: Sequence[Scalar], bits: int) -> ComplexInterval:
-    """Certified rectangle containing sum_e coeffs[e] zeta_n^e, reduced or
-    not; width at most 2^(1-bits).
-
-    The coefficients are written as integer numerators a_e over their
-    least common denominator L, the form a `CyclotomicNumber` keeps, so
-    a_e = L coeffs[e].  The entries of `_unit_circle(n, prec)` are
-    within 1 of 2^prec cos and 2^prec sin, so sum_e a_e C[e] is within
-    T = sum_e |a_e| of 2^prec L Re(z).  The rectangle takes twice that
-    error, (sum_e a_e C[e] +- 2T) / (2^prec L), and likewise for Im(z).
-    prec = bits + k with k >= 0 and 2^k L >= 2T, rounded up to a multiple
-    of `_PREC_STEP`, so the width 4T / (2^prec L) is at most 2^(1-bits).
-    """
+def _circle_sums(n: int, ints: Sequence[int], scale: int, bits: int) -> tuple[int, ...]:
+    """(re, im, err, prec): z = sum_e ints[e] zeta_n^e / scale (reduced or not,
+    scale >= 1) lies in the rectangle (re +- err, im +- err) / (2^prec scale),
+    of width at most 2^(1-bits).  `_unit_circle(n, prec)` is within 1 of
+    2^prec cos and sin, so sum_e ints[e] C[e] is within T = sum_e |ints[e]|
+    of 2^prec scale Re(z), and err = 2T.  prec = bits + k, k >= 0 with
+    2^k scale >= 2T, rounded up to a multiple of `_PREC_STEP`."""
     if bits < _MIN_BITS:
         raise ValidationError(f"cyclo_approx needs bits >= {_MIN_BITS}")
-    ints, scale = _clear(coeffs)
     total = sum(map(abs, ints))
     if total == 0:
-        zero = Fraction(0)
-        return ComplexInterval(zero, zero, zero, zero)
+        return 0, 0, 0, 0
     prec = bits + max(0, (2 * total).bit_length() - scale.bit_length() + 1)
     prec = -(-prec // _PREC_STEP) * _PREC_STEP
     cos, sin = _unit_circle(n, prec)
     re = sum(a * c for a, c in zip(ints, cos) if a)
     im = sum(a * s for a, s in zip(ints, sin) if a)
-    err, den = 2 * total, scale << prec
+    return re, im, 2 * total, prec
+
+
+def _enclose(n: int, coeffs: Sequence[Scalar], bits: int) -> ComplexInterval:
+    """The `_circle_sums` rectangle of sum_e coeffs[e] zeta_n^e, with the
+    coefficients as integers over their least common denominator."""
+    ints, scale = _clear(coeffs)
+    re, im, err, prec = _circle_sums(n, ints, scale, bits)
+    den = scale << prec
     return ComplexInterval(Fraction(re - err, den), Fraction(re + err, den),
                            Fraction(im - err, den), Fraction(im + err, den))
 
 
-def gauss_phase(order: int, counts: Sequence[int], norm: int) -> Fraction | None:
-    """The phase t in [0, 1) with G = sqrt(norm) exp(2 pi i t), for the sum
+def gauss_phase(order: int, counts: Sequence[int], norm: int) -> int | None:
+    """The t in [0, 4 order) with G = sqrt(norm) zeta_(4 order)^t, for the sum
     G = sum_e counts[e] zeta_order^e with integer counts, or None when G is
     not of that form.
 
     G^2 is the cyclic convolution of the counts, reduced mod Phi_order in
-    integers; it must be norm times +-zeta_order^e, which fixes 2t mod 1.
-    The two candidates for t differ by 1/2, so G turned back by the first
-    is +-sqrt(norm) with norm >= 1, and one certified interval of width
-    at most 2^-31 (the enclosure `cyclo_approx` uses) reads the sign.  It
-    is taken of the turned counts as they are, over zeta_rot: reducing them
-    mod Phi_rot would not change the value.  No `CyclotomicNumber` is built.
+    integers; it must be norm times +-zeta_order^e, which fixes t mod
+    2 order.  The two candidates differ by a half turn, so G turned back by
+    the first is +-sqrt(norm) with norm >= 1, and the integer real part of
+    `_circle_sums` at `_MIN_BITS`, within err/2 of 2^prec times that and
+    with err < 2^(prec-32), has its sign.  The turned counts are taken as
+    they are, over zeta_rot for rot = lcm(order, denominator of t/(4 order)):
+    reducing them mod Phi_rot would not change the value.
     """
     counts = counts.tolist() if isinstance(counts, np.ndarray) else list(counts)
     coeffs = reduce_int_counts(order, _convolve(counts, counts)).tolist()
@@ -556,21 +557,21 @@ def gauss_phase(order: int, counts: Sequence[int], norm: int) -> Fraction | None
         return None
     index = _power_index(order)
     target = tuple(x // norm for x in coeffs)
-    if target in index:
-        twice = Fraction(index[target], order)
+    if target in index:  # G^2 = norm zeta_(2 order)^t
+        t = 2 * index[target]
     else:
         e = index.get(tuple(-x for x in target))
         if e is None:
             return None
-        twice = (Fraction(e, order) + Fraction(1, 2)) % 1
-    t = twice / 2
-    rot = math.lcm(order, t.denominator)
-    turned = [0] * rot  # G zeta^(-t), over the order rot
+        t = (2 * e + order) % (2 * order)
+    rot = math.lcm(order, 4 * order // math.gcd(t, 4 * order))
+    shift = t * rot // (4 * order)
+    turned = [0] * rot  # G zeta_(4 order)^(-t), over the order rot
     for e, k in enumerate(counts):
-        turned[(e * (rot // order) - t.numerator * (rot // t.denominator)) % rot] = k
-    box = _enclose(rot, turned, _MIN_BITS)
-    if box.strictly_positive_real():
+        turned[(e * (rot // order) - shift) % rot] = k
+    re, _, err, _ = _circle_sums(rot, turned, 1, _MIN_BITS)
+    if re > err:
         return t
-    if box.strictly_negative_real():
-        return t + Fraction(1, 2)
-    raise InternalError("certified interval failed to separate the two phases")
+    if re < -err:
+        return t + 2 * order
+    raise InternalError("integer sign test failed to separate the two phases")

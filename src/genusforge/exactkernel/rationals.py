@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from numbers import Integral
 from typing import Union
 
 from ..errors import ValidationError
@@ -27,7 +28,9 @@ def as_fraction(value: RationalLike) -> Fraction:
     # Fraction("2/3") parses the CLI/JSON spelling directly.
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return Fraction(int(value))
+    if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import NonIntegralError, ValidationError
-from ..exactkernel import reduce_int_counts
+from ..exactkernel import fraction_str, reduce_int_counts
 from .data import ModularData, times
 from .relations import _pair_counts, verify_relations
 
@@ -120,10 +120,10 @@ def verlinde_fusion(m: ModularData) -> FusionTable:
     return table
 
 
-def _block_sum(m: ModularData, power: int, labels) -> Fraction:
-    """sum_j dims_j^power prod_s s_tilde[i_s][j], with counts over zeta_M for
-    each label j multiplied by one factor's terms at a time, or, when every
-    entry is one root of unity, as one count of exponent sums."""
+def _block_sum(m: ModularData, power: int, labels) -> tuple[int, int]:
+    """(num, den) of sum_j dims_j^power prod_s s_tilde[i_s][j], with counts over
+    zeta_M for each label j multiplied by one factor's terms at a time, or,
+    when every entry is one root of unity, as one count of exponent sums."""
     order, s, _ = m.terms
     base, scale = m.inverse_dims if power < 0 else (s[0], 1)
     if m.pointed:
@@ -143,23 +143,27 @@ def _block_sum(m: ModularData, power: int, labels) -> Fraction:
     coeffs = reduce_int_counts(order, total).tolist()
     if any(coeffs[1:]):
         raise NonIntegralError("genus dimension is not rational")
-    return Fraction(coeffs[0], scale ** abs(power))
+    return coeffs[0], scale ** abs(power)
 
 
 def genus_dimension(m: ModularData, g: int,
                     punctures: Sequence[int] = ()) -> int:
     """Dimension D^(g-1) sum_j dims_j^(2-2g-n) prod_s s_tilde[i_s][j] of the
-    genus-g conformal block with the given punctures; must be integral."""
-    if isinstance(g, bool) or not isinstance(g, int) or g < 0:
+    genus-g conformal block with the given punctures; must be integral, as
+    one divmod of the block sum's integers (num, den) times D^(g-1) shows."""
+    if isinstance(g, bool) or not isinstance(g, Integral) or g < 0:
         raise ValidationError("genus must be a nonnegative integer")
     labels = list(punctures)
     for i in labels:
-        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < m.n:
+        if isinstance(i, bool) or not isinstance(i, Integral) or not 0 <= i < m.n:
             raise ValidationError(f"puncture label {i!r} out of range")
     _require_modular(m)
+    g, d = int(g), m.discriminant
     power = 2 - 2 * g - len(labels)
-    total = _block_sum(m, power, labels) * Fraction(m.discriminant) ** (g - 1)
-    if total.denominator != 1 or total < 0:
+    num, den = _block_sum(m, power, labels)
+    num, den = (num * d ** (g - 1), den) if g else (num, den * d)
+    total, rest = divmod(num, den)
+    if rest or total < 0:
         raise NonIntegralError(
-            f"genus dimension {total} is not a nonnegative integer")
-    return int(total)
+            f"genus dimension {fraction_str(num, den)} is not a nonnegative integer")
+    return total

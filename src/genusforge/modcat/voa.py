@@ -6,11 +6,11 @@ vector of integer counts over one root of unity zeta_M: the counts of the
 exponent sums tau_j + e + e' over the terms e, e' of dim_j in the term
 table.  `gauss_phase` squares the counts by cyclic convolution in
 integers, finds the root of unity G^2/D, and settles the remaining sign
-with one certified interval.  (A quadratic space needs none of this:
-`signature_mod8` reads its phase off a Jordan splitting, with no Gauss
-sum formed.)  Certified means proven: the interval is summed in integers
-from tables of cos and sin whose error bound is derived in
-`exactkernel.cyclotomic._unit_circle`.
+with one integer sum compared with its proven error, derived in
+`exactkernel.cyclotomic._unit_circle`.  The phase is an integer t with
+G = sqrt(D) zeta_(4M)^t, and c = p/q passes when 4Mp = 8qt mod 32qM.
+(A quadratic space needs none of this: `signature_mod8` reads its phase
+off a Jordan splitting, with no Gauss sum formed.)
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from ..errors import LimitError, ValidationError, check_cap
 from ..exactkernel import gauss_phase
-from ..exactkernel.rationals import RationalLike, as_fraction
+from ..exactkernel.rationals import RationalLike, as_fraction, fraction_str
 from ..quadspace import (
     FiniteQuadraticSpace,
     Subgroup,
@@ -35,13 +35,15 @@ _log = logging.getLogger(__name__)
 
 def voa_milgram_check(m: ModularData, c: RationalLike) -> bool:
     """Whether sum_j theta_j d_j^2 equals exp(2 pi i c/8) sqrt(D)."""
-    c = as_fraction(c)
+    c, quarter = as_fraction(c), 4 * m.terms.order
     phase = gauss_phase(m.terms.order, m.gauss_counts, m.discriminant)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("Milgram check of %d labels at c = %s: %s", m.n, c,
                    "integer square test failed" if phase is None else
-                   f"integer square test and one certified interval, phase {phase}")
-    return phase == (c / 8) % 1
+                   "integer square test and one certified interval, phase "
+                   + fraction_str(phase, quarter))
+    p, q = c.numerator, c.denominator  # t/(4M) = p/(8q) mod 1
+    return phase is not None and (p * quarter - 8 * q * phase) % (8 * q * quarter) == 0
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,21 @@ the oracle for the term-table paths.
   front, one root of unity per entry.
 - `exponents_by_embedding`: the exponent table of a given matrix, each
   entry embedded in the common field and looked up in its power index.
+- `gauss_phase`, `voa_milgram_check`, `_block_sum` and `genus_dimension`:
+  the `Fraction` routes the library ran before its phases and genus
+  dimensions became integers, kept verbatim.  `gauss_phase` returns the
+  phase as a `Fraction` in [0, 1), its sign read off the certified
+  rectangle of `_enclose`; `_block_sum` returns a `Fraction`.
 """
 
+import logging
+import math
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
-from genusforge.errors import InternalError, NonIntegralError
+from genusforge.errors import InternalError, NonIntegralError, ValidationError
 from genusforge.exactkernel import (
     CyclotomicNumber,
     as_fraction,
@@ -32,8 +40,16 @@ from genusforge.exactkernel import (
     reduce_int_counts,
     root_of_unity,
 )
-from genusforge.exactkernel.cyclotomic import _power_index, _reduction_rows
-from genusforge.modcat import FusionTable, RelationReport
+from genusforge.exactkernel.cyclotomic import (
+    _MIN_BITS,
+    _convolve,
+    _enclose,
+    _power_index,
+    _reduction_rows,
+)
+from genusforge.exactkernel.rationals import RationalLike
+from genusforge.modcat import FusionTable, ModularData, RelationReport
+from genusforge.modcat.fusion import _require_modular
 from genusforge.quadspace import gauss_sum
 from genusforge.quadspace.gauss import _phase_counts
 
@@ -221,3 +237,101 @@ def block_sum_cyclotomic(m, power, labels):
     if val is None:
         raise NonIntegralError("genus dimension is not rational")
     return val
+
+
+_log = logging.getLogger(__name__)
+
+
+def gauss_phase(order: int, counts: Sequence[int], norm: int) -> Fraction | None:
+    """The phase t in [0, 1) with G = sqrt(norm) exp(2 pi i t), for the sum
+    G = sum_e counts[e] zeta_order^e with integer counts, or None when G is
+    not of that form.
+
+    G^2 is the cyclic convolution of the counts, reduced mod Phi_order in
+    integers; it must be norm times +-zeta_order^e, which fixes 2t mod 1.
+    The two candidates for t differ by 1/2, so G turned back by the first
+    is +-sqrt(norm) with norm >= 1, and one certified interval of width
+    at most 2^-31 (the enclosure `cyclo_approx` uses) reads the sign.  It
+    is taken of the turned counts as they are, over zeta_rot: reducing them
+    mod Phi_rot would not change the value.  No `CyclotomicNumber` is built.
+    """
+    counts = counts.tolist() if isinstance(counts, np.ndarray) else list(counts)
+    coeffs = reduce_int_counts(order, _convolve(counts, counts)).tolist()
+    if any(x % norm for x in coeffs):
+        return None
+    index = _power_index(order)
+    target = tuple(x // norm for x in coeffs)
+    if target in index:
+        twice = Fraction(index[target], order)
+    else:
+        e = index.get(tuple(-x for x in target))
+        if e is None:
+            return None
+        twice = (Fraction(e, order) + Fraction(1, 2)) % 1
+    t = twice / 2
+    rot = math.lcm(order, t.denominator)
+    turned = [0] * rot  # G zeta^(-t), over the order rot
+    for e, k in enumerate(counts):
+        turned[(e * (rot // order) - t.numerator * (rot // t.denominator)) % rot] = k
+    box = _enclose(rot, turned, _MIN_BITS)
+    if box.strictly_positive_real():
+        return t
+    if box.strictly_negative_real():
+        return t + Fraction(1, 2)
+    raise InternalError("certified interval failed to separate the two phases")
+
+
+def voa_milgram_check(m: ModularData, c: RationalLike) -> bool:
+    """Whether sum_j theta_j d_j^2 equals exp(2 pi i c/8) sqrt(D)."""
+    c = as_fraction(c)
+    phase = gauss_phase(m.terms.order, m.gauss_counts, m.discriminant)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("Milgram check of %d labels at c = %s: %s", m.n, c,
+                   "integer square test failed" if phase is None else
+                   f"integer square test and one certified interval, phase {phase}")
+    return phase == (c / 8) % 1
+
+
+def _block_sum(m: ModularData, power: int, labels) -> Fraction:
+    """sum_j dims_j^power prod_s s_tilde[i_s][j], with counts over zeta_M for
+    each label j multiplied by one factor's terms at a time, or, when every
+    entry is one root of unity, as one count of exponent sums."""
+    order, s, _ = m.terms
+    base, scale = m.inverse_dims if power < 0 else (s[0], 1)
+    if m.pointed:
+        exps = abs(power) * base[:, 0] + sum(s[i, :, 0] for i in labels)
+        total = np.bincount(exps % order, minlength=order)
+    else:
+        counts = np.zeros((m.n, order), dtype=np.int64)
+        counts[:, 0] = 1
+        rows, exps = np.arange(m.n)[:, None, None], np.arange(order)
+        for factor in [base] * abs(power) + [s[i] for i in labels]:
+            if counts.dtype != object and int(counts.max()) * factor.shape[1] >= 2 ** 62:
+                counts = counts.astype(object)
+            shifted = counts[rows, (exps - factor[:, :, None]) % order]  # [j, t, e]
+            shifted[factor < 0] = 0
+            counts = shifted.sum(axis=1)
+        total = counts.sum(axis=0)
+    coeffs = reduce_int_counts(order, total).tolist()
+    if any(coeffs[1:]):
+        raise NonIntegralError("genus dimension is not rational")
+    return Fraction(coeffs[0], scale ** abs(power))
+
+
+def genus_dimension(m: ModularData, g: int,
+                    punctures: Sequence[int] = ()) -> int:
+    """Dimension D^(g-1) sum_j dims_j^(2-2g-n) prod_s s_tilde[i_s][j] of the
+    genus-g conformal block with the given punctures; must be integral."""
+    if isinstance(g, bool) or not isinstance(g, int) or g < 0:
+        raise ValidationError("genus must be a nonnegative integer")
+    labels = list(punctures)
+    for i in labels:
+        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < m.n:
+            raise ValidationError(f"puncture label {i!r} out of range")
+    _require_modular(m)
+    power = 2 - 2 * g - len(labels)
+    total = _block_sum(m, power, labels) * Fraction(m.discriminant) ** (g - 1)
+    if total.denominator != 1 or total < 0:
+        raise NonIntegralError(
+            f"genus dimension {total} is not a nonnegative integer")
+    return int(total)

@@ -279,8 +279,9 @@ def jordan_blocks_odd(s: FiniteQuadraticSpace, p: int) -> list[JordanBlockSummar
 
 # The Gauss-sum route of `signature_mod8`: bin q over the element table,
 # square the counts in integers to pin the phase mod 4, and settle the sign
-# with one certified interval.  Kept verbatim as the oracle for the Jordan
-# splitting the library reads the signature from.
+# with one integer sum compared with its proven error.  Kept as the oracle
+# for the Jordan splitting the library reads the signature from; it reads
+# the integer phase t of G = sqrt|A| zeta_(4m)^t, so sig = 8t/(4m).
 
 def _phase_counts(s: FiniteQuadraticSpace) -> tuple[int, np.ndarray]:
     """Counts of exp(2 pi i k/M) terms in G, indexed by k."""
@@ -294,9 +295,9 @@ def signature_mod8(s: FiniteQuadraticSpace) -> int:
     if s.order == 1:
         return 0
     m, counts = _phase_counts(s)
-    phase = gauss_phase(m, counts, s.order)
-    if phase is None or (8 * phase).denominator != 1:
+    phase = gauss_phase(m, counts, s.order)  # G = sqrt|A| zeta_(4m)^phase
+    if phase is None or 2 * phase % m:
         raise InternalError(
             "Gauss sum squared is not |A| times a fourth root of unity; "
             "the form must be degenerate")
-    return int(8 * phase)
+    return 2 * phase // m

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genusforge.errors import LimitError, NonIntegralError, ValidationError
-from genusforge.exactkernel import CyclotomicNumber
+from genusforge.exactkernel import CyclotomicNumber, as_fraction, cyclotomic, gauss_phase
 from genusforge.exactkernel.rationals import _Phase
 from genusforge.lattice import builtin_lattice, discriminant_form
 from genusforge.modcat import (
@@ -39,6 +39,7 @@ from genusforge.modcat import (
 from genusforge.modcat.fusion import _block_sum, _fusion_rows
 from genusforge.modcat import relations
 from genusforge.modcat.data import Terms
+from genusforge.quadspace.gauss import _phase_counts
 from genusforge.quadspace import (
     build_space,
     decompose,
@@ -48,6 +49,7 @@ from genusforge.quadspace import (
     space_to_json,
     trivial_space,
 )
+import modcat_oracle
 from modcat_oracle import (
     block_sum_cyclotomic,
     eager_s_tilde,
@@ -365,7 +367,19 @@ class TestGenusDimension:
             for power in (2, 0, -2):
                 for labels in ([], [a], [a, m.dual[a]], [a, b, m.n - 1]):
                     assert (block_sum_cyclotomic(m, power - len(labels), labels)
-                            == _block_sum(m, power - len(labels), labels)), m
+                            == Fraction(*_block_sum(m, power - len(labels), labels))), m
+
+    def test_numpy_integers_accepted(self):
+        m = from_quadratic_space(discriminant_form(builtin_lattice("D4")))
+        one = np.int64(1)
+        assert genus_dimension(m, 0, (one, one)) == genus_dimension(m, 0, (1, 1)) == 1
+        assert genus_dimension(m, 0, (np.int32(1), np.int32(2))) == 0
+        assert genus_dimension(m, one) == genus_dimension(m, 1) == 4
+        assert type(genus_dimension(m, np.int64(2))) is int
+        with pytest.raises(ValidationError, match="genus"):
+            genus_dimension(m, np.bool_(True))
+        with pytest.raises(ValidationError, match="puncture label"):
+            genus_dimension(m, 0, (np.int64(4),))
 
     def test_bad_arguments(self):
         for m in (ising_data(), from_quadratic_space(build_space((2,), [F(1, 2)]))):
@@ -401,6 +415,13 @@ class TestVoaMilgram:
         for m in (ising_data(), from_quadratic_space(trivial_space())):
             with pytest.raises(ValidationError):
                 voa_milgram_check(m, True)
+
+    def test_numpy_integer_charge(self):
+        m = from_quadratic_space(discriminant_form(builtin_lattice("D4")))
+        assert voa_milgram_check(m, np.int64(4)) and voa_milgram_check(m, np.uint8(12))
+        assert not voa_milgram_check(m, np.int64(0))
+        c = as_fraction(np.int64(4))
+        assert c == 4 and type(c.numerator) is int
 
     def test_matches_signature_mod8(self):
         for s in space_library(8):
@@ -777,3 +798,101 @@ class TestOneTwistEncoding:
         order, _, tau = m.terms
         assert [t.value for t in m.twists] == [F(t, order) for t in tau.tolist()]
         assert modular_data_to_json(m)["twists"] == [str(F(t, order)) for t in tau.tolist()]
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and text of the library error it raised."""
+    try:
+        return f(*args)
+    except (NonIntegralError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def _genus_cases(m):
+    """(g, punctures) for g = 0..3, with and without punctures."""
+    a, b = 1 % m.n, (m.n - 1) // 2
+    return [(g, labels) for g in range(4)
+            for labels in ((), (a,), (a, m.dual[a]), (a, b, m.n - 1))]
+
+
+def _assert_genus_dimensions_match(m):
+    for g, labels in _genus_cases(m):
+        assert (_outcome(genus_dimension, m, g, labels)
+                == _outcome(modcat_oracle.genus_dimension, m, g, labels)), (m, g, labels)
+
+
+def _turned(order, counts, norm, shift, sign, scale, widen):
+    """sign scale zeta_order^shift G over zeta_(widen order), with the norm
+    that keeps it sqrt(norm) times a root of unity when G was one."""
+    out = [0] * (order * widen)
+    for e, k in enumerate(counts):
+        out[(e + shift) % order * widen] = sign * scale * int(k)
+    return order * widen, out, norm * scale * scale
+
+
+class TestIntegerPhaseAgainstFractionOracle:
+    """The integer Milgram phase and genus dimension against the `Fraction`
+    routes they replaced (`modcat_oracle`)."""
+
+    def test_every_space_of_order_32(self):
+        charges = [F(c) for c in range(16)] + [c + F(1, 2) for c in range(16)]
+        for s in space_library(32):
+            m = from_quadratic_space(s)
+            for c in charges:
+                assert (voa_milgram_check(m, c)
+                        == modcat_oracle.voa_milgram_check(m, c)), (s, c)
+            _assert_genus_dimensions_match(m)
+
+    def test_ising_and_its_products(self):
+        data = [ising_data(), product(ising_data(), ising_data())] + [
+            product(ising_data(), from_quadratic_space(s)) for s in LIBRARY_4[1:4]]
+        for m in data:
+            assert m.terms.s.shape[2] > 1
+            for c in range(128):
+                c = F(c, 16)
+                assert (voa_milgram_check(m, c)
+                        == modcat_oracle.voa_milgram_check(m, c)), (m, c)
+            _assert_genus_dimensions_match(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+        st.integers(1, 20))))
+    def test_random_count_vectors(self, case):
+        self.check(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(LIBRARY_16 + NON_POINTED), st.integers(0, 63),
+           st.sampled_from((1, -1)), st.integers(1, 3), st.integers(1, 3),
+           st.booleans())
+    def test_turned_gauss_sums(self, source, shift, sign, scale, widen, perturb):
+        if isinstance(source, ModularData):
+            order, counts, norm = source.terms.order, source.gauss_counts, source.discriminant
+        else:
+            (order, counts), norm = _phase_counts(source), source.order
+        order, counts, norm = _turned(order, counts, norm, shift, sign, scale, widen)
+        if perturb:  # G + 1 or a norm one too large: not sqrt(norm) times a root
+            counts[0] += 1
+        assert self.check(order, counts, norm) is not None or perturb
+
+    @staticmethod
+    def check(order, counts, norm):
+        got = gauss_phase(order, counts, norm)
+        want = modcat_oracle.gauss_phase(order, counts, norm)
+        assert got is None or 0 <= got < 4 * order
+        assert (None if got is None else F(got, 4 * order)) == want, (order, counts, norm)
+        return got
+
+    def test_milgram_builds_no_fraction_or_interval(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Fraction or ComplexInterval was built")
+
+        data = [(from_quadratic_space(s), signature_mod8(s)) for s in LIBRARY_16]
+        data.append((ising_data(), F(1, 2)))
+        cases = [(m, c) for m, sig in data for c in (sig, sig + 4, sig + 1, sig + F(1, 2))]
+        want = [modcat_oracle.voa_milgram_check(m, c) for m, c in cases]
+        monkeypatch.setattr(cyclotomic, "Fraction", refuse)
+        monkeypatch.setattr(cyclotomic, "ComplexInterval", refuse)
+        assert [voa_milgram_check(m, c) for m, c in cases] == want
+        assert sum(want) == len(data)  # c = sig only
+
