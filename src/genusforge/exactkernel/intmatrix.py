@@ -3,8 +3,9 @@
 Matrices are plain tuples of tuples (immutable at API boundaries); internal
 routines work on lists of lists.  Everything here is exact and
 fraction-free: Smith normal forms that record only the transform their
-caller reads, and row lattice bases read off the row transform (no inverse
-is formed).  Determinants and signatures of Gram matrices come from the
+caller reads, from one elimination with its operations inline (one with
+quotient 0 is skipped), and row lattice bases read off the row transform
+(no inverse is formed).  Determinants and signatures of Gram matrices come from the
 one elimination `lattice.EvenLattice` keeps.  `_factorize` is the one
 integer factorization that the cyclotomic and quadratic-space layers
 read.  No floating point.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -114,84 +116,75 @@ def smith_normal_form(matrix: Sequence[Sequence[int]],
     m = [list(row) for row in matrix]
     u = identity(rows) if transform in ("u", "uv") else None
     vt = identity(cols) if transform in ("v", "uv") else None
-
-    def row_op(i: int, j: int, q: int) -> None:
-        # row_i -= q * row_j
-        m[i] = [a - q * b for a, b in zip(m[i], m[j])]
-        if u is not None:
-            u[i] = [a - q * b for a, b in zip(u[i], u[j])]
-
-    def swap_rows(i: int, j: int) -> None:
-        m[i], m[j] = m[j], m[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        # Rows above t are zero outside the diagonal.
-        for r in range(t, rows):
-            row = m[r]
-            row[i], row[j] = row[j], row[i]
-        if vt is not None:
-            vt[i], vt[j] = vt[j], vt[i]
-
-    t = 0
-    while t < min(rows, cols):
+    for t in range(min(rows, cols)):
         # Smallest nonzero pivot keeps intermediate entries from exploding;
         # ties go to the first in row-major order, so a 1 ends the search.
-        pivot = None
-        best = None
-        for i in range(t, rows):
+        best = 0
+        for i, row in enumerate(m[t:], t):
             for j in range(t, cols):
-                a = abs(m[i][j])
-                if a and (best is None or a < best):
-                    best, pivot = a, (i, j)
+                a = abs(row[j])
+                if a and (not best or a < best):
+                    best, pi, pj = a, i, j
                     if a == 1:
                         break
             if best == 1:
                 break
-        if pivot is None:
+        if not best:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
         while True:
-            p = m[t][t]
-            # Reduce column t; any leftover remainder is a smaller pivot.
+            # Move the pivot (pi, pj) to (t, t).
+            if pi != t:
+                m[t], m[pi] = m[pi], m[t]
+                if u is not None:
+                    u[t], u[pi] = u[pi], u[t]
+            if pj != t:
+                for row in m[t:]:  # rows above t are zero outside the diagonal
+                    row[t], row[pj] = row[pj], row[t]
+                if vt is not None:
+                    vt[t], vt[pj] = vt[pj], vt[t]
+            top = m[t]
+            p = top[t]
+            pi = pj = t
+            # row_i -= q * row_t reduces column t; the first nonzero
+            # remainder is the next, smaller pivot.
             for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    row_op(i, t, m[i][t] // p)
-            moved = False
-            for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    swap_rows(t, i)
-                    moved = True
-                    break
-            if moved:
+                a = m[i][t]
+                if a:
+                    q = a // p
+                    if q:
+                        m[i] = [x - q * y for x, y in zip(m[i], top)]
+                        if u is not None:
+                            u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                        a -= q * p
+                    if a and pi == t:
+                        pi = i
+            if pi != t:
                 continue
             # col_j -= q * col_t; column t is zero off the diagonal here, so
             # in the working matrix only row t changes.
             for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    q = m[t][j] // p
-                    m[t][j] -= q * p
-                    if vt is not None:
-                        vt[j] = [a - q * b for a, b in zip(vt[j], vt[t])]
-            for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    swap_cols(t, j)
-                    moved = True
-                    break
-            if moved:
+                a = top[j]
+                if a:
+                    q = a // p
+                    if q:
+                        a -= q * p
+                        top[j] = a
+                        if vt is not None:
+                            vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+                    if a and pj == t:
+                        pj = j
+            if pj != t:
                 continue
             # The pivot must divide the whole remaining block or later
             # diagonal entries break the chain; folding an offending row
             # into row t shrinks the pivot and the loop retries.
-            bad = None if abs(p) == 1 else next(
-                (i for i in range(t + 1, rows) if any(x % p for x in m[i][t + 1:])), None)
-            if bad is not None:
-                row_op(t, bad, -1)
-                continue
-            break
-        t += 1
+            bad = 0 if p in (1, -1) else next(
+                (i for i in range(t + 1, rows) if gcd(*m[i][t + 1:]) % p), 0)
+            if not bad:
+                break
+            m[t] = [x + y for x, y in zip(top, m[bad])]
+            if u is not None:
+                u[t] = [x + y for x, y in zip(u[t], u[bad])]
 
     # Normalize signs: negating column k of D negates column k of V.
     diagonal = []

@@ -18,9 +18,10 @@ kept from its construction (Sylvester-Jacobi).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from ..errors import InternalError, ValidationError
-from ..exactkernel import mat_mul, smith_normal_form, transpose
+from ..exactkernel import smith_normal_form
 from ..quadspace import FiniteQuadraticSpace, trivial_space
 from ..quadspace.space import _canonical_space
 from .lattice import EvenLattice
@@ -44,10 +45,11 @@ def _disc_with_lifts(l: EvenLattice, transform: str = "v"):
     kept = [i for i in range(l.rank) if d[i] != 1]
     orders = [d[i] for i in kept]
     level = orders[-1]
-    vt = transpose(snf.v)
-    cols = [vt[i] for i in kept]
-    gram = [[x * level // (di * dj) for x, dj in zip(row, orders)]
-            for row, di in zip(mat_mul(mat_mul(cols, g), transpose(cols)), orders)]
+    cols = [col for col, di in zip(zip(*snf.v), d) if di != 1]
+    # G is symmetric, so (V^T G V)_ij = v_i . (G v_j).
+    g_cols = [[sum(map(mul, row, v)) for row in g] for v in cols]
+    gram = [[sum(map(mul, vi, gv)) * level // (di * dj) for gv, dj in zip(g_cols, orders)]
+            for vi, di in zip(cols, orders)]
     space = _canonical_space(orders, level, gram)
     if space.orders != tuple(orders):
         raise InternalError("SNF orders should survive canonicalization")

@@ -7,23 +7,27 @@ a level N and a symmetric integer matrix G on the generators, with
 
 The encoding is canonical: N is minimal, the diagonal of G is reduced
 mod 2N and the off-diagonal mod N, so two spaces are equal exactly when
-their generators carry equal values.  The per-element values (coordinates,
-q numerators, element orders) come from one numpy pass over the elements
-in `elements()` order and are cached on the space.  `build_space` checks
-rational generator data and encodes it; `space_from_gram` takes integer
-data, re-presents generator orders that do not form a divisibility chain,
-and rejects degenerate forms.  Subquotients that are nondegenerate by
-construction (C-perp/C, primary parts) and discriminant forms go through
-the same encoding without the nondegeneracy test, which costs a Smith
-normal form.  JSON and `repr` write q and b from G and N; the phase views
-`q_gen` and `b_matrix` are built on each read, and no library code reads
-them.
+their generators carry equal values.  The element table lists the elements
+in `elements()` order.  Its coordinates and element orders, and the radix,
+depend on the invariant factors alone: they are computed once per factor
+tuple and shared read-only by every space on that group, and the store
+holds them by weak reference, so they live while some space does.  A space
+computes only its q numerators, in one numpy pass, and caches them.  All
+cached arrays are read-only.  `build_space` checks rational generator data
+and encodes it; `space_from_gram` takes integer data, re-presents generator
+orders that do not form a divisibility chain, and rejects degenerate forms.
+Subquotients that are nondegenerate by construction (C-perp/C, primary
+parts) and discriminant forms go through the same encoding without the
+nondegeneracy test, which costs a Smith normal form.  JSON and `repr` write
+q and b from G and N; the phase views `q_gen` and `b_matrix` are built on
+each read, and no library code reads them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -123,27 +127,28 @@ class FiniteQuadraticSpace:
         return _frozen(np.array(self.gram, dtype=np.int64).reshape(self.rank, self.rank))
 
     @cached_property
+    def _group_arrays(self) -> _GroupArrays:
+        arrays = _GROUP_ARRAYS.get(self.orders)
+        if arrays is None:
+            arrays = _GROUP_ARRAYS[self.orders] = _GroupArrays(self.orders)
+        return arrays
+
+    @cached_property
     def orders_array(self) -> np.ndarray:
-        """The invariant factors; this array and `gram_array` are read-only."""
-        import numpy as np
-        return _frozen(np.array(self.orders, dtype=np.int64))
+        """The invariant factors; read-only, like every cached array."""
+        return self._group_arrays.orders
 
     @cached_property
     def table(self) -> ElementTable:
-        import numpy as np
-        orders = self.orders_array
-        coords = np.indices(self.orders, dtype=np.int64).reshape(self.rank, self.order).T
+        group = self._group_arrays
         two_n = 2 * self.level
-        q = ((coords @ self.gram_array) % two_n * coords).sum(axis=1) % two_n
-        order = np.lcm.reduce(orders // np.gcd(coords, orders), axis=1, initial=1)
-        return ElementTable(coords, q, order)
+        q = ((group.coords @ self.gram_array) % two_n * group.coords).sum(axis=1) % two_n
+        return ElementTable(group.coords, _frozen(q), group.order)
 
     @cached_property
     def radix(self) -> np.ndarray:
         """Weights of the element index: x is row x @ radix of `table`."""
-        import numpy as np
-        return np.array([math.prod(self.orders[i + 1:]) for i in range(self.rank)],
-                        dtype=np.int64)
+        return self._group_arrays.radix
 
     def elements(self) -> Iterator[tuple[int, ...]]:
         return self.group.elements()
@@ -160,6 +165,26 @@ class FiniteQuadraticSpace:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+class _GroupArrays:
+    """The arrays of a space that depend on its invariant factors alone:
+    element coordinates and orders, radix and the factors themselves."""
+
+    def __init__(self, orders: tuple[int, ...]):
+        import numpy as np
+        self.orders = _frozen(np.array(orders, dtype=np.int64))
+        # Freezing the owner of the data makes every view of it read-only too.
+        coords = _frozen(np.indices(orders, dtype=np.int64))
+        self.coords = coords = coords.reshape(len(orders), math.prod(orders)).T
+        self.order = _frozen(np.lcm.reduce(self.orders // np.gcd(coords, self.orders),
+                                           axis=1, initial=1))
+        self.radix = _frozen(np.array([math.prod(orders[i + 1:]) for i in range(len(orders))],
+                                      dtype=np.int64))
+
+
+# One entry per group, alive while some space holds it (`_group_arrays`).
+_GROUP_ARRAYS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _nondegenerate(orders, level, gram) -> tuple[int, ...] | None:
@@ -199,23 +224,23 @@ def _canonical_space(orders: Sequence[int], level: int,
                      gram: Sequence[Sequence[int]]) -> FiniteQuadraticSpace:
     """The consistency checks and the canonical encoding of `space_from_gram`,
     without its nondegeneracy test: for forms nondegenerate by construction."""
-    n = len(orders)
+    n, two_level = len(orders), 2 * level
     for i, d in enumerate(orders):
-        if (d * d * gram[i][i]) % (2 * level):
+        if d * d * gram[i][i] % two_level:
             raise ConsistencyError(
                 f"q[{i}] = {Fraction(gram[i][i], level) % 2} is not defined on a "
                 f"generator of order {d}")
     for i, d in enumerate(orders):
-        for j in range(n):
-            if (d * gram[i][j]) % level:
+        for j, x in enumerate(gram[i][:n]):
+            if d * x % level:
                 raise ConsistencyError(
-                    f"b[{i}][{j}] = {Fraction(gram[i][j], level) % 1} is not defined "
+                    f"b[{i}][{j}] = {Fraction(x, level) % 1} is not defined "
                     f"for generator order {d}")
     orders, gram = _invariant_factors(orders, gram)
-    g = math.gcd(level, *(x for row in gram for x in row))
+    g = math.gcd(level, *itertools.chain.from_iterable(gram))
     level //= g
-    gram = tuple(tuple(x // g % (2 * level if i == j else level) for j, x in enumerate(row))
-                 for i, row in enumerate(gram))
+    gram = tuple(tuple(x // g % level if i != j else x // g % (2 * level)
+                       for j, x in enumerate(row)) for i, row in enumerate(gram))
     return FiniteQuadraticSpace(FiniteAbelianGroup(tuple(orders)), level, gram)
 
 

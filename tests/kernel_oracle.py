@@ -4,6 +4,9 @@ kept as the oracle for the fraction-free kernel.
 `smith_normal_form` is the Smith normal form that always records both
 transforms and the full diagonal matrix, the reference for the one-sided
 transforms of `genusforge.exactkernel.smith_normal_form`.
+`one_sided_smith_normal_form` is that function as it ran before its
+one-pass rewrite, one closure per row and column operation, kept verbatim
+as the byte-for-byte oracle for its D, U and V.
 `rational_signature` is the symmetric congruence diagonalization over Q
 and `fraction_det` the row-pivoting determinant over Q, the references for
 the determinant and signature of `genusforge.lattice.EvenLattice`, and
@@ -24,7 +27,7 @@ from typing import Sequence
 
 from genusforge.errors import InternalError, ValidationError
 from genusforge.exactkernel import IntMatrix, freeze, identity, integer_kernel, transpose
-from genusforge.exactkernel.intmatrix import _require_ints
+from genusforge.exactkernel.intmatrix import SnfResult as KernelSnfResult, _require_ints
 
 
 @dataclass(frozen=True)
@@ -145,6 +148,116 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SnfResult:
             m[k][k] = -m[k][k]
             vt[k] = [-x for x in vt[k]]
     return SnfResult(d=freeze(m), u=freeze(u), v=transpose(vt))
+
+
+def one_sided_smith_normal_form(matrix: Sequence[Sequence[int]],
+                                transform: str | None = None) -> KernelSnfResult:
+    """Smith normal form, recording the row transform U (transform="u"),
+    the column transform V ("v"), both ("uv") or neither (None).
+
+    Row operations act on U from the left, column operations on V from the
+    right, keeping U @ A @ V equal to the working matrix throughout.  The
+    elimination never reads the transforms, so D, U and V do not depend on
+    which one is recorded.  V is built transposed, so a column operation on
+    V is a row operation on the list of its columns.
+    """
+    if transform not in (None, "u", "v", "uv"):
+        raise ValidationError(f"transform must be 'u', 'v', 'uv' or None, not {transform!r}")
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    if any(len(row) != cols for row in matrix):
+        raise ValidationError("ragged matrix")
+    _require_ints(matrix, "Smith normal form")
+    m = [list(row) for row in matrix]
+    u = identity(rows) if transform in ("u", "uv") else None
+    vt = identity(cols) if transform in ("v", "uv") else None
+
+    def row_op(i: int, j: int, q: int) -> None:
+        # row_i -= q * row_j
+        m[i] = [a - q * b for a, b in zip(m[i], m[j])]
+        if u is not None:
+            u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+
+    def swap_rows(i: int, j: int) -> None:
+        m[i], m[j] = m[j], m[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i: int, j: int) -> None:
+        # Rows above t are zero outside the diagonal.
+        for r in range(t, rows):
+            row = m[r]
+            row[i], row[j] = row[j], row[i]
+        if vt is not None:
+            vt[i], vt[j] = vt[j], vt[i]
+
+    t = 0
+    while t < min(rows, cols):
+        # Smallest nonzero pivot keeps intermediate entries from exploding;
+        # ties go to the first in row-major order, so a 1 ends the search.
+        pivot = None
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                a = abs(m[i][j])
+                if a and (best is None or a < best):
+                    best, pivot = a, (i, j)
+                    if a == 1:
+                        break
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            p = m[t][t]
+            # Reduce column t; any leftover remainder is a smaller pivot.
+            for i in range(t + 1, rows):
+                if m[i][t] != 0:
+                    row_op(i, t, m[i][t] // p)
+            moved = False
+            for i in range(t + 1, rows):
+                if m[i][t] != 0:
+                    swap_rows(t, i)
+                    moved = True
+                    break
+            if moved:
+                continue
+            # col_j -= q * col_t; column t is zero off the diagonal here, so
+            # in the working matrix only row t changes.
+            for j in range(t + 1, cols):
+                if m[t][j] != 0:
+                    q = m[t][j] // p
+                    m[t][j] -= q * p
+                    if vt is not None:
+                        vt[j] = [a - q * b for a, b in zip(vt[j], vt[t])]
+            for j in range(t + 1, cols):
+                if m[t][j] != 0:
+                    swap_cols(t, j)
+                    moved = True
+                    break
+            if moved:
+                continue
+            # The pivot must divide the whole remaining block or later
+            # diagonal entries break the chain; folding an offending row
+            # into row t shrinks the pivot and the loop retries.
+            bad = None if abs(p) == 1 else next(
+                (i for i in range(t + 1, rows) if any(x % p for x in m[i][t + 1:])), None)
+            if bad is not None:
+                row_op(t, bad, -1)
+                continue
+            break
+        t += 1
+
+    # Normalize signs: negating column k of D negates column k of V.
+    diagonal = []
+    for k in range(min(rows, cols)):
+        if m[k][k] < 0 and vt is not None:
+            vt[k] = [-x for x in vt[k]]
+        diagonal.append(abs(m[k][k]))
+    return KernelSnfResult(tuple(diagonal), None if u is None else freeze(u),
+                     None if vt is None else transpose(vt))
 
 
 def rat_inv(matrix: Sequence[Sequence]) -> tuple:

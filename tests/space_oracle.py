@@ -10,8 +10,10 @@ expands, element by element in rational arithmetic,
 Below it, the Python-set subgroup search (`closure`, `minimal_chain`,
 `isotropic_subgroups`, `is_isometric`) that the element-index spans of
 `genusforge.quadspace` replaced, kept verbatim as their oracle, the
-`Fraction` route of `jordan_blocks_odd`, and the Gauss-sum route of
-`signature_mod8` that the Jordan splitting replaced.
+`Fraction` route of `jordan_blocks_odd`, the Gauss-sum route of
+`signature_mod8` that the Jordan splitting replaced, and `element_table`
+and `radix`, the per-space element arrays as each space built them before
+spaces on one group shared them.
 """
 
 import math
@@ -301,3 +303,30 @@ def signature_mod8(s: FiniteQuadraticSpace) -> int:
             "Gauss sum squared is not |A| times a fourth root of unity; "
             "the form must be degenerate")
     return 2 * phase // m
+
+
+# The element table and radix as each space built them for itself.
+
+def element_table(s: FiniteQuadraticSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(coords, q, order), one row per element in `elements()` order."""
+    orders = np.array(s.orders, dtype=np.int64)
+    coords = np.indices(s.orders, dtype=np.int64).reshape(s.rank, s.order).T
+    two_n = 2 * s.level
+    q = ((coords @ s.gram_array) % two_n * coords).sum(axis=1) % two_n
+    order = np.lcm.reduce(orders // np.gcd(coords, orders), axis=1, initial=1)
+    return coords, q, order
+
+
+def radix(s: FiniteQuadraticSpace) -> np.ndarray:
+    return np.array([math.prod(s.orders[i + 1:]) for i in range(s.rank)], dtype=np.int64)
+
+
+def assert_tables_match(s: FiniteQuadraticSpace) -> None:
+    """The table, radix and orders array of s equal the per-space ones."""
+    coords, q, order = element_table(s)
+    t = s.table
+    assert np.array_equal(t.coords, coords) and t.coords.shape == coords.shape
+    assert np.array_equal(t.q, q) and np.array_equal(t.order, order)
+    assert np.array_equal(s.radix, radix(s))
+    assert np.array_equal(s.orders_array, np.array(s.orders, dtype=np.int64))
+    assert {a.dtype for a in (*t, s.radix, s.orders_array)} == {np.dtype(np.int64)}

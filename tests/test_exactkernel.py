@@ -46,11 +46,11 @@ from interval_oracle import (
 small_int = st.integers(min_value=-30, max_value=30)
 
 
-def int_matrix(max_dim=12):
+def int_matrix(max_dim=12, entries=small_int):
     return st.integers(min_value=1, max_value=max_dim).flatmap(
         lambda r: st.integers(min_value=1, max_value=max_dim).flatmap(
             lambda c: st.lists(
-                st.lists(small_int, min_size=c, max_size=c),
+                st.lists(entries, min_size=c, max_size=c),
                 min_size=r, max_size=r)))
 
 
@@ -95,14 +95,14 @@ def one_sided(a):
     return diagonal, with_u.u, with_v.v
 
 
-def rank_deficient_matrix(max_dim=8):
+def rank_deficient_matrix(max_dim=8, entries=small_int):
     """Rectangular matrices with appended sums of rows, and zero matrices."""
     zero = st.tuples(st.integers(1, max_dim), st.integers(1, max_dim)).map(
         lambda rc: freeze([[0] * rc[1] for _ in range(rc[0])]))
-    sums = st.tuples(int_matrix(max_dim).map(freeze), st.integers(0, 3)).map(
+    sums = st.tuples(int_matrix(max_dim, entries).map(freeze), st.integers(0, 3)).map(
         lambda ar: ar[0] + tuple(tuple(x + y for x, y in zip(ar[0][k % len(ar[0])], ar[0][-1]))
                                  for k in range(ar[1])))
-    return st.one_of(int_matrix(max_dim).map(freeze), sums, zero)
+    return st.one_of(int_matrix(max_dim, entries).map(freeze), sums, zero)
 
 
 class TestSmithNormalForm:
@@ -145,6 +145,22 @@ class TestSmithNormalForm:
         kernel_oracle.int_inv_unimodular(both.u)  # raises unless unimodular
         kernel_oracle.int_inv_unimodular(both.v)
         assert (both.u, both.v) == (u, v)
+
+    @given(st.one_of(rank_deficient_matrix(),
+                     rank_deficient_matrix(6, st.integers(-2 ** 70, 2 ** 70)),
+                     rank_deficient_matrix(6, st.sampled_from((0, 0, 1, -1, 2, -3, 6, -12))),
+                     st.integers(1, 6).flatmap(lambda n: st.lists(
+                         st.lists(small_int, min_size=n, max_size=n),
+                         min_size=n, max_size=n)).map(freeze)))
+    @example(((0, 0, 0),))
+    @example(((-2 ** 65, 3), (2 ** 66 + 1, -2 ** 64)))
+    @example(((4, 6, -10), (6, -8, 2), (-10, 2, 0)))
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_matches_the_closure_elimination(self, a):
+        for transform in (None, "u", "v", "uv"):
+            want = kernel_oracle.one_sided_smith_normal_form(a, transform)
+            got = smith_normal_form(a, transform)
+            assert (got.diagonal, got.u, got.v) == (want.diagonal, want.u, want.v)
 
     def test_rejects_unknown_transform(self):
         for transform in ("vu", "U", 1, True):

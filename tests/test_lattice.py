@@ -12,6 +12,7 @@ import re
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,10 +56,11 @@ from genusforge.quadspace import (
     quotient_space,
     signature_mod8,
     trivial_space,
+    verify_isometry,
 )
 from genusforge.quadspace import space as space_module
 import kernel_oracle
-from space_oracle import oracle_q
+from space_oracle import assert_tables_match, oracle_q
 from theta_oracle import (
     fraction_ldl,
     lattice_basis_change,
@@ -761,6 +763,42 @@ class TestLatticePathWork:
             disc = discriminant_form(l)
             assert len(calls) - before == SMITH_FORM_TRAFFIC[name]
             assert disc.order == abs(l.det)
+
+    def test_fresh_forms_on_one_group_share_its_arrays(self, monkeypatch):
+        base = orthogonal_sum([lattice_a(1)] * 4)
+        d = discriminant_form(base)
+        changes, seed = {}, 0
+        while len(changes) < 50:
+            l = lattice_basis_change(base, random.Random(seed))
+            changes.setdefault(l.gram, l)
+            seed += 1
+        calls = []
+        indices = np.indices
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return indices(*args, **kwargs)
+
+        monkeypatch.setattr(np, "indices", counted)
+        for l in changes.values():
+            e = discriminant_form(l)
+            witness = is_isometric(d, e)
+            assert witness is not None and verify_isometry(d, e, witness)
+        assert len(calls) <= 1
+
+    @pytest.mark.parametrize("index", range(len(ORACLE_LATTICES)), ids=ORACLE_IDS)
+    def test_tables_of_discriminant_forms_match_the_per_space_oracle(self, index):
+        base = ORACLE_LATTICES[index]
+        d = discriminant_form(base)
+        for k in range(3):
+            e = discriminant_form(lattice_basis_change(base, random.Random(500 + k)))
+            assert_tables_match(e)
+            assert e.table.coords is d.table.coords
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(SMALL_ORACLE_LATTICES), st.randoms(use_true_random=False))
+    def test_tables_match_the_oracle_under_basis_change(self, base, rng):
+        assert_tables_match(discriminant_form(lattice_basis_change(base, rng)))
 
     def test_discriminant_forms_and_quotients_pass_the_nondegeneracy_test(self, monkeypatch):
         encode = space_module._canonical_space

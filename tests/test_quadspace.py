@@ -5,11 +5,13 @@ isotropic subgroups by filtering all subsets closed under addition,
 Gauss sums by summing floats, and decompositions by re-summing parts.
 """
 
+import gc
 import logging
 import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,6 +142,15 @@ class TestBuild:
             with pytest.raises(ValueError):
                 a[0] = 0
 
+    def test_element_tables_are_read_only(self):
+        from genusforge.lattice import builtin_lattice, discriminant_form
+        s = discriminant_form(builtin_lattice("D4"))
+        before = isotropic_subgroups(s)
+        for a in (*s.table, s.table.coords.base, s.radix):
+            with pytest.raises(ValueError):
+                a[:] = 0
+        assert len(before) == 1 and isotropic_subgroups(s) == before
+
     def test_non_chain_orders_canonicalized(self):
         s = build_space([3, 2], ["2/3", "1/2"])
         assert s.orders == (6,)
@@ -170,6 +181,32 @@ class TestBuild:
         s = direct_sum(disc_A1(), build_space([4], ["1/4"]))
         assert s.orders == (2, 4)
         assert s.order == 8
+
+
+class TestSharedGroupArrays:
+    """Spaces on one group share its coordinates, element orders and radix;
+    only q is computed per space."""
+
+    def test_tables_match_the_per_space_oracle_on_the_library(self):
+        for s in LIBRARY:
+            oracle.assert_tables_match(s)
+
+    def test_equal_orders_share_one_coords_object(self):
+        by_orders = {}
+        for s in LIBRARY:
+            first = by_orders.setdefault(s.orders, s)
+            assert s.table.coords is first.table.coords
+            assert s.table.order is first.table.order and s.radix is first.radix
+        assert len(by_orders) < len(LIBRARY)
+
+    def test_an_entry_lives_only_while_a_space_holds_it(self):
+        key = (7, 49)
+        s, t = build_space(key, ["2/7", "2/49"]), build_space(key, ["4/7", "6/49"])
+        assert s != t and s.table.coords is t.table.coords
+        assert key in space_module._GROUP_ARRAYS
+        del s, t
+        gc.collect()
+        assert key not in space_module._GROUP_ARRAYS
 
 
 class TestGauss:
