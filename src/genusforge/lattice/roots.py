@@ -7,6 +7,13 @@ and the simple ones are read off their Gram matrix.  For distinct roots
 r and q, (r - q, r - q) = 4 - 2 (r, q), so r - q is a root exactly when
 (r, q) = 1.  A positive root r is therefore a sum of two positive roots,
 that is, not simple, iff some positive q has (r, q) = 1 and f(q) < f(r).
+
+A norm-2 vector of L + M has no two nonzero parts, since each would have
+even norm at least 2, so the roots of an orthogonal sum are those of its
+summands (Conway & Sloane, *SPLAG*, ch. 4).  `root_system` therefore
+splits the Gram matrix into orthogonal components (`theta._blocks`),
+classifies each distinct block once, and repeats its components and root
+count once per copy.
 """
 
 from __future__ import annotations
@@ -17,8 +24,8 @@ from operator import mul
 import numpy as np
 
 from ..errors import InternalError
+from . import theta
 from .lattice import EvenLattice
-from .theta import _enumerate
 
 _EXPECTED_COUNTS = {"A": lambda n: n * (n + 1),
                     "D": lambda n: 2 * n * (n - 1),
@@ -101,7 +108,17 @@ def _classify_component(nodes, adj) -> tuple[str, int]:
 
 
 def root_system(l: EvenLattice) -> RootSystemReport:
-    _, roots = _enumerate(l, 2, store=True)
+    components: list[tuple[str, int]] = []
+    count = 0
+    for block, copies in theta._blocks(l):
+        report = _block_roots(block)
+        components += report.components * copies
+        count += report.root_count * copies
+    return RootSystemReport(tuple(sorted(components)), count)
+
+
+def _block_roots(l: EvenLattice) -> RootSystemReport:
+    _, roots = theta._enumerate(l, 2, store=True)
     if not len(roots):
         return RootSystemReport((), 0)
     simple, pairs = _simple_roots(l, roots)

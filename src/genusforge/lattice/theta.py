@@ -1,5 +1,12 @@
 """Short vectors and theta coefficients of positive definite even lattices.
 
+`theta_coefficients` splits the Gram matrix into its orthogonal components
+(`_blocks`) and enumerates each distinct block once: the theta series of
+L + M is theta_L theta_M, multiplied out exactly in integers, once per
+copy of a block.  `root_system` (`roots`) splits the same way.  A Gram
+with one component, and every `short_vectors` call, enumerate the whole
+lattice.
+
 Enumeration is Fincke-Pohst (Math. Comp. 44, 1985) on G = L D L^T, with
 (x, x) = sum_j d_j (x_j + c_j)^2 and centres c_j = sum_{s>j} L_sj x_s
 that depend only on x_{j+1}, ..., x_{n-1}.  D and L come from the
@@ -75,7 +82,7 @@ from ..errors import (
     ValidationError,
     check_cap,
 )
-from .lattice import EvenLattice
+from .lattice import EvenLattice, IntMatrix
 
 # The depth-first walk keeps one chunk of each level alive, so at most
 # rank * _CHUNK_ROWS nodes are held at once.
@@ -84,14 +91,21 @@ _CHUNK_ROWS = 1 << 12
 _log = logging.getLogger(__name__)
 
 
-def _factors(l: EvenLattice) -> tuple[np.ndarray, np.ndarray]:
-    """d and L of G = L D L^T in floats; low[s, j] = L_sj for s > j."""
-    rows = l.elimination
-    minors = [row[0] for row in rows]
+def _minors(l: EvenLattice) -> list[int]:
+    """The leading principal minors Delta_1, ..., Delta_n, all positive, or
+    NotPositiveDefiniteError naming the first that is not."""
+    minors = [row[0] for row in l.elimination]
     bad = next((j for j, m in enumerate(minors) if m <= 0), None)
     if bad is not None:
         raise NotPositiveDefiniteError(
             f"Gram matrix is not positive definite (pivot {bad})")
+    return minors
+
+
+def _factors(l: EvenLattice) -> tuple[np.ndarray, np.ndarray]:
+    """d and L of G = L D L^T in floats; low[s, j] = L_sj for s > j."""
+    rows = l.elimination
+    minors = _minors(l)
     n = l.rank
     low = np.zeros((n, n))
     for j, row in enumerate(rows):
@@ -207,6 +221,38 @@ def _enumerate(l: EvenLattice, max_norm: int, store: bool):
     return counts, np.concatenate([half, -half])
 
 
+def _blocks(l: EvenLattice) -> list[tuple[EvenLattice, int]]:
+    """The distinct Gram blocks of the orthogonal components of l, each with
+    the number of components that carry it; [(l, 1)] if l has one component.
+
+    A component is a connected part of the graph on the basis whose edges
+    are the nonzero off-diagonal Gram entries, and its block is the Gram on
+    its indices in increasing order.  Positive definiteness is decided on
+    l itself first, so a refusal names the pivot of l, not of a block.
+    """
+    _minors(l)
+    g, n = l.gram, l.rank
+    seen = [False] * n
+    found: dict[IntMatrix, int] = {}
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp, stack = [start], [start]
+        while stack:
+            for j, x in enumerate(g[stack.pop()]):
+                if x and not seen[j]:
+                    seen[j] = True
+                    comp.append(j)
+                    stack.append(j)
+        if len(comp) == n:
+            return [(l, 1)]
+        comp.sort()
+        block = tuple(tuple(g[i][j] for j in comp) for i in comp)
+        found[block] = found.get(block, 0) + 1
+    return [(EvenLattice(block), copies) for block, copies in found.items()]
+
+
 def short_vectors(l: EvenLattice, max_norm: int) -> list[tuple[int, ...]]:
     """All nonzero v with (v, v) <= max_norm, both signs included."""
     if not isinstance(max_norm, int) or isinstance(max_norm, bool) or max_norm < 0:
@@ -222,5 +268,11 @@ def theta_coefficients(l: EvenLattice, k: int, cap: int = 64) -> tuple[int, ...]
     check_cap(cap)
     if k > cap:
         raise LimitError(f"theta term count {k} exceeds cap {cap}")
-    counts, _ = _enumerate(l, 2 * k, store=False)
-    return (1,) + tuple(counts.get(2 * m, 0) for m in range(1, k + 1))
+    series = [1] + [0] * k
+    for block, copies in _blocks(l):
+        counts, _ = _enumerate(block, 2 * k, store=False)
+        factor = [1] + [counts.get(2 * m, 0) for m in range(1, k + 1)]
+        for _ in range(copies):
+            series = [sum(series[i] * factor[m - i] for i in range(m + 1))
+                      for m in range(k + 1)]
+    return tuple(series)

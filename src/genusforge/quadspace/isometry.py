@@ -52,9 +52,10 @@ def is_isometric(s1: FiniteQuadraticSpace, s2: FiniteQuadraticSpace,
                  cap: int = 3000) -> Optional[tuple[Coords, ...]]:
     """A generator-image witness if the spaces are isometric, else None.
 
-    Candidates for each image are tried literal generator first, then in
-    ascending element order, so a space compared with itself reports the
-    identity.  Forward checking cuts only choices with no completion.
+    Equal canonical encodings are equal forms, so equal spaces get the
+    identity at once, with no element table built.  Otherwise candidates
+    for each image are tried literal generator first, then in ascending
+    element order.  Forward checking cuts only choices with no completion.
     """
     check_cap(cap)
     if s1.orders != s2.orders:
@@ -63,6 +64,8 @@ def is_isometric(s1: FiniteQuadraticSpace, s2: FiniteQuadraticSpace,
         raise LimitError(f"group order {s1.order} exceeds isometry cap {cap}")
     if s1.order == 1:
         return ()
+    if s1 == s2:
+        return s1.generators()
     # Isometric spaces share the level, the least common denominator of all
     # their values, so q numerators compare directly.
     if s1.level != s2.level or not np.array_equal(np.sort(s1.table.q), np.sort(s2.table.q)):

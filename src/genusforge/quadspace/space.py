@@ -208,7 +208,10 @@ def _nondegenerate(orders, level, gram) -> tuple[int, ...] | None:
 
 
 def _invariant_factors(orders, gram):
-    """Re-present (orders, G) with orders in a divisibility chain."""
+    """Re-present (orders, G) with orders in a divisibility chain; orders
+    above 1 that already form one in index order come back unchanged."""
+    if all(d > 1 for d in orders) and all(b % a == 0 for a, b in zip(orders, orders[1:])):
+        return orders, gram
     keep = sorted((i for i, d in enumerate(orders) if d > 1), key=lambda i: orders[i])
     chain = [orders[i] for i in keep]
     if all(chain[i + 1] % chain[i] == 0 for i in range(len(chain) - 1)):

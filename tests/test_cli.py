@@ -138,6 +138,15 @@ class TestRoundTrips:
         roots = payload("lattice", "roots", lat)
         assert roots == {"components": [["E", 8]], "root_count": 240}
 
+    def test_theta_and_roots_of_an_interleaved_sum(self, tmp_path, capsys):
+        # A1 + A2 with the A1 basis vector between the two of A2.
+        f = write(tmp_path, "a1a2.json", {"gram": [[2, 0, 1], [0, 2, 0], [1, 0, 2]]})
+        assert main(["lattice", "roots", f]) == 0
+        assert capsys.readouterr().out == ('{"components": [["A", 1], ["A", 2]], '
+                                           '"root_count": 8}\n')
+        assert main(["lattice", "theta", f, "--terms", "2"]) == 0
+        assert capsys.readouterr().out == '{"coefficients": [1, 8, 12]}\n'
+
 
 class TestStatusAndFlags:
     def test_malformed_json_names_the_file(self, tmp_path):

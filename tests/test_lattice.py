@@ -47,7 +47,7 @@ from genusforge.lattice import (
 )
 from genusforge.lattice import discform, overlattice, theta
 from genusforge.lattice.discform import _disc_with_lifts
-from genusforge.lattice.roots import _simple_roots
+from genusforge.lattice.roots import RootSystemReport, _simple_roots
 from genusforge.modcat import simple_current_extensions
 from genusforge.quadspace import (
     build_space,
@@ -380,6 +380,21 @@ class TestTheta:
         with pytest.raises(NotPositiveDefiniteError):
             short_vectors(build_lattice([[0, 1], [1, 0]]), 2)
 
+    @pytest.mark.parametrize("gram, pivot", [
+        (((2, 0, 1), (0, -2, 0), (1, 0, 2)), 1),
+        (orthogonal_sum([lattice_e8(), build_lattice([[-2]])]).gram, 8),
+        (orthogonal_sum([build_lattice([[0, 1], [1, 0]]), lattice_e8()]).gram, 9),
+    ], ids=["A2+A1(-1) interleaved", "E8+A1(-1)", "U+E8"])
+    def test_indefinite_block_beside_a_definite_one(self, gram, pivot):
+        # The whole Gram is tested before it is split into components, so
+        # the pivot named is the whole lattice's, not the indefinite block's.
+        l = build_lattice(gram)
+        for call in (lambda: theta_coefficients(l, 2), lambda: root_system(l),
+                     lambda: short_vectors(l, 2)):
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                call()
+            assert str(err.value) == f"Gram matrix is not positive definite (pivot {pivot})"
+
     def test_cap(self):
         with pytest.raises(LimitError):
             theta_coefficients(lattice_a(1), 100, cap=64)
@@ -503,9 +518,48 @@ def assert_matches_oracle(l):
     assert set(map(tuple, simple.tolist())) == oracle_simple_roots(l)
 
 
+# Orthogonal sums whose basis is permuted, so that the components of the
+# first two are not runs of consecutive indices.
+INTERLEAVED_SUMS = {"E8+A2+A1+A1": [lattice_e8(), lattice_a(2), lattice_a(1), lattice_a(1)],
+                    "D4+D4": [lattice_d(4)] * 2, "A1^5": [lattice_a(1)] * 5}
+
+
+def interleaved(l, rng):
+    p = rng.sample(range(l.rank), l.rank)
+    return build_lattice([[l.gram[i][j] for j in p] for i in p])
+
+
 class TestEnumerationOracle:
     """The level-at-a-time enumeration and the Gram-matrix simple-root test
     against the node-by-node recursion and the tuple scan they replaced."""
+
+    @pytest.mark.parametrize("name", INTERLEAVED_SUMS)
+    def test_interleaved_orthogonal_sums(self, name):
+        # theta and roots are computed per component; the oracle enumerates
+        # the whole lattice.
+        l = interleaved(orthogonal_sum(INTERLEAVED_SUMS[name]), random.Random(7))
+        assert theta_coefficients(l, 3) == oracle_theta(l, 3)
+        report = root_system(l)
+        assert (report.components, report.root_count) == oracle_root_system(l)
+
+    def test_each_distinct_block_is_enumerated_once(self, monkeypatch):
+        ranks = []
+        original = theta._enumerate
+
+        def recorded(l, *args, **kwargs):
+            ranks.append(l.rank)
+            return original(l, *args, **kwargs)
+
+        monkeypatch.setattr(theta, "_enumerate", recorded)
+        assert theta_coefficients(lattice_e8e8(), 2) == (1, 480, 61920)
+        assert ranks == [8]
+        ranks.clear()
+        report = root_system(orthogonal_sum([lattice_a(1)] * 7))
+        assert report == RootSystemReport((("A", 1),) * 7, 14)
+        assert ranks == [1]
+        ranks.clear()
+        assert theta_coefficients(lattice_d16_plus(), 2) == (1, 480, 61920)
+        assert ranks == [16]
 
     @pytest.mark.parametrize("index", range(len(ORACLE_LATTICES)), ids=ORACLE_IDS)
     def test_every_lattice_under_a_seeded_basis_change(self, index):

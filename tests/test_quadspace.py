@@ -119,6 +119,15 @@ class TestBuild:
         with pytest.raises(ConsistencyError):
             build_space([2], ["1/3"])
 
+    def test_orders_already_a_chain_are_kept_as_given(self):
+        gram = ((2, 0, 0), (0, 2, 1), (0, 1, 4))
+        orders = (2, 2, 4)
+        got = space_module._invariant_factors(orders, gram)
+        assert got[0] is orders and got[1] is gram
+        # A 1 or an order out of chain order is re-presented.
+        assert space_module._invariant_factors([1, 2], [[0, 0], [0, 3]]) == ([2], [[3]])
+        assert tuple(space_module._invariant_factors([4, 2], [[1, 0], [0, 2]])[0]) == (2, 4)
+
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateFormError):
             build_space([2], ["0"])
@@ -493,6 +502,16 @@ class TestIsometry:
         assert w is not None
         assert verify_isometry(s, s, w)
 
+    def test_equal_spaces_get_the_identity_without_a_table(self):
+        # Two equal encodings built apart: the witness is the identity that
+        # the search finds first, and no element table is built.
+        s, t = disc_a1_power(4), disc_a1_power(4)
+        assert s is not t and s == t
+        w = is_isometric(s, t)
+        assert w == s.generators()
+        assert "table" not in vars(s) and "table" not in vars(t)
+        assert w == oracle.is_isometric(s, t)
+
     def test_distinguishes_forms(self):
         d = build_space([2, 2], ["1/2", "1/2"])
         assert is_isometric(hyperbolic_plane(), d) is None
@@ -750,10 +769,14 @@ class TestDebugLog:
         assert "isotropic subgroups of |A| = 4: 1 nodes expanded, 3 subgroups" in lines[0]
 
     def test_one_line_per_isometry_search(self, caplog):
+        # Equal spaces and spaces with different q values are answered with
+        # no search and no line; the swap of two generators takes a search.
         name = "genusforge.quadspace.isometry"
+        swapped = build_space([2, 2], ["1/2", "3/2"]), build_space([2, 2], ["3/2", "1/2"])
         with caplog.at_level(logging.DEBUG, logger=name):
             is_isometric(hyperbolic_plane(), hyperbolic_plane())
             is_isometric(hyperbolic_plane(), build_space([2, 2], ["1/2", "1/2"]))
+            assert is_isometric(*swapped) == ((0, 1), (1, 0))
         lines = self._lines(caplog, name)
         assert len(lines) == 1
         assert "isometry search on |A| = 4: 2 nodes, witness found" in lines[0]
