@@ -14,19 +14,20 @@ entry is one root of unity, as for `from_quadratic_space`, which keeps
 the order of its roots.  Data whose entries have a non-integer
 coordinate are not modular and are rejected.
 
-Everything in the library reads this table.  Two views are built from it
-on first access: the matrix `s_tilde` of `CyclotomicNumber`s (JSON,
-equality and `voa_genus_equal`), each entry written over the least order
-that holds its exponents, and `twists`, the phases tau_i/M mod 1, which
-no library code reads.  The discriminant D = sum of dim^2 must come out a
-positive rational integer.  Conformal weights exist only in the JSON
-format: its "weights" list is written from the twists, and on input it
-must match the labels and agree with the twists mod 1.
+Everything in the library reads this table; no matrix of
+`CyclotomicNumber`s is kept.  `_coordinates` gives the integer
+power-basis coordinates of entries over a multiple of M for equality,
+`voa_genus_equal`, the zero-dimension check, the inverse dims and JSON,
+which writes each entry over the least order holding its exponents.  The
+one view, `twists`, gives the phases tau_i/M mod 1 that no library code
+reads.  The discriminant D = sum of dim^2 must come out a positive
+rational integer.  Conformal weights exist only in the JSON format: its
+"weights" list is written from the twists, and on input it must match
+the labels and agree with the twists mod 1.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -36,7 +37,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ..errors import ValidationError
-from ..exactkernel import CyclotomicNumber, as_fraction, fraction_str, reduce_int_counts
+from ..exactkernel import as_fraction, fraction_str, gauss_phase, reduce_int_counts
 from ..exactkernel.cyclotomic import _power_index
 from ..quadspace import FiniteQuadraticSpace
 
@@ -62,12 +63,16 @@ def times(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     return sums.reshape(sums.shape[:-2] + (-1,))
 
 
-def entry(terms: np.ndarray, order: int) -> CyclotomicNumber:
-    """sum_t zeta_order^terms[t], over the least order holding every term."""
-    exps = terms[terms >= 0].tolist()
-    step = gcd(order, *exps)
-    return CyclotomicNumber.from_exponents(order // step,
-                                           dict(Counter(e // step for e in exps)))
+def _coordinates(terms: np.ndarray, order: int, target: int) -> np.ndarray:
+    """Power-basis coordinates over zeta_target of sum_t zeta_order^terms[..., t],
+    for a multiple target of the order: one bincount of the scaled exponents
+    of every entry, padding sent to a spare bin, and one reduction."""
+    flat = terms.reshape(-1, terms.shape[-1])
+    spare = len(flat) * target
+    keys = np.where(flat < 0, spare, flat * (target // order)
+                    + target * np.arange(len(flat))[:, None])
+    counts = np.bincount(keys.ravel(), minlength=spare + 1)[:-1].reshape(-1, target)
+    return reduce_int_counts(target, counts).astype(np.int64).reshape(terms.shape[:-1] + (-1,))
 
 
 def pad(lists: Sequence[Sequence[int]]) -> np.ndarray:
@@ -128,8 +133,8 @@ class ModularData:
             i, j, _ = bad[0].tolist()
             raise ValidationError(f"s_tilde not symmetric at ({i},{j})")
         if not self.pointed:  # a root of unity never vanishes
-            zero = [i for i, terms in enumerate(s[0]) if entry(terms, order).is_zero()]
-            if zero:
+            zero = np.flatnonzero(~_coordinates(s[0], order, order).any(axis=1))
+            if len(zero):
                 raise ValidationError(f"dimension of label {zero[0]} vanishes")
         if self.discriminant <= 0:
             raise ValidationError("sum of squared dimensions must be a "
@@ -144,29 +149,12 @@ class ModularData:
         return range(self.n)
 
     @cached_property
-    def s_tilde(self) -> tuple[tuple[CyclotomicNumber, ...], ...]:
-        order, s, _ = self.terms
-        seen: dict[bytes, CyclotomicNumber] = {}
-
-        def cell(terms: np.ndarray) -> CyclotomicNumber:
-            key = terms.tobytes()
-            if key not in seen:
-                seen[key] = entry(terms, order)
-            return seen[key]
-
-        return tuple(tuple(map(cell, row)) for row in s)
-
-    @cached_property
     def twists(self) -> tuple[PhaseMod1, ...]:
         """The phases tau_i/M mod 1 of `terms.twists`, a view built on first
         read for callers that want exact values (`bench/checks.py`)."""
         from ..exactkernel import PhaseMod1
         order, _, tau = self.terms
         return tuple(PhaseMod1(Fraction(t, order)) for t in tau.tolist())
-
-    @property
-    def dims(self) -> tuple[CyclotomicNumber, ...]:
-        return self.s_tilde[0]
 
     @cached_property
     def discriminant(self) -> int:
@@ -203,14 +191,22 @@ class ModularData:
     def inverse_dims(self) -> tuple[np.ndarray, int]:
         """(terms, scale) with scale / dims_l = sum_t zeta_M^terms[l, t]: a
         pointed dim zeta^e inverts to zeta^-e, any other dim through
-        `CyclotomicNumber.inverse`, over one common integer scale."""
+        `CyclotomicNumber.inverse` of its coordinates, over one common
+        integer scale."""
+        from ..exactkernel import CyclotomicNumber
         order, s, _ = self.terms
         if self.pointed:
             return -s[0] % order, 1
-        inverses = [entry(terms, order).inverse() for terms in s[0]]
+        inverses = [CyclotomicNumber(order, row).inverse()
+                    for row in _coordinates(s[0], order, order).tolist()]
         scale = lcm(*(x.den for x in inverses))
-        return pad([terms_of(x.order, [c * (scale // x.den) for c in x.num], order)
+        return pad([terms_of(order, [c * (scale // x.den) for c in x.num], order)
                     for x in inverses]), scale
+
+    @cached_property
+    def _milgram_phase(self) -> int | None:
+        """`gauss_phase` of sum_j theta_j dim_j^2, found once per data."""
+        return gauss_phase(self.terms.order, self.gauss_counts, self.discriminant)
 
     @cached_property
     def _relation_report(self):
@@ -221,9 +217,10 @@ class ModularData:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModularData):
             return NotImplemented
-        (o1, _, t1), (o2, _, t2) = self.terms, other.terms  # t1/o1 == t2/o2
+        (o1, s1, t1), (o2, s2, t2) = self.terms, other.terms  # t1/o1 == t2/o2
+        order = lcm(o1, o2)
         return (self.dual == other.dual and np.array_equal(t1 * o2, t2 * o1)
-                and self.s_tilde == other.s_tilde)
+                and np.array_equal(_coordinates(s1, o1, order), _coordinates(s2, o2, order)))
 
     def __repr__(self) -> str:
         return f"ModularData(n={self.n}, D={self.discriminant})"
@@ -234,6 +231,7 @@ def build_modular_data(dual: Sequence[int],
                        twists: Sequence) -> ModularData:
     """Normalize raw entries (rationals allowed) and rational twists into
     ModularData."""
+    from ..exactkernel import CyclotomicNumber
     tw = [as_fraction(t) % 1 for t in twists]
     mat = [[x if isinstance(x, CyclotomicNumber)
             else CyclotomicNumber.from_rational(as_fraction(x)) for x in row]
@@ -290,14 +288,8 @@ def ising_data() -> ModularData:
     return ModularData((0, 1, 2), Terms(16, s, np.array([0, 8, 1], dtype=np.int64)))
 
 
-def _cyclo_to_json(x: CyclotomicNumber):
-    q = x.is_rational()
-    if q is not None:
-        return str(q)
-    return {"order": x.order, "coeffs": [str(c) for c in x.coeffs]}
-
-
 def _cyclo_from_json(doc) -> CyclotomicNumber:
+    from ..exactkernel import CyclotomicNumber
     if isinstance(doc, bool) or isinstance(doc, float):
         raise ValidationError("cyclotomic entries must be exact")
     if isinstance(doc, (int, str)):
@@ -313,12 +305,20 @@ def _cyclo_from_json(doc) -> CyclotomicNumber:
 
 
 def modular_data_to_json(m: ModularData) -> dict:
-    order, _, tau = m.terms
+    order, s, tau = m.terms
     twists = [fraction_str(t, order) for t in tau.tolist()]
+    # entry [i, j] over the order M/d, d the gcd of M and its exponents
+    step = np.gcd(np.gcd.reduce(np.where(s < 0, 0, s), axis=2), order)
+    cells = np.empty(step.shape, dtype=object)
+    for d in np.unique(step).tolist():
+        at = step == d
+        coords = _coordinates(s[at] // d, order // d, order // d)  # padding stays -1
+        cells[at] = [{"order": order // d, "coeffs": [str(c) for c in row]} if any(row[1:])
+                     else str(row[0]) for row in coords.tolist()]
     return {
         "labels": m.n,
         "dual": list(m.dual),
-        "s_tilde": [[_cyclo_to_json(x) for x in row] for row in m.s_tilde],
+        "s_tilde": cells.tolist(),
         "twists": twists,
         "weights": list(twists),
     }

@@ -6,13 +6,21 @@ nor the cube root gamma ever appears:
   (i)   s_tilde^2 = D * P        (P the charge-conjugation permutation)
   (ii)  P^2 = 1
   (iii) s_tilde^2 T = T s_tilde^2
-  (iv)  (s_tilde T)^3 = (sum_i theta_i dim_i^2) * s_tilde^2
+  (iv)  (s_tilde T)^3 = G * s_tilde^2,  G = sum_j theta_j dim_j^2
+
+Given (i)-(iii), (iv) is checked as s_tilde T s_tilde = G T^-1 s_tilde T^-1,
+entrywise sum_j s_tilde_ij theta_j s_tilde_jk = G theta_i^-1 theta_k^-1 s_tilde_ik.
+The two forms are equivalent: s_tilde T has the inverse T^-1 s_tilde P / D
+by (i), s_tilde P = P s_tilde as s_tilde commutes with s_tilde^2, and
+T P = P T as theta_{i*} = theta_i; so (s_tilde T)^3 = G s_tilde^2 = G D P
+holds exactly when (s_tilde T)^2 = G P T^-1 s_tilde P = G T^-1 s_tilde.
 
 Every entry is a list of exponents over one root of unity zeta_M (see
-`data`), so each matrix product becomes a count of exponent sums mod M,
-one per choice of a term in each factor, reduced to the power basis with
-one integer matrix multiplication.  Pointed data have one term per entry
-and a term axis of length 1.
+`data`), so the products on the left of (i) and (iv) are counts of
+exponent sums mod M, one per choice of a term in each factor, and the
+right of (iv) is the counts of G shifted by each term of s_tilde_ik;
+both are reduced to the power basis with one integer matrix product.
+Pointed data have one term per entry and a term axis of length 1.
 """
 
 from __future__ import annotations
@@ -44,10 +52,10 @@ class RelationReport:
 _PASS = RelationReport(None, "")
 
 
-# The counts below take rows i in chunks so that the keyed and gathered
-# temporaries (n^2 w^2 and n^2 w M entries per row, for w terms an entry)
-# stay near this many entries; all rows of a pointed table at once would
-# need n^3 M, 2^27 at n = 64, M = 512.
+# The counts below take rows i in chunks so that the keyed temporaries
+# (n^2 w^2 entries per row, for w terms an entry) stay near this many
+# entries; all rows of a pointed table at once would need n^3, 2^30 at
+# n = 1024.
 _CHUNK = 1 << 20
 
 
@@ -72,27 +80,6 @@ def _pair_counts(left: np.ndarray, right: np.ndarray, order: int) -> np.ndarray:
                             r * cols * order, keys)
         out[i:i + r] = np.bincount(keys.ravel(), minlength=r * cols * order + 1)[:-1].reshape(
             r, cols, order)
-    return out
-
-
-def _triple_counts(a: np.ndarray, order: int) -> np.ndarray:
-    """counts[i, k, e] = #{(l, j, t, u, v) : a[i,l,t] + a[l,j,u] + a[j,k,v] == e
-    (mod order)}: the pair counts of a with a, gathered along the terms of
-    a[j, k] and summed over j and the terms."""
-    n, _, w = a.shape
-    a2 = _pair_counts(a, a, order)
-    # shift[j, k, v, e] = e - a[j, k, v], so a2[i, j, shift[j, k, v, e]]
-    # counts the paths through j that end at exponent e; a padded term
-    # reads a zero column appended at index `order`
-    shift = (np.arange(order) - a[:, :, :, None]) % order
-    if a.min() < 0:
-        a2 = np.concatenate([a2, np.zeros((n, n, 1), dtype=np.int64)], axis=2)
-        shift[a < 0] = order
-    js = np.arange(n)[:, None, None, None]
-    out = np.empty((n, n, order), dtype=np.int64)
-    step = max(1, _CHUNK // (n * n * w * order))
-    for i in range(0, n, step):
-        out[i:i + step] = a2[i:i + step][:, js, shift].sum(axis=(1, 3))
     return out
 
 
@@ -123,12 +110,17 @@ def _verify(m: ModularData) -> RelationReport:
     a = (s + tau[None, :, None]) % order  # s_tilde * T, columns scaled
     if not m.pointed:
         a[s < 0] = -1
-    lhs = reduce_int_counts(order, _triple_counts(a, order))
-    rhs = np.zeros((n, n, phi), dtype=np.int64)
-    rhs[labels, dual] = d * reduce_int_counts(order, m.gauss_counts)
-    if not np.array_equal(lhs, rhs):
-        bad = tuple(np.argwhere((lhs != rhs).any(axis=2))[0].tolist())
-        return RelationReport("iv", f"(s_tilde*T)^3 mismatch at {bad}")
+    counts = _pair_counts(a, s, order)
+    # G theta_i^-1 theta_k^-1 s_tilde_ik: the counts of G shifted by each term
+    shift = (s - tau[:, None, None] - tau[None, :, None]) % order
+    rhs = m.gauss_counts[(np.arange(order) - shift[:, :, :, None]) % order]
+    if not m.pointed:
+        rhs[s < 0] = 0
+    counts -= rhs.sum(axis=2)
+    bad = np.argwhere(reduce_int_counts(order, counts).any(axis=2))
+    if len(bad):
+        return RelationReport("iv", f"s_tilde T s_tilde != G T^-1 s_tilde T^-1 at "
+                                    f"{tuple(bad[0].tolist())}")
     return _PASS
 
 

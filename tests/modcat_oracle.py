@@ -1,6 +1,11 @@
 """The counting and cyclotomic code that modular data used to run, kept as
 the oracle for the term-table paths.
 
+- `s_tilde`: the matrix of `CyclotomicNumber`s the library once kept as a
+  view of the term table, each entry over the least order holding its
+  exponents (`entry`).  `json_by_cyclotomics`, `equal_by_cyclotomics`
+  and `genus_equal_by_cyclotomics` are the JSON writer, `==` and
+  `voa_genus_equal` that read it.
 - `verify_cyclotomic`, `fusion_cyclotomic`, `block_sum_cyclotomic`,
   `discriminant_cyclotomic` and `twisted_dimension_cyclotomic`: the
   relations, the Verlinde sum, the genus block sum, D and the twisted
@@ -27,16 +32,18 @@ the oracle for the term-table paths.
 
 import logging
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from genusforge.errors import InternalError, NonIntegralError, ValidationError
+from genusforge.errors import InternalError, LimitError, NonIntegralError, ValidationError
 from genusforge.exactkernel import (
     CyclotomicNumber,
     as_fraction,
     cyclo_approx,
+    fraction_str,
     reduce_int_counts,
     root_of_unity,
 )
@@ -52,6 +59,89 @@ from genusforge.modcat import FusionTable, ModularData, RelationReport
 from genusforge.modcat.fusion import _require_modular
 from genusforge.quadspace import gauss_sum
 from genusforge.quadspace.gauss import _phase_counts
+
+
+def entry(terms, order):
+    """sum_t zeta_order^terms[t], over the least order holding every term."""
+    exps = terms[terms >= 0].tolist()
+    step = math.gcd(order, *exps)
+    return CyclotomicNumber.from_exponents(order // step,
+                                           dict(Counter(e // step for e in exps)))
+
+
+def s_tilde(m):
+    order, s, _ = m.terms
+    seen = {}
+
+    def cell(terms):
+        key = terms.tobytes()
+        if key not in seen:
+            seen[key] = entry(terms, order)
+        return seen[key]
+
+    return tuple(tuple(map(cell, row)) for row in s)
+
+
+def _cyclo_to_json(x):
+    q = x.is_rational()
+    if q is not None:
+        return str(q)
+    return {"order": x.order, "coeffs": [str(c) for c in x.coeffs]}
+
+
+def json_by_cyclotomics(m):
+    order, _, tau = m.terms
+    twists = [fraction_str(t, order) for t in tau.tolist()]
+    return {
+        "labels": m.n,
+        "dual": list(m.dual),
+        "s_tilde": [[_cyclo_to_json(x) for x in row] for row in s_tilde(m)],
+        "twists": twists,
+        "weights": list(twists),
+    }
+
+
+def equal_by_cyclotomics(m1, m2):
+    return m1.dual == m2.dual and m1.twists == m2.twists and s_tilde(m1) == s_tilde(m2)
+
+
+def genus_equal_by_cyclotomics(g1, g2, cap=16):
+    """Equal central charge and label bijection fixing 0 matching the data."""
+    if g1.central_charge != g2.central_charge:
+        return False
+    m1, m2 = g1.data, g2.data
+    n = m1.n
+    if n != m2.n:
+        return False
+    if n > cap:
+        raise LimitError(f"label set of size {n} exceeds cap {cap}")
+    tw1, tw2 = [t.value for t in m1.twists], [t.value for t in m2.twists]
+    if tw1[0] != tw2[0] or sorted(tw1[1:]) != sorted(tw2[1:]):
+        return False
+    st1, st2 = s_tilde(m1), s_tilde(m2)
+    perm = [0] + [-1] * (n - 1)
+    used = [False] * n
+
+    def consistent(i, j):
+        if tw1[i] != tw2[j] or st1[i][i] != st2[j][j]:
+            return False
+        di = m1.dual[i]
+        if di <= i and m2.dual[j] != (j if di == i else perm[di]):
+            return False
+        return all(st1[i][a] == st2[j][perm[a]] for a in range(i))
+
+    def extend(i):
+        if i == n:
+            return True
+        for j in range(1, n):
+            if not used[j] and consistent(i, j):
+                perm[i], used[j] = j, True
+                if extend(i + 1):
+                    return True
+                perm[i], used[j] = -1, False
+        return False
+
+    return extend(1)
 
 
 def fusion_by_counts(m):
@@ -81,8 +171,7 @@ def fusion_by_counts(m):
 
 def twisted_dimension_cyclotomic(m):
     acc = CyclotomicNumber.zero()
-    for j in range(m.n):
-        d = m.dims[j]
+    for j, d in enumerate(s_tilde(m)[0]):
         acc = acc + root_of_unity(m.twists[j].value) * d * d
     return acc
 
@@ -148,7 +237,7 @@ def exponents_by_embedding(matrix, twists):
 
 def discriminant_cyclotomic(m):
     d = CyclotomicNumber.zero()
-    for x in m.dims:
+    for x in s_tilde(m)[0]:
         d = d + x * x
     return d.is_integer()
 
@@ -172,7 +261,8 @@ def verify_cyclotomic(m):
     n = m.n
     d = CyclotomicNumber.from_rational(discriminant_cyclotomic(m))
     zero = CyclotomicNumber.zero()
-    s2 = _mat_mul_cyclo(m.s_tilde, m.s_tilde)
+    mat = s_tilde(m)
+    s2 = _mat_mul_cyclo(mat, mat)
     for i in range(n):
         for k in range(n):
             want = d if k == m.dual[i] else zero
@@ -186,12 +276,12 @@ def verify_cyclotomic(m):
             if s2[i][k] * theta[k] != theta[i] * s2[i][k]:
                 return RelationReport(
                     "iii", f"s_tilde^2 and T do not commute at ({i},{k})")
-    st = tuple(tuple(m.s_tilde[i][j] * theta[j] for j in range(n))
+    st = tuple(tuple(mat[i][j] * theta[j] for j in range(n))
                for i in range(n))
     cubed = _mat_mul_cyclo(_mat_mul_cyclo(st, st), st)
     gauss = zero
     for i in range(n):
-        gauss = gauss + theta[i] * m.dims[i] * m.dims[i]
+        gauss = gauss + theta[i] * mat[0][i] * mat[0][i]
     for i in range(n):
         for k in range(n):
             if cubed[i][k] != gauss * s2[i][k]:
@@ -203,13 +293,14 @@ def verify_cyclotomic(m):
 def fusion_cyclotomic(m):
     n = m.n
     d = Fraction(discriminant_cyclotomic(m))
-    inv_dims = [m.dims[l].inverse() for l in range(n)]
-    conj = [[m.s_tilde[k][l].conjugate() for l in range(n)] for k in range(n)]
+    st = s_tilde(m)
+    inv_dims = [st[0][l].inverse() for l in range(n)]
+    conj = [[st[k][l].conjugate() for l in range(n)] for k in range(n)]
     out = []
     for i in range(n):
         mat = []
         for j in range(n):
-            w = [m.s_tilde[i][l] * m.s_tilde[j][l] * inv_dims[l] for l in range(n)]
+            w = [st[i][l] * st[j][l] * inv_dims[l] for l in range(n)]
             row = []
             for k in range(n):
                 acc = CyclotomicNumber.zero()
@@ -228,10 +319,11 @@ def fusion_cyclotomic(m):
 def block_sum_cyclotomic(m, power, labels):
     """sum_j dims_j^power prod_s s_tilde[i_s][j], in cyclotomic arithmetic."""
     acc = CyclotomicNumber.zero()
+    mat = s_tilde(m)
     for j in range(m.n):
-        term = m.dims[j] ** power
+        term = mat[0][j] ** power
         for i in labels:
-            term = term * m.s_tilde[i][j]
+            term = term * mat[i][j]
         acc = acc + term
     val = acc.is_rational()
     if val is None:

@@ -1,6 +1,7 @@
 """Modular data, relations, fusion, genus dimensions, and VOA checks."""
 
 import dataclasses
+import itertools
 import json
 import logging
 import random
@@ -37,7 +38,7 @@ from genusforge.modcat import (
     voa_milgram_check,
 )
 from genusforge.modcat.fusion import _block_sum, _fusion_rows
-from genusforge.modcat import relations
+from genusforge.modcat import data as modcat_data, relations
 from genusforge.modcat.data import Terms
 from genusforge.quadspace.gauss import _phase_counts
 from genusforge.quadspace import (
@@ -54,9 +55,13 @@ from modcat_oracle import (
     block_sum_cyclotomic,
     eager_s_tilde,
     exponents_by_embedding,
+    equal_by_cyclotomics,
     fusion_by_counts,
     fusion_cyclotomic,
+    genus_equal_by_cyclotomics,
+    json_by_cyclotomics,
     milgram_by_cyclotomics,
+    s_tilde,
     signature_by_cyclotomics,
     verify_cyclotomic,
 )
@@ -73,12 +78,12 @@ def _broken_variants(m):
     if m.n > 1:
         twists = [t.value for t in m.twists]
         twists[1] += F(1, 8)
-        out.append(build_modular_data(m.dual, m.s_tilde, twists))
+        out.append(build_modular_data(m.dual, s_tilde(m), twists))
     if m.n > 2:
         dual = tuple(m.labels)
         if m.dual == dual:
             dual = dual[:-2] + (m.n - 1, m.n - 2)
-        out.append(build_modular_data(dual, m.s_tilde, [t.value for t in m.twists]))
+        out.append(build_modular_data(dual, s_tilde(m), [t.value for t in m.twists]))
     return out
 
 
@@ -97,6 +102,14 @@ def element_index(s):
     return els, {e: i for i, e in enumerate(els)}
 
 
+def _rebuilt_over(m, k):
+    """m rebuilt through `build_modular_data` from its entries written over
+    k times its order."""
+    order = k * m.terms.order
+    return build_modular_data(m.dual, [[x.embed(order) for x in row] for row in s_tilde(m)],
+                              [t.value for t in m.twists])
+
+
 class TestConstruction:
     def test_trivial_discriminant(self):
         m = from_quadratic_space(trivial_space())
@@ -108,8 +121,8 @@ class TestConstruction:
         m = from_quadratic_space(s)
         assert m.discriminant == 2
         one = CyclotomicNumber.one()
-        assert m.s_tilde[0] == (one, one)
-        assert m.s_tilde[1][1] == -one
+        assert s_tilde(m)[0] == (one, one)
+        assert s_tilde(m)[1][1] == -one
         assert [t.value for t in m.twists] == [F(0), F(1, 4)]
 
     def test_hyperbolic_twists(self):
@@ -168,21 +181,21 @@ class TestRelations:
         # asymmetric twists on Z/3 break theta_{i*} = theta_i
         s = build_space((3,), [F(2, 3)])
         m = from_quadratic_space(s)
-        broken = build_modular_data(m.dual, m.s_tilde, [0, F(1, 3), F(2, 3)])
+        broken = build_modular_data(m.dual, s_tilde(m), [0, F(1, 3), F(2, 3)])
         report = verify_relations(broken)
         assert report.failed == "iii"
 
     def test_wrong_symmetric_twists_fail_relation_iv(self):
         s = build_space((3,), [F(2, 3)])
         m = from_quadratic_space(s)
-        broken = build_modular_data(m.dual, m.s_tilde, [0, F(2, 3), F(2, 3)])
+        broken = build_modular_data(m.dual, s_tilde(m), [0, F(2, 3), F(2, 3)])
         report = verify_relations(broken)
         assert report.failed == "iv"
 
     def test_wrong_dual_fails_relation_i(self):
         s = build_space((3,), [F(2, 3)])
         m = from_quadratic_space(s)
-        broken = build_modular_data((0, 1, 2), m.s_tilde,
+        broken = build_modular_data((0, 1, 2), s_tilde(m),
                                     [t.value for t in m.twists])
         report = verify_relations(broken)
         assert report.failed == "i"
@@ -201,6 +214,31 @@ class TestRelations:
         for m in NON_POINTED:
             for c in (F(1, 2), F(1), F(3, 2), F(5, 2), F(9, 2), F(13, 2)):
                 assert voa_milgram_check(m, c) == milgram_by_cyclotomics(m, c), (m, c)
+
+    def test_relation_iv_decides_dual_closed_twist_changes(self):
+        # moving the twists of a label and its dual together keeps (i)-(iii),
+        # so (iv), checked as s_tilde T s_tilde = G T^-1 s_tilde T^-1, alone
+        # decides; the cyclotomic (s_tilde T)^3 = G s_tilde^2 is the reference,
+        # as it is for the unchanged data in the test above
+        rng = random.Random(28)
+        failed = set()
+        for m in [from_quadratic_space(s) for s in space_library(8)] + NON_POINTED:
+            for _ in range(2 if m.n > 1 else 0):
+                i = rng.randrange(1, m.n)
+                twists = [t.value for t in m.twists]
+                shift = F(rng.randrange(1, 8), 8)
+                for j in {i, m.dual[i]}:
+                    twists[j] += shift
+                changed = build_modular_data(m.dual, s_tilde(m), twists)
+                got = verify_relations(changed).failed
+                assert got == verify_cyclotomic(changed).failed, (m, i, shift)
+                failed.add(got)
+        assert failed == {None, "iv"}
+
+    def test_relation_iv_on_the_product_with_ising_of_48_labels(self):
+        m = product(from_quadratic_space(LIBRARY_16[5]), ising_data())
+        assert m.n == 48 and m.terms.s.shape[2] > 1
+        assert verify_relations(m).failed == verify_cyclotomic(m).failed is None
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=12),
@@ -230,20 +268,10 @@ class TestRelations:
                         for t in terms(left[i, j]):
                             for u in terms(right[j, k]):
                                 pairs[i, k, (t + u) % order] += 1
-            triples = np.zeros((n, n, order), dtype=np.int64)
-            for i in range(n):
-                for l in range(n):
-                    for j in range(n):
-                        for k in range(n):
-                            for t in terms(left[i, l]):
-                                for u in terms(left[l, j]):
-                                    for v in terms(left[j, k]):
-                                        triples[i, k, (t + u + v) % order] += 1
             # chunks of one row, of rows that split the last chunk, and whole
             for chunk in (1, 2 * n * n * width * order + 1, 1 << 20):
                 with mock.patch.object(relations, "_CHUNK", chunk):
                     assert np.array_equal(relations._pair_counts(left, right, order), pairs)
-                    assert np.array_equal(relations._triple_counts(left, order), triples)
 
     def test_reports_do_not_depend_on_the_chunk(self):
         rng = random.Random(5)
@@ -252,8 +280,8 @@ class TestRelations:
             m = from_quadratic_space(basis_change(s, rng)[0])
             twists = [t.value for t in m.twists]
             twists[-1] += F(1, 8)
-            cases += [m, build_modular_data(m.dual, m.s_tilde, twists),
-                      build_modular_data(tuple(range(m.n)), m.s_tilde,
+            cases += [m, build_modular_data(m.dual, s_tilde(m), twists),
+                      build_modular_data(tuple(range(m.n)), s_tilde(m),
                                          [t.value for t in m.twists])]
         want = [relations._verify(m) for m in cases]
         with mock.patch.object(relations, "_CHUNK", 1):
@@ -323,7 +351,7 @@ class TestFusion:
     def test_rejects_non_modular_input(self):
         s = build_space((3,), [F(2, 3)])
         m = from_quadratic_space(s)
-        broken = build_modular_data(m.dual, m.s_tilde, [0, F(1, 3), F(2, 3)])
+        broken = build_modular_data(m.dual, s_tilde(m), [0, F(1, 3), F(2, 3)])
         with pytest.raises(ValidationError, match="relations"):
             verlinde_fusion(broken)
 
@@ -430,6 +458,15 @@ class TestVoaMilgram:
             for c in range(8):
                 assert voa_milgram_check(m, c) == (c % 8 == sig), (s.orders, c)
 
+    def test_phase_is_found_once_per_data(self):
+        data = [(from_quadratic_space(s), signature_mod8(s)) for s in LIBRARY_16[::5]]
+        data += [(ising_data(), F(1, 2)), (product(ising_data(), ising_data()), F(1))]
+        with mock.patch.object(modcat_data, "gauss_phase", wraps=gauss_phase) as spy:
+            for m, c in data:
+                assert voa_milgram_check(m, c) and not voa_milgram_check(m, c + 4)
+                assert voa_milgram_check(m, c + 8) and not voa_milgram_check(m, c + F(1, 2))
+        assert spy.call_count == len(data)
+
 
 class TestProduct:
     def test_discriminant_multiplies(self):
@@ -441,7 +478,7 @@ class TestProduct:
         m = ising_data()
         p = product(m, from_quadratic_space(trivial_space()))
         assert p.n == m.n
-        assert p.s_tilde == m.s_tilde
+        assert s_tilde(p) == s_tilde(m)
         assert p.twists == m.twists
 
     def test_matches_direct_sum(self):
@@ -455,11 +492,12 @@ class TestProduct:
         _, sum_idx = element_index(direct_sum(s1, s2))
         remap = [sum_idx[x + y] for x in els1 for y in els2]
         n = mp.n
+        sp, ss = s_tilde(mp), s_tilde(ms)
         for i in range(n):
             assert mp.twists[i] == ms.twists[remap[i]]
             assert remap[mp.dual[i]] == ms.dual[remap[i]]
             for j in range(n):
-                assert mp.s_tilde[i][j] == ms.s_tilde[remap[i]][remap[j]]
+                assert sp[i][j] == ss[remap[i]][remap[j]]
 
 
 class TestExtensions:
@@ -539,10 +577,49 @@ class TestVoaGenus:
             VoaGenusSymbol(mt, F(4))
 
     def test_cap(self):
-        s = build_space((17,), [F(2, 17)])
-        g = VoaGenusSymbol(from_quadratic_space(s), F(8))
+        # the generator 2 of Z/17 relabels the data, so a label search runs
+        g = VoaGenusSymbol(from_quadratic_space(build_space((17,), [F(2, 17)])), F(8))
+        h = VoaGenusSymbol(from_quadratic_space(build_space((17,), [F(8, 17)])), F(8))
+        assert g.data != h.data
         with pytest.raises(LimitError):
-            voa_genus_equal(g, g, cap=16)
+            voa_genus_equal(g, h, cap=16)
+        assert voa_genus_equal(g, h, cap=17)
+
+    def test_equal_data_need_no_label_search(self):
+        s = a1 = discriminant_form(builtin_lattice("A1"))
+        for _ in range(4):
+            s = direct_sum(s, a1)
+        g = VoaGenusSymbol(from_quadratic_space(s), F(5))
+        assert g.data.n == 32
+        assert voa_genus_equal(g, VoaGenusSymbol(from_quadratic_space(s), F(5)), cap=16)
+        t, _ = basis_change(s, random.Random(3))
+        h = VoaGenusSymbol(from_quadratic_space(t), F(5))
+        assert h.data != g.data
+        with pytest.raises(LimitError, match="exceeds cap 16"):
+            voa_genus_equal(g, h, cap=16)
+
+    def test_matches_the_cyclotomic_comparison(self):
+        # pairs of library data with one order and signature, and each datum
+        # against a relabelled copy rebuilt over three times its order
+        rng = random.Random(11)
+        data = [(from_quadratic_space(s), signature_mod8(s)) for s in LIBRARY_16[::3]]
+        pairs = [(a, b) for a, b in itertools.combinations(data, 2)
+                 if a[0].n == b[0].n and a[1] == b[1]]
+        for s in LIBRARY_16[::7]:
+            t, _ = basis_change(s, rng)
+            sig = signature_mod8(s)
+            pairs.append(((from_quadratic_space(s), sig),
+                          (_rebuilt_over(from_quadratic_space(t), 3), sig)))
+        ising = ising_data()
+        for m, c in ((ising, F(1, 2)), (product(ising, ising), F(1))):
+            pairs.append(((m, c), (_rebuilt_over(m, 3), c)))
+        seen = set()
+        for (m1, c1), (m2, c2) in pairs:
+            g1, g2 = VoaGenusSymbol(m1, c1), VoaGenusSymbol(m2, c2)
+            got = voa_genus_equal(g1, g2)
+            assert got == genus_equal_by_cyclotomics(g1, g2), (m1, m2)
+            seen.add(got)
+        assert seen == {False, True}
 
     @pytest.mark.parametrize("cap", [-1, True])
     def test_cap_must_be_a_nonnegative_integer(self, cap):
@@ -558,8 +635,7 @@ class TestJson:
         back = modular_data_from_json(doc)
         assert back.dual == m.dual
         assert back.twists == m.twists
-        assert all(back.s_tilde[i][j] == m.s_tilde[i][j]
-                   for i in range(3) for j in range(3))
+        assert s_tilde(back) == s_tilde(m)
         assert verify_relations(back).ok
 
     @pytest.mark.parametrize("entry", [
@@ -592,7 +668,7 @@ class TestJson:
             doc = json.dumps(modular_data_to_json(m))
             back = modular_data_from_json(json.loads(doc))
             assert json.dumps(modular_data_to_json(back)) == doc
-            want = exponents_by_embedding(back.s_tilde, back.twists)
+            want = exponents_by_embedding(s_tilde(back), back.twists)
             order, s, tau = back.terms
             if want is None:
                 assert s.shape[2] > 1
@@ -661,7 +737,7 @@ def _assert_matches_oracle(m, s):
     for c in (sig, sig + 4, sig + 2, sig + F(1, 2)):
         assert voa_milgram_check(m, c) == milgram_by_cyclotomics(m, c), (s, c)
     eager = eager_s_tilde(m)
-    assert _entries(m.s_tilde) == _entries(eager), s
+    assert _entries(s_tilde(m)) == _entries(eager), s
     given_matrix = build_modular_data(m.dual, eager, [t.value for t in m.twists])
     assert (json.dumps(modular_data_to_json(m))
             == json.dumps(modular_data_to_json(given_matrix))), s
@@ -703,15 +779,25 @@ class TestExponentTablesAgainstOracle:
         def refuse(self, *args):
             raise AssertionError("a CyclotomicNumber was built")
 
-        spaces = LIBRARY_16[::10]
+        rng = random.Random(10)
+        cases = []
+        for s in LIBRARY_16[::10]:
+            t = basis_change(s, rng)[0]
+            m, moved = from_quadratic_space(s), from_quadratic_space(t)
+            cases.append((s, t, json.dumps(json_by_cyclotomics(m)), equal_by_cyclotomics(m, moved)))
         monkeypatch.setattr(CyclotomicNumber, "__init__", refuse)
-        for s in spaces:
-            m = from_quadratic_space(s)
+        for s, t, doc, same in cases:
+            m, moved = from_quadratic_space(s), from_quadratic_space(t)
             sig = signature_mod8(s)
             assert verify_relations(m).ok
             verlinde_fusion(m)
             assert genus_dimension(m, 1) == m.n
             assert voa_milgram_check(m, sig) and not voa_milgram_check(m, sig + 4)
+            assert json.dumps(modular_data_to_json(m)) == doc
+            assert m == from_quadratic_space(s) and (m == moved) == same
+            g = VoaGenusSymbol(m, sig)
+            assert voa_genus_equal(g, VoaGenusSymbol(from_quadratic_space(s), sig))
+            assert voa_genus_equal(g, VoaGenusSymbol(moved, sig))
 
     def test_no_matching_row(self):
         # A symmetric complex Hadamard matrix on zeta_8 that is no
@@ -746,6 +832,40 @@ class TestExponentTablesAgainstOracle:
         assert "interval" not in lines[3]
 
 
+class TestTermTableAgainstCyclotomicOracle:
+    """JSON and equality read the term table; the s_tilde matrix of
+    `CyclotomicNumber`s they used to read is the reference."""
+
+    def test_json_matches_the_cyclotomic_writer(self):
+        ising = ising_data()
+        data = [from_quadratic_space(s) for s in LIBRARY_16] + NON_POINTED
+        data += [product(from_quadratic_space(s), ising) for s in LIBRARY_16[5::40]]
+        data += [_rebuilt_over(m, 3) for m in data[::10]]
+        for m in data:
+            assert (json.dumps(modular_data_to_json(m))
+                    == json.dumps(json_by_cyclotomics(m))), m
+
+    def test_equality_matches_the_cyclotomic_comparison(self):
+        # each datum against itself rebuilt over a larger order, against a
+        # relabelled copy and a broken copy, and against its neighbours of
+        # the same size
+        rng = random.Random(12)
+        data = [from_quadratic_space(s) for s in LIBRARY_16[::2]] + NON_POINTED
+        pairs = [(a, b) for a, b in zip(data, data[1:]) if a.n == b.n]
+        for m in data[::3]:
+            pairs += [(m, _rebuilt_over(m, k)) for k in (2, 3)]
+            pairs += [(m, b) for b in _broken_variants(m)]
+        for s in LIBRARY_16[1::9]:
+            pairs.append((from_quadratic_space(s),
+                          _rebuilt_over(from_quadratic_space(basis_change(s, rng)[0]), 5)))
+        seen = set()
+        for a, b in pairs:
+            got = a == b
+            assert got == (b == a) == equal_by_cyclotomics(a, b), (a, b)
+            seen.add(got)
+        assert seen == {False, True}
+
+
 class TestOneTwistEncoding:
     """Each twist is stored once, as an integer numerator over the order of
     the term table; phases mod 1 are only a view of it."""
@@ -771,7 +891,7 @@ class TestOneTwistEncoding:
             doc = modular_data_to_json(m)
             back = modular_data_from_json(json.loads(json.dumps(doc)))
             assert back == m and modular_data_to_json(back) == doc
-            assert build_modular_data(m.dual, m.s_tilde, doc["twists"]) == m
+            assert build_modular_data(m.dual, s_tilde(m), doc["twists"]) == m
             assert verify_relations(m).ok
             verlinde_fusion(m)
             assert genus_dimension(m, 0) == 1
