@@ -1,11 +1,22 @@
 """Short vectors and theta coefficients of positive definite even lattices.
 
 `theta_coefficients` splits the Gram matrix into its orthogonal components
-(`_blocks`) and enumerates each distinct block once: the theta series of
-L + M is theta_L theta_M, multiplied out exactly in integers, once per
-copy of a block.  `root_system` (`roots`) splits the same way.  A Gram
-with one component, and every `short_vectors` call, enumerate the whole
-lattice.
+(`_blocks`) and finds the series of each distinct block once: the theta
+series of L + M is theta_L theta_M, multiplied out exactly in integers,
+once per copy of a block.  `root_system` (`roots`) splits the same way.
+Every `short_vectors` call enumerates the whole lattice.
+
+A block of det 1 is even unimodular, so its rank n is a multiple of 8 and
+its theta series is a modular form of weight n/2 for SL2(Z) (Serre, *A
+Course in Arithmetic*, 1973, ch. VII, 6.1; Conway and Sloane, *Sphere
+Packings, Lattices and Groups*, 1999, ch. 7).  That space has dimension
+d = n // 24 + 1 and the basis E_4^(n/8 - 3j) Delta^j, j < d, in which
+element j is q^j + O(q^(j+1)), with E_4 = 1 + 240 sum sigma_3(m) q^m,
+E_6 = 1 - 504 sum sigma_5(m) q^m and Delta = (E_4^3 - E_6^2) / 1728.  So
+c_0, ..., c_{d-1} fix the series: they are enumerated up to norm
+2 min(d - 1, k) (nothing at ranks 8 and 16, the roots at ranks 24 to 40),
+the coordinates follow by forward substitution, and c_0, ..., c_k are read
+off, all in Python integers.  Every other block is enumerated up to norm 2k.
 
 Enumeration is Fincke-Pohst (Math. Comp. 44, 1985) on G = L D L^T, with
 (x, x) = sum_j d_j (x_j + c_j)^2 and centres c_j = sum_{s>j} L_sj x_s
@@ -72,8 +83,7 @@ passes 64 bits.
 from __future__ import annotations
 
 import logging
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..errors import (
     InternalError,
@@ -83,6 +93,9 @@ from ..errors import (
     check_cap,
 )
 from .lattice import EvenLattice, IntMatrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The depth-first walk keeps one chunk of each level alive, so at most
 # rank * _CHUNK_ROWS nodes are held at once.
@@ -104,6 +117,8 @@ def _minors(l: EvenLattice) -> list[int]:
 
 def _factors(l: EvenLattice) -> tuple[np.ndarray, np.ndarray]:
     """d and L of G = L D L^T in floats; low[s, j] = L_sj for s > j."""
+    import numpy as np
+
     rows = l.elimination
     minors = _minors(l)
     n = l.rank
@@ -117,6 +132,8 @@ def _enumerate(l: EvenLattice, max_norm: int, store: bool):
     """Counts {norm: #vectors} for 0 < norm <= max_norm, plus the vectors
     themselves as an int64 array when store is set.  Counts and stored
     vectors include both signs of each +/- pair."""
+    import numpy as np
+
     n = l.rank
     try:
         d, low = _factors(l)
@@ -261,6 +278,55 @@ def short_vectors(l: EvenLattice, max_norm: int) -> list[tuple[int, ...]]:
     return sorted(map(tuple, vectors.tolist()))
 
 
+def _times(a: list[int], b: list[int]) -> list[int]:
+    """The product of two power series in q, truncated to len(a) terms."""
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(len(a))]
+
+
+def _eisenstein(power: int, scale: int, k: int) -> list[int]:
+    """1 + scale sum_{m=1}^k sigma_power(m) q^m: E_4 at (3, 240), E_6 at
+    (5, -504)."""
+    series = [1] + [0] * k
+    for t in range(1, k + 1):
+        for m in range(t, k + 1, t):
+            series[m] += scale * t ** power
+    return series
+
+
+def _modular_series(rank: int, head: list[int], k: int) -> tuple[int, ...]:
+    """(c_0, ..., c_k) of the modular form of weight rank / 2 for SL2(Z)
+    whose first coefficients are head, len(head) <= min(k + 1, rank // 24 + 1).
+    Its coordinates in the basis E_4^(rank/8 - 3j) Delta^j follow from head
+    by forward substitution, as basis element j is q^j + O(q^(j+1))."""
+    e4, e6 = _eisenstein(3, 240, k), _eisenstein(5, -504, k)
+    delta = [(a - b) // 1728 for a, b in zip(_times(_times(e4, e4), e4), _times(e6, e6))]
+    powers = [[1] + [0] * k]
+    for _ in range(rank // 8):
+        powers.append(_times(powers[-1], e4))
+    series, delta_j = [0] * (k + 1), powers[0]
+    for j, c in enumerate(head):
+        a = c - series[j]
+        basis = _times(powers[rank // 8 - 3 * j], delta_j)
+        series = [s + a * b for s, b in zip(series, basis)]
+        delta_j = _times(delta_j, delta)
+    return tuple(series)
+
+
+def _unimodular_theta(l: EvenLattice, k: int) -> tuple[int, ...]:
+    """(c_0, ..., c_k) of a positive definite even lattice of det 1, from
+    its first dim M_{n/2} = n // 24 + 1 coefficients."""
+    n = l.rank
+    if n % 8:
+        raise InternalError(f"even unimodular lattice of rank {n}, not a multiple of 8")
+    dim = n // 24 + 1
+    known = min(k, dim - 1)
+    counts = _enumerate(l, 2 * known, store=False)[0] if known else {}
+    _log.debug("theta of a unimodular block of rank %d: dim M_%d = %d, %s", n, n // 2,
+               dim, f"enumerated to norm {2 * known}" if known else "modular forms only")
+    head = [1] + [counts.get(2 * m, 0) for m in range(1, known + 1)]
+    return _modular_series(n, head, k)
+
+
 def theta_coefficients(l: EvenLattice, k: int, cap: int = 64) -> tuple[int, ...]:
     """(c_0, ..., c_k) with c_m the number of vectors of norm 2m."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
@@ -270,9 +336,11 @@ def theta_coefficients(l: EvenLattice, k: int, cap: int = 64) -> tuple[int, ...]
         raise LimitError(f"theta term count {k} exceeds cap {cap}")
     series = [1] + [0] * k
     for block, copies in _blocks(l):
-        counts, _ = _enumerate(block, 2 * k, store=False)
-        factor = [1] + [counts.get(2 * m, 0) for m in range(1, k + 1)]
+        if block.det == 1:
+            factor = _unimodular_theta(block, k)
+        else:
+            counts, _ = _enumerate(block, 2 * k, store=False)
+            factor = [1] + [counts.get(2 * m, 0) for m in range(1, k + 1)]
         for _ in range(copies):
-            series = [sum(series[i] * factor[m - i] for i in range(m + 1))
-                      for m in range(k + 1)]
+            series = _times(series, factor)
     return tuple(series)

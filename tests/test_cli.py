@@ -371,10 +371,15 @@ NO_NUMPY = {"numpy"}
      {"codes", "modcat"} | NO_NUMPY),
     (CLI + ["lattice", "genus-compare", "E8E8.json", "D16+.json"],
      {"lattice", "quadspace", "exactkernel"}, {"codes", "modcat"} | NO_NUMPY),
+    (CLI + ["lattice", "theta", "E8E8.json", "--terms", "2"], {"lattice", "exactkernel"},
+     {"codes", "modcat", "quadspace"} | NO_NUMPY),
+    (CLI + ["lattice", "theta", "D16+.json", "--terms", "2"], {"lattice", "exactkernel"},
+     {"codes", "modcat", "quadspace"} | NO_NUMPY),
     (CLI + ["modcat", "ising"], {"modcat", "quadspace"}, {"codes", "lattice"}),
     (["-c", "import genusforge.cli"], set(), LAYERS | NO_NUMPY),
 ], ids=["codes", "codes-check-framed", "qs", "qs-validate", "qs-decompose", "lattice",
-        "lattice-disc-form", "lattice-genus-compare", "modcat", "import"])
+        "lattice-disc-form", "lattice-genus-compare", "lattice-theta-E8E8",
+        "lattice-theta-D16+", "modcat", "import"])
 def test_each_command_group_imports_only_its_layers(tmp_path, args, own, absent):
     # -X importtime names every module as a fresh interpreter first loads
     # it into sys.modules

@@ -524,6 +524,11 @@ INTERLEAVED_SUMS = {"E8+A2+A1+A1": [lattice_e8(), lattice_a(2), lattice_a(1), la
                     "D4+D4": [lattice_d(4)] * 2, "A1^5": [lattice_a(1)] * 5}
 
 
+def d24_plus():
+    """D24+, a det-1 overlattice of D24: one component of rank 24."""
+    return next(k for _, k in overlattices(lattice_d(24)) if k.det == 1)
+
+
 def interleaved(l, rng):
     p = rng.sample(range(l.rank), l.rank)
     return build_lattice([[l.gram[i][j] for j in p] for i in p])
@@ -551,15 +556,79 @@ class TestEnumerationOracle:
             return original(l, *args, **kwargs)
 
         monkeypatch.setattr(theta, "_enumerate", recorded)
+        # Unimodular blocks of rank 8 and 16 come from modular forms alone.
         assert theta_coefficients(lattice_e8e8(), 2) == (1, 480, 61920)
-        assert ranks == [8]
+        assert ranks == []
+        assert theta_coefficients(lattice_d16_plus(), 2) == (1, 480, 61920)
+        assert ranks == []
+        d4d4 = orthogonal_sum([lattice_d(4)] * 2)
+        assert theta_coefficients(d4d4, 2) == oracle_theta(d4d4, 2)
+        assert ranks == [4]
+        ranks.clear()
+        e8a2a2 = orthogonal_sum([lattice_e8(), lattice_a(2), lattice_a(2)])
+        assert theta_coefficients(e8a2a2, 2) == oracle_theta(e8a2a2, 2)
+        assert ranks == [2]
         ranks.clear()
         report = root_system(orthogonal_sum([lattice_a(1)] * 7))
         assert report == RootSystemReport((("A", 1),) * 7, 14)
         assert ranks == [1]
-        ranks.clear()
-        assert theta_coefficients(lattice_d16_plus(), 2) == (1, 480, 61920)
-        assert ranks == [16]
+
+    @pytest.mark.parametrize("l, k", [
+        (lattice_e8e8(), 3), (lattice_d16_plus(), 3),
+        (lattice_basis_change(lattice_e8e8(), random.Random(11)), 3),
+        (lattice_basis_change(lattice_d16_plus(), random.Random(12)), 3),
+        (orthogonal_sum([lattice_e8()] * 3), 2),
+    ], ids=["E8E8", "D16+", "E8E8 basis change", "D16+ basis change", "E8^3"])
+    def test_unimodular_series_match_the_enumeration(self, l, k):
+        # The modular-forms path against the enumeration of the whole Gram
+        # and against the node-by-node oracle.
+        counts, _ = theta._enumerate(l, 2 * k, store=False)
+        enumerated = (1,) + tuple(counts.get(2 * m, 0) for m in range(1, k + 1))
+        assert theta_coefficients(l, k) == enumerated == oracle_theta(l, k)
+
+    def test_e8_series_is_240_sigma_3(self):
+        sigma3 = [sum(t ** 3 for t in range(1, m + 1) if m % t == 0) for m in range(1, 9)]
+        expected = (1,) + tuple(240 * s for s in sigma3)
+        counts, _ = theta._enumerate(lattice_e8(), 16, store=False)
+        assert theta_coefficients(lattice_e8(), 8) == expected
+        assert (1,) + tuple(counts.get(2 * m, 0) for m in range(1, 9)) == expected
+        assert oracle_theta(lattice_e8(), 8) == expected
+
+    def test_rank_24_enumerates_only_the_roots(self, monkeypatch):
+        l = d24_plus()
+        calls = []
+        original = theta._enumerate
+
+        def recorded(l, max_norm, store):
+            calls.append((l.rank, max_norm))
+            return original(l, max_norm, store)
+
+        monkeypatch.setattr(theta, "_enumerate", recorded)
+        assert theta_coefficients(l, 2) == (1, 1104, 170064)
+        assert calls == [(24, 2)]
+        monkeypatch.undo()
+        assert oracle_theta(l, 2) == (1, 1104, 170064)
+
+    def test_leech_series_from_no_roots(self):
+        assert theta._modular_series(24, [1, 0], 3) == (1, 0, 196560, 16773120)
+
+    def test_debug_log_names_the_unimodular_path(self, caplog):
+        caplog.set_level(logging.DEBUG, logger=theta.__name__)
+        theta_coefficients(lattice_d16_plus(), 3)
+        [record] = [r for r in caplog.records if r.name == theta.__name__]
+        assert record.getMessage() == ("theta of a unimodular block of rank 16: "
+                                       "dim M_8 = 1, modular forms only")
+        caplog.clear()
+        theta_coefficients(orthogonal_sum([lattice_e8()] * 3), 2)
+        [record] = [r for r in caplog.records if r.name == theta.__name__]
+        assert record.getMessage() == ("theta of a unimodular block of rank 8: "
+                                       "dim M_4 = 1, modular forms only")
+        caplog.clear()
+        theta_coefficients(d24_plus(), 2)
+        messages = [r.getMessage() for r in caplog.records if r.name == theta.__name__]
+        assert messages[0].startswith("short vectors of norm <= 2 in rank 24:")
+        assert messages[1] == ("theta of a unimodular block of rank 24: "
+                               "dim M_12 = 2, enumerated to norm 2")
 
     @pytest.mark.parametrize("index", range(len(ORACLE_LATTICES)), ids=ORACLE_IDS)
     def test_every_lattice_under_a_seeded_basis_change(self, index):
@@ -671,6 +740,17 @@ class TestSkewedBases:
         except LimitError:
             return
         assert got == moved_vectors(short_vectors(base, 2), u)
+
+    def test_unimodular_gram_past_int64_gets_its_series(self):
+        # A det-1 block of rank 8 or 16 is never enumerated, so entries past
+        # 64 bits do not matter there.
+        u = [[int(i == j) for j in range(8)] for i in range(8)]
+        u[0][3], u[5][1] = 10 ** 10, -(10 ** 10)
+        l = skewed(lattice_e8(), u)
+        assert 10 ** 19 < max(abs(x) for row in l.gram for x in row) < 10 ** 21
+        assert theta_coefficients(l, 3) == (1, 240, 2160, 6720)
+        with pytest.raises(LimitError):
+            short_vectors(l, 2)
 
     def test_gram_entries_past_int64_raise_a_limit_error(self):
         shear = ((1, 10 ** 10), (0, 1))
