@@ -73,8 +73,9 @@ def _subgroup_json(sub) -> dict:
             "generators": [list(g) for g in sub.generators]}
 
 
-def _caps(args, default: int) -> int:
-    return args.limit if args.limit is not None else default
+def _caps(args) -> dict:
+    """`cap=--limit` when the flag is given; else each library default holds."""
+    return {} if args.limit is None else {"cap": args.limit}
 
 
 def _cmd_lattice(args) -> dict:
@@ -86,15 +87,14 @@ def _cmd_lattice(args) -> dict:
         a, b = _load_lattice(args.file_a), _load_lattice(args.file_b)
         return {"same_genus": lattice.same_genus(a, b)}
     if args.cmd == "overlattices":
-        found = lattice.overlattices(_load_lattice(args.file),
-                                     cap=_caps(args, 4096))
+        found = lattice.overlattices(_load_lattice(args.file), **_caps(args))
         return {"count": len(found),
                 "overlattices": [{"subgroup": _subgroup_json(sub),
                                   "lattice": lattice.lattice_to_json(m)}
                                  for sub, m in found]}
     if args.cmd == "theta":
-        coeffs = lattice.theta_coefficients(_load_lattice(args.file),
-                                            args.terms, cap=_caps(args, 64))
+        coeffs = lattice.theta_coefficients(_load_lattice(args.file), args.terms,
+                                            **_caps(args))
         return {"coefficients": list(coeffs)}
     if args.cmd == "roots":
         rep = lattice.root_system(_load_lattice(args.file))
@@ -114,8 +114,7 @@ def _cmd_qs(args) -> dict:
         s = _load_space(args.file)
         return {"signature_mod8": quadspace.signature_mod8(s)}
     if args.cmd == "isotropic":
-        subs = quadspace.isotropic_subgroups(_load_space(args.file),
-                                             cap=_caps(args, 4096))
+        subs = quadspace.isotropic_subgroups(_load_space(args.file), **_caps(args))
         return {"count": len(subs),
                 "subgroups": [_subgroup_json(c) for c in subs]}
     if args.cmd == "quotient":
@@ -134,7 +133,7 @@ def _cmd_qs(args) -> dict:
         return quadspace.space_to_json(quadspace.quotient_space(s, sub))
     if args.cmd == "isometric":
         s1, s2 = _load_space(args.file_a), _load_space(args.file_b)
-        found = quadspace.is_isometric(s1, s2, cap=_caps(args, 3000))
+        found = quadspace.is_isometric(s1, s2, **_caps(args))
         return {"isometric": found is not None}
     if args.cmd == "decompose":
         parts = quadspace.primary_decomposition(_load_space(args.file))
@@ -168,8 +167,7 @@ def _cmd_modcat(args) -> dict:
     if args.cmd == "ising":
         return modcat.modular_data_to_json(modcat.ising_data())
     if args.cmd == "extensions":
-        reports = modcat.simple_current_extensions(_load_space(args.file),
-                                                   cap=_caps(args, 4096))
+        reports = modcat.simple_current_extensions(_load_space(args.file), **_caps(args))
         return {"count": len(reports),
                 "extensions": [{"subgroup": _subgroup_json(r.subgroup),
                                 "quotient": quadspace.space_to_json(r.quotient)}
@@ -180,12 +178,10 @@ def _cmd_modcat(args) -> dict:
 def _cmd_codes(args) -> dict:
     from . import codes
     if args.cmd == "sigma":
-        value = codes.sigma_k(args.length, args.dim,
-                              cap=_caps(args, codes.DEFAULT_LENGTH_CAP))
+        value = codes.sigma_k(args.length, args.dim, **_caps(args))
         return {"sigma": value}
     if args.cmd == "mass":
-        mass = codes.relative_mass_rhs(args.length,
-                                       cap=_caps(args, codes.DEFAULT_LENGTH_CAP))
+        mass = codes.relative_mass_rhs(args.length, **_caps(args))
         return {"mass": f"{mass.numerator}/{mass.denominator}"}
     if args.cmd == "lexicode":
         return codes.code_to_json(codes.lexicode(args.length, args.distance))

@@ -27,9 +27,7 @@ from functools import cached_property
 from typing import Sequence
 
 from ..errors import InternalError, ValidationError
-from ..exactkernel import freeze, row_lattice_basis
-
-IntMatrix = tuple[tuple[int, ...], ...]
+from ..exactkernel import IntMatrix, freeze, row_lattice_basis
 
 
 @dataclass(frozen=True)
@@ -150,21 +148,17 @@ def lattice_d(n: int) -> EvenLattice:
     return build_lattice(_dynkin_gram(n, edges), f"D{n}")
 
 
+# E8: the chain 0-1-2-3-4-5-6 with node 7 hanging off node 4.
+_E8_EDGES = [(i, i + 1) for i in range(6)] + [(4, 7)]
+
+
 def lattice_e8() -> EvenLattice:
-    # Chain 0-1-2-3-4-5-6 with node 7 hanging off node 4.
-    edges = [(i, i + 1) for i in range(6)] + [(4, 7)]
-    return build_lattice(_dynkin_gram(8, edges), "E8")
+    return build_lattice(_dynkin_gram(8, _E8_EDGES), "E8")
 
 
 def lattice_e8e8() -> EvenLattice:
-    e8 = lattice_e8().gram
-    n = 16
-    g = [[0] * n for _ in range(n)]
-    for i in range(8):
-        for j in range(8):
-            g[i][j] = e8[i][j]
-            g[i + 8][j + 8] = e8[i][j]
-    return build_lattice(g, "E8E8")
+    edges = _E8_EDGES + [(i + 8, j + 8) for i, j in _E8_EDGES]
+    return build_lattice(_dynkin_gram(16, edges), "E8E8")
 
 
 def lattice_d16_plus() -> EvenLattice:

@@ -327,7 +327,8 @@ def direct_sum(s1: FiniteQuadraticSpace, s2: FiniteQuadraticSpace) -> FiniteQuad
         scale = level // s.level
         for i, row in enumerate(s.gram):
             gram[off + i][off:off + s.rank] = [x * scale for x in row]
-    return space_from_gram(list(s1.orders) + list(s2.orders), level, gram)
+    # A sum of nondegenerate spaces is nondegenerate.
+    return _canonical_space(list(s1.orders) + list(s2.orders), level, gram)
 
 
 def space_to_json(s: FiniteQuadraticSpace) -> dict:

@@ -174,6 +174,16 @@ class TestStatusAndFlags:
         out = payload("--limit", "40", "codes", "sigma", "--length", "40", "--dim", "1")
         assert out == {"sigma": 1}
 
+    def test_without_limit_the_library_default_cap_holds(self, tmp_path, capsys):
+        # disc(A1^13) has order 8192, past the default isotropic cap 4096.
+        lat = write(tmp_path, "a1_13.json",
+                    {"gram": [[2 * (i == j) for j in range(13)] for i in range(13)]})
+        qs = write(tmp_path, "disc.json", payload("lattice", "disc-form", lat))
+        assert main(["qs", "isotropic", qs]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "group order 8192 exceeds isotropic cap 4096",
+            "status": "limit-exceeded"}
+
     def test_precision_flag_is_rejected(self, tmp_path):
         # modcat milgram reads its sign off one interval of fixed width, so
         # there is no precision to set

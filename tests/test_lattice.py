@@ -5,12 +5,14 @@ enumeration in `theta_oracle.py`; the overlattice and genus checks lean
 on the quadspace layer, which is tested independently.
 """
 
+import ast
 import importlib
 import logging
 import random
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,8 +47,9 @@ from genusforge.lattice import (
     signature,
     theta_coefficients,
 )
-from genusforge.lattice import discform, overlattice, theta
+from genusforge.lattice import discform, overlattice, roots, theta
 from genusforge.lattice.discform import _disc_with_lifts
+from genusforge.lattice.lattice import _dynkin_gram
 from genusforge.lattice.roots import RootSystemReport, _simple_roots
 from genusforge.modcat import simple_current_extensions
 from genusforge.quadspace import (
@@ -60,6 +63,7 @@ from genusforge.quadspace import (
 )
 from genusforge.quadspace import space as space_module
 import kernel_oracle
+import theta_oracle
 from space_oracle import assert_tables_match, oracle_q
 from theta_oracle import (
     fraction_ldl,
@@ -439,18 +443,66 @@ class TestRootSystems:
         assert root_system(build_lattice([[4]])).components == ()
 
     def test_e6_e7(self):
-        def dynkin(n, edges):
-            g = [[0] * n for _ in range(n)]
-            for i in range(n):
-                g[i][i] = 2
-            for i, j in edges:
-                g[i][j] = g[j][i] = -1
-            return g
+        assert root_system(dynkin_lattice("E", 6)).components == (("E", 6),)
+        assert root_system(dynkin_lattice("E", 7)).root_count == 126
 
-        e6 = dynkin(6, [(i, i + 1) for i in range(4)] + [(2, 5)])
-        e7 = dynkin(7, [(i, i + 1) for i in range(5)] + [(2, 6)])
-        assert root_system(build_lattice(e6)).components == (("E", 6),)
-        assert root_system(build_lattice(e7)).root_count == 126
+
+def dynkin_lattice(kind, k):
+    """The root lattice of type (kind, k) on the basis of its simple roots."""
+    edges = [(i, i + 1) for i in range(k - 1 if kind == "A" else k - 2)]
+    if kind != "A":
+        edges.append((k - 3 if kind == "D" else 2, k - 1))
+    return build_lattice(_dynkin_gram(k, edges))
+
+
+ADE_TYPES = ([("A", k) for k in range(1, 25)] + [("D", k) for k in range(4, 25)]
+             + [("E", k) for k in (6, 7, 8)])
+ADE_SUMS = {"E8^3": [lattice_e8()] * 3, "D4^6": [lattice_d(4)] * 6,
+            "A1^24": [lattice_a(1)] * 24}
+
+
+class TestCartanClassification:
+    """The type read off (rank, det) of each Cartan block against the
+    arm-walking classifier of the oracle, on the Dynkin basis and on one
+    seeded basis change."""
+
+    @pytest.mark.parametrize("kind,k", ADE_TYPES, ids=[f"{t}{k}" for t, k in ADE_TYPES])
+    def test_every_connected_type_to_rank_24(self, kind, k):
+        l = dynkin_lattice(kind, k)
+        for m in (l, lattice_basis_change(l, random.Random(k))):
+            report = root_system(m)
+            assert report.components == ((kind, k),)
+            assert (report.components, report.root_count) == oracle_root_system(m)
+
+    @pytest.mark.parametrize("name", ADE_SUMS)
+    def test_orthogonal_sums_of_rank_24(self, name):
+        l = orthogonal_sum(ADE_SUMS[name])
+        for m in (l, lattice_basis_change(l, random.Random(24))):
+            report = root_system(m)
+            assert (report.components, report.root_count) == oracle_root_system(m)
+
+    def test_a_cartan_matrix_that_is_not_positive_definite_is_internal(self, monkeypatch):
+        # The Cartan matrix of the affine A2 diagram (a triangle) is singular.
+        triangle = np.array([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+        monkeypatch.setattr(roots, "_simple_roots", lambda l, found: (None, triangle))
+        with pytest.raises(InternalError, match="Cartan matrix"):
+            root_system(lattice_a(3))
+
+    def test_a_block_that_is_not_ade_is_internal(self):
+        with pytest.raises(InternalError, match="not ADE"):
+            roots._ade(5, 3)
+
+    def test_the_oracle_imports_nothing_from_roots(self):
+        tree = ast.parse(Path(theta_oracle.__file__).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            assert not any(n.startswith("genusforge.lattice.roots") for n in names), \
+                f"theta_oracle.py:{node.lineno} imports from genusforge.lattice.roots"
 
 
 class TestGenusSeparation:
@@ -658,7 +710,8 @@ class TestEnumerationOracle:
                                    for i, row in enumerate(low)]
 
     def test_functional_past_int64_uses_python_integers(self):
-        # Rank 52: p^51 alone passes 2^62, so f is evaluated in Python ints.
+        # Rank 52, 24 copies of A2 and one D4: the lexicographic simple roots
+        # of a wide orthogonal sum, with no functional to overflow.
         l = orthogonal_sum([lattice_a(2)] * 24 + [lattice_d(4)])
         report = root_system(l)
         assert (report.components, report.root_count) == oracle_root_system(l)

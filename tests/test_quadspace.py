@@ -7,6 +7,7 @@ Gauss sums by summing floats, and decompositions by re-summing parts.
 
 import gc
 import logging
+import math
 import random
 import time
 from fractions import Fraction
@@ -190,6 +191,20 @@ class TestBuild:
         s = direct_sum(disc_A1(), build_space([4], ["1/4"]))
         assert s.orders == (2, 4)
         assert s.order == 8
+
+    def test_direct_sum_equals_the_nondegeneracy_checked_route(self):
+        # direct_sum skips the Smith-form test of space_from_gram, which a
+        # sum of two nondegenerate spaces always passes.
+        library = space_library(8)
+        for s1 in library:
+            for s2 in library:
+                level = math.lcm(s1.level, s2.level)
+                gram = [[x * (level // s1.level) for x in row] + [0] * s2.rank
+                        for row in s1.gram]
+                gram += [[0] * s1.rank + [x * (level // s2.level) for x in row]
+                         for row in s2.gram]
+                checked = space_module.space_from_gram(s1.orders + s2.orders, level, gram)
+                assert direct_sum(s1, s2) == checked
 
 
 class TestSharedGroupArrays:

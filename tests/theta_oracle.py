@@ -5,11 +5,13 @@ Gram-matrix root test in `genusforge.lattice`.
 `oracle_enumerate` descends one coordinate at a time in Python, keeping
 the centres in a list it updates and restores around each child, and
 emits the last coordinate's whole interval as a block of candidates.
-`oracle_root_system` splits the roots by the rational ladder
-(1, 1/p, 1/p^2, ...) and calls a positive root simple when no difference
-with another positive root is itself positive.  `fraction_ldl` is the
-LDL^T in `Fraction` arithmetic, the oracle for the fraction-free
-elimination that `EvenLattice.elimination` keeps and Fincke-Pohst reads.
+`oracle_root_system` takes the roots that are lexicographically positive
+(first nonzero coordinate positive), calls one simple when no difference
+with another positive root is itself positive, and names each component
+of the Dynkin graph by walking its arms from the branch node.
+`fraction_ldl` is the LDL^T in `Fraction` arithmetic, the oracle for the
+fraction-free elimination that `EvenLattice.elimination` keeps and
+Fincke-Pohst reads.
 """
 
 import math
@@ -19,10 +21,12 @@ import numpy as np
 
 from genusforge.errors import InternalError, NotPositiveDefiniteError
 from genusforge.lattice import build_lattice
-from genusforge.lattice.roots import _EXPECTED_COUNTS, _classify_component
 
 _SLACK = 1e-6
 _FLUSH_ROWS = 1 << 16
+_EXPECTED_COUNTS = {"A": lambda n: n * (n + 1),
+                    "D": lambda n: 2 * n * (n - 1),
+                    "E": {6: 72, 7: 126, 8: 240}}
 
 
 def fraction_ldl(gram):
@@ -140,18 +144,46 @@ def oracle_theta(l, k):
 def oracle_simple_roots(l):
     """The simple roots as a set of tuples (empty for a rootless lattice)."""
     roots = oracle_short_vectors(l, 2)
-    p = 2
-    while True:
-        f = [Fraction(1, p ** i) for i in range(l.rank)]
-        values = {r: sum(fi * ri for fi, ri in zip(f, r)) for r in roots}
-        if all(v != 0 for v in values.values()):
-            break
-        p = next(q for q in range(p + 1, 10 * p) if all(q % t for t in range(2, q)))
-    positive = [r for r in roots if values[r] > 0]
+    zero = (0,) * l.rank
+    positive = [r for r in roots if r > zero]
     pos_set = set(positive)
     return {r for r in positive
             if not any(tuple(a - b for a, b in zip(r, q)) in pos_set
                        for q in positive)}
+
+
+def _classify_component(nodes, adj) -> tuple[str, int]:
+    n = len(nodes)
+    degrees = {v: len(adj[v]) for v in nodes}
+    if any(d > 3 for d in degrees.values()):
+        raise InternalError("degree > 3 in a simply laced Dynkin diagram")
+    branches = [v for v in nodes if degrees[v] == 3]
+    if not branches:
+        return ("A", n)
+    if len(branches) > 1:
+        raise InternalError("two branch nodes in one Dynkin component")
+    hub = branches[0]
+    arms = []
+    for start in adj[hub]:
+        length = 1
+        prev, cur = hub, start
+        while True:
+            nxt = [w for w in adj[cur] if w != prev]
+            if not nxt:
+                break
+            if len(nxt) > 1:
+                raise InternalError("branch inside a Dynkin arm")
+            prev, cur = cur, nxt[0]
+            length += 1
+        arms.append(length)
+    arms.sort()
+    if arms[0] != 1:
+        raise InternalError("Dynkin branch without a length-1 arm")
+    if arms[1] == 1:
+        return ("D", arms[2] + 3)
+    if arms[1] == 2 and arms[2] in (2, 3, 4):
+        return ("E", arms[2] + 4)
+    raise InternalError(f"arm lengths {arms} are not an ADE shape")
 
 
 def oracle_root_system(l):
