@@ -77,15 +77,22 @@ class BinaryCode:
         return self.reduce(word) == 0
 
     def words(self):
-        """All 2^dim codewords; guarded against huge codes."""
-        return _word_array(self).tolist()
+        """All 2^dim codewords, the span of the first i rows first; guarded
+        against huge codes."""
+        import numpy as np
+        gray = _gray_words(self)
+        m = np.arange(len(gray), dtype=np.uint32)
+        out = np.empty_like(gray)
+        out[m ^ m >> 1] = gray
+        return out.tolist()
 
     @cached_property
     def _dual(self) -> BinaryCode:
         """All words orthogonal to the code, built once; it keeps this code as its dual."""
         pivots = [b & -b for b in self.basis]
+        mask = sum(pivots)
         rows = [1 << f | sum(p for b, p in zip(self.basis, pivots) if b >> f & 1)
-                for f in range(self.length) if not sum(pivots) >> f & 1]
+                for f in range(self.length) if not mask >> f & 1]
         out = build_code(self.length, rows)
         out.__dict__["_dual"] = self
         return out
@@ -94,15 +101,30 @@ class BinaryCode:
         return f"BinaryCode(length={self.length}, dim={self.dim})"
 
 
-def _word_array(code: BinaryCode) -> np.ndarray:
-    """The codewords as uint64, the span of the first i rows first."""
+_ruler = None
+
+
+def _gray_words(code: BinaryCode) -> np.ndarray:
+    """The codewords as uint64 in Gray-code order: word m is word m - 1
+    plus row ctz(m), so it is the sum of the rows at the bits of
+    m ^ (m >> 1)."""
+    global _ruler
     import numpy as np
-    if code.dim > 22:
-        raise LimitError(f"enumerating 2^{code.dim} codewords refused")
-    out = np.zeros(1 << code.dim, dtype=np.uint64)
-    for i, b in enumerate(code.basis):
-        out[1 << i: 2 << i] = out[: 1 << i] ^ np.uint64(b)
-    return out
+    k = code.dim
+    if k > 22:
+        raise LimitError(f"enumerating 2^{k} codewords refused")
+    n = 1 << k
+    if _ruler is None or len(_ruler) < n:
+        # _ruler[m] = 1 + ctz(m), and 0 at m = 0 for the zero word; the
+        # entries in [2^j, 2^(j+1)) repeat those below 2^j after 1 + j
+        ruler = np.zeros(n, dtype=np.uint8)
+        for j in range(k):
+            ruler[1 << j] = j + 1
+            ruler[(1 << j) + 1: 2 << j] = ruler[1: 1 << j]
+        ruler.setflags(write=False)
+        _ruler = ruler
+    rows = np.array((0,) + code.basis, dtype=np.uint64)
+    return np.bitwise_xor.accumulate(rows[_ruler[:n]])
 
 
 def build_code(length: int, rows) -> BinaryCode:
@@ -145,14 +167,16 @@ def weights_divisible_by_8(code: BinaryCode) -> bool:
     return True
 
 
-def _direct_enumerator(code: BinaryCode) -> list[int]:
+def _weight_histogram(code: BinaryCode) -> np.ndarray:
     import numpy as np
-    return np.bincount(np.bitwise_count(_word_array(code)), minlength=code.length + 1).tolist()
+    return np.bincount(np.bitwise_count(_gray_words(code)), minlength=code.length + 1)
 
 
 @lru_cache(maxsize=None)
-def _krawtchouk(r: int) -> tuple[tuple[int, ...], ...]:
-    """K[j][i] = coefficient of x^j in (1 - x)^i (1 + x)^(r - i)."""
+def _krawtchouk(r: int) -> np.ndarray:
+    """K[j][i] = coefficient of x^j in (1 - x)^i (1 + x)^(r - i), as int64:
+    |K[j][i]| <= C(r, j) < 2^63 for r <= 64."""
+    import numpy as np
     cols = [[comb(r, j) for j in range(r + 1)]]
     for _ in range(r):
         # times (1 - x) / (1 + x): new[j] + new[j - 1] = old[j] - old[j - 1]
@@ -160,28 +184,32 @@ def _krawtchouk(r: int) -> tuple[tuple[int, ...], ...]:
         for j in range(1, r + 1):
             new.append(old[j] - old[j - 1] - new[j - 1])
         cols.append(new)
-    return tuple(zip(*cols))
+    out = np.array(cols, dtype=np.int64).T
+    out.setflags(write=False)
+    return out
 
 
 def weight_enumerator(code: BinaryCode) -> list[int]:
     """W[j] = number of codewords of weight j; sum is 2^dim.
 
     Large codes are handled through the dual side and the MacWilliams
-    transform, W[j] = sum_i K[j][i] W_dual[i] / 2^(r - k), which stays
-    exact in integers.
+    transform, W = K W_dual / 2^(r - k), which stays exact in integers.
+    Every partial sum of row j of K W_dual is at most C(r, j) 2^(r - k) in
+    absolute value, so the product runs in int64 when
+    C(r, r // 2) 2^(r - k) < 2^63, and on Python ints otherwise.
     """
     r = code.length
     k = code.dim
     if k <= r - k or r - k > 22:
-        return _direct_enumerator(code)
-    wd = [(i, w) for i, w in enumerate(_direct_enumerator(dual_code(code))) if w]
-    out = []
-    for row in _krawtchouk(r):
-        q, rem = divmod(sum(row[i] * w for i, w in wd), 1 << (r - k))
-        if rem:
-            raise ValidationError("MacWilliams transform came out fractional")
-        out.append(q)
-    return out
+        return _weight_histogram(code).tolist()
+    wd = _weight_histogram(dual_code(code))
+    kraw = _krawtchouk(r)
+    if comb(r, r // 2) << (r - k) >= 1 << 63:
+        kraw, wd = kraw.astype(object), wd.astype(object)
+    acc = kraw @ wd
+    if (acc % (1 << (r - k))).any():
+        raise ValidationError("MacWilliams transform came out fractional")
+    return (acc >> (r - k)).tolist()
 
 
 def code_to_json(code: BinaryCode) -> dict:

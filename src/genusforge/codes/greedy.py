@@ -77,7 +77,8 @@ def lexicode(n: int, d: int) -> BinaryCode:
         weight = np.minimum(weight, weight[partner] + 1)
         basis.insert(0, (t, best))
     code = build_code(n, [b for _, b in basis])
-    assert code.dim == len(basis), "greedy output failed the linearity check"
+    if code.dim != len(basis):
+        raise InternalError("greedy output failed the linearity check")
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("lexicode(%d, %d): %d rows admitted, largest coset table %d, %.3f s",
                    n, d, len(basis), len(res), time.perf_counter() - start)

@@ -11,13 +11,22 @@ dict_lexicode, list_words and loop_weight_enumerator are the lexicode,
 codeword list and weight enumerator the library used before it kept the
 coset table and the codewords in arrays: one dict entry per coset, reduced
 word by word, and Python loops over words and Krawtchouk sums.
+popcount_framed_report is the framing check the library used before it
+read duality off the dual code: a parity test of every pair of basis rows.
 """
 
 from math import comb
 
 import numpy as np
 
-from genusforge.codes.binary import build_code, dual_code
+from genusforge.codes.binary import (
+    build_code,
+    contains_allones,
+    dual_code,
+    is_even,
+    weights_divisible_by_8,
+)
+from genusforge.codes.framed import FramedReport
 from genusforge.errors import LimitError, ValidationError
 
 # largest candidate set the pair stage will hold as a dense matrix
@@ -348,3 +357,23 @@ def loop_weight_enumerator(code):
             raise ValidationError("MacWilliams transform came out fractional")
         out.append(q)
     return out
+
+
+def popcount_framed_report(pair, self_dual=False):
+    """D lies in the dual of C when every pair of basis rows meets in an
+    even number of places, and then equals it when dim C + dim D = length."""
+    c, d = pair.c_code, pair.d_code
+    orthogonal = all((a & b).bit_count() % 2 == 0 for a in c.basis for b in d.basis)
+    conds = [
+        ("d_subset_c_dual", orthogonal),
+        ("c_even", is_even(c)),
+        ("d_weights_multiple_of_8", weights_divisible_by_8(d)),
+    ]
+    if self_dual:
+        conds += [
+            ("length_multiple_of_16", pair.length % 16 == 0),
+            ("d_equals_c_dual",
+             orthogonal and len(c.basis) + len(d.basis) == pair.length),
+            ("allones_in_d", contains_allones(d)),
+        ]
+    return FramedReport(tuple(conds))

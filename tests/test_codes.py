@@ -40,6 +40,7 @@ from code_oracles import (
     list_words,
     loop_weight_enumerator,
     naive_sigma,
+    popcount_framed_report,
     support_stabilizer_order,
     sweep_sigma,
 )
@@ -47,7 +48,7 @@ from code_oracles import (
 binary_module = import_module("genusforge.codes.binary")
 greedy_module = import_module("genusforge.codes.greedy")
 sigma_module = import_module("genusforge.codes.sigma")
-from genusforge.errors import LimitError, ValidationError
+from genusforge.errors import InternalError, LimitError, ValidationError
 
 
 def random_code(rng, length, rows):
@@ -120,9 +121,13 @@ class TestBinaryCode:
     @settings(deadline=None)
     @given(st.integers(1, 48), st.integers(0, 12), st.booleans(), st.integers(0, 2**32))
     @example(48, 6, True, 0)
+    @example(48, 7, True, 0)
+    @example(62, 12, True, 0)
     def test_weight_enumerator_matches_the_loop_oracle(self, r, side, big, seed):
         # min(k, r - k) <= 12 keeps the oracle fast; big puts k above r - k,
-        # where the enumerator goes through the dual and MacWilliams
+        # where the enumerator goes through the dual and MacWilliams.  The
+        # product runs in int64 at (48, 7), where C(48, 24) 2^7 < 2^63, and
+        # on Python ints at (62, 12), where C(62, 31) 2^12 > 2^63.
         rng = random.Random(seed)
         k = r - min(side, r) if big else min(side, r)
         c = random_code(rng, r, k)
@@ -296,6 +301,46 @@ class TestFramed:
         perp = dual_code(c)
         for pair in ((c, perp), (perp, c), (c, c), (perp, perp)):
             self.assert_dual_verdicts(*pair)
+
+    def test_reports_match_the_popcount_oracle_on_random_pairs(self):
+        # D is C-perp itself, C-perp rebuilt from a mixed and shuffled basis,
+        # a proper subcode of C-perp, and a code holding a word with an odd
+        # overlap with a row of C.
+        rng = random.Random(31)
+
+        def mixed(rows):
+            rows = list(rows)
+            for i in range(1, len(rows)):
+                rows[i] ^= rows[rng.randrange(i)]
+            rng.shuffle(rows)
+            return rows
+
+        seen = set()
+        for _ in range(150):
+            r = rng.randint(1, 64)
+            c = build_code(r, [rng.randrange(1, 1 << r) for _ in range(rng.randint(1, r))])
+            perp = dual_code(c)
+            rebuilt = build_code(r, mixed(perp.basis))
+            assert rebuilt == perp and rebuilt is not perp
+            cases = [("perp", perp, True), ("rebuilt", rebuilt, True)]
+            if perp.dim:
+                sub = build_code(r, mixed(perp.basis)[1:])
+                cases.append(("subcode", sub, True))
+            else:
+                sub = perp
+            a = rng.choice(c.basis)
+            word = rng.getrandbits(r)
+            if (word & a).bit_count() % 2 == 0:
+                word ^= a & -a
+            cases.append(("outside", build_code(r, list(sub.basis) + [word]), False))
+            for name, d, inside in cases:
+                for self_dual in (False, True):
+                    pair = FramedPair(c, d)
+                    want = popcount_framed_report(pair, self_dual)
+                    assert check_framed_conditions(pair, self_dual) == want, (c, d)
+                    assert want.as_dict()["d_subset_c_dual"] == inside
+                seen.add(name)
+        assert seen == {"perp", "rebuilt", "subcode", "outside"}
 
 
 class TestSigma:
@@ -558,6 +603,13 @@ class TestLexicode:
                  if rec.name == greedy_module.__name__]
         assert len(lines) == 1
         assert "lexicode(8, 4): 4 rows admitted, largest coset table 16" in lines[0]
+
+    def test_a_dependent_greedy_row_is_an_internal_error(self, monkeypatch):
+        build = greedy_module.build_code
+        monkeypatch.setattr(greedy_module, "build_code",
+                            lambda n, rows: build(n, rows[1:]))
+        with pytest.raises(InternalError):
+            lexicode(8, 4)
 
     def test_coset_table_cap(self, monkeypatch):
         monkeypatch.setattr(greedy_module, "_TABLE_CAP", 1 << 8)
